@@ -152,7 +152,7 @@ def cmd_compare(args) -> int:
         print("error: --block-size is required for compare", file=sys.stderr)
         return 1
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     if args.baseline_fixture:
         with open(args.baseline_fixture) as fh:
             groups = baseline_mod.load_fixture(fh.read(), circuit)
@@ -161,11 +161,11 @@ def cmd_compare(args) -> int:
             circuit, baseline_mod.BaselineConfig(args.block_size)
         )
     baseline_parts = baseline_mod.remap_groups(circuit, groups)
-    t_baseline = time.time() - t0
+    t_baseline = time.perf_counter() - t0
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     _, result = _pipeline_from_args(args, circuit)
-    t_hypergraph = time.time() - t0
+    t_hypergraph = time.perf_counter() - t0
 
     report = metrics_mod.build_report(
         circuit,

@@ -2,7 +2,8 @@
 
 The internal solver is a deterministic multilevel bisection scheme:
 heavy-connectivity matching for coarsening, greedy balanced initial
-assignment, then exact-gain boundary refinement. k > 2 is handled by
+assignment, then Fiduccia-Mattheyses refinement and balance repair that
+read move gains from cached per-edge pin counts. k > 2 is handled by
 recursive bisection. An external-solver adapter mirrors the usual
 Mt-KaHyPar style invocation for users who have a binary available.
 
@@ -16,7 +17,7 @@ import math
 import os
 import subprocess
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .hypergraph import HgrMode, Hypergraph, normalize_weights, write_hgr
 from .rng import SplitMix64
@@ -117,6 +118,13 @@ class _Instance:
     edges: list[tuple[float, tuple[int, ...]]]  # weight, cluster indices (>= 2 distinct)
     cap0: float
     cap1: float
+    incident: list[list[int]] = field(init=False, repr=False)  # edge ids per cluster
+
+    def __post_init__(self):
+        self.incident = [[] for _ in self.weights]
+        for ei, (_, members) in enumerate(self.edges):
+            for v in members:
+                self.incident[v].append(ei)
 
 
 def _induce(hg: Hypergraph, nodes: list[int], cap0: float, cap1: float) -> _Instance:
@@ -195,6 +203,13 @@ def _contract(inst: _Instance, rng: SplitMix64, max_cluster: float) -> _Instance
     return _Instance(clusters, weights, edges, inst.cap0, inst.cap1)
 
 
+def _side_loads(weights: list[float], side: list[int]) -> list[float]:
+    loads = [0.0, 0.0]
+    for v, s in enumerate(side):
+        loads[s] += weights[v]
+    return loads
+
+
 def _sides_feasible(side_weights: list[float], inst: _Instance) -> bool:
     return side_weights[0] <= inst.cap0 and side_weights[1] <= inst.cap1
 
@@ -222,74 +237,116 @@ def _bisection_cost(inst: _Instance, side: list[int]) -> float:
     return cost
 
 
-def _move_gain(inst: _Instance, side: list[int], incident: dict[int, list[int]], v: int) -> float:
-    gain = 0.0
-    for ei in incident.get(v, ()):
-        w, members = inst.edges[ei]
-        same = other = 0
-        for u in members:
-            if u == v:
+class _GainCache:
+    """Per-edge side pin counts and the cut gain of moving each cluster.
+
+    For a pin on side s, edge e adds -w when no pin of e is on the other
+    side (the move would cut e) and +w when the pin is e's only one on s
+    (the move would uncut e). Edge weights are integral floats, so the
+    cached sums are exact and equal a from-scratch evaluation.
+    """
+
+    __slots__ = ("inst", "side", "counts", "gains")
+
+    def __init__(self, inst: _Instance, side: list[int]):
+        self.inst = inst
+        self.side = side
+        self.counts = []
+        gains = [0.0] * len(side)
+        for w, members in inst.edges:
+            c = [0, 0]
+            for u in members:
+                c[side[u]] += 1
+            self.counts.append(c)
+            for u in members:
+                s = side[u]
+                if c[1 - s] == 0:
+                    gains[u] -= w
+                elif c[s] == 1:
+                    gains[u] += w
+        self.gains = gains
+
+    def move(self, v: int) -> None:
+        """Flip cluster v's side and delta-update the counts and gains.
+
+        Only an edge with at most one pin on the target side or at most two
+        on the source side changes any pin's contribution; the others just
+        update their counts. v's own gain simply changes sign.
+        """
+        side, gains, counts, edges = self.side, self.gains, self.counts, self.inst.edges
+        src = side[v]
+        dst = 1 - src
+        for ei in self.inst.incident[v]:
+            c = counts[ei]
+            if c[dst] > 1 and c[src] > 2:
+                c[src] -= 1
+                c[dst] += 1
                 continue
-            if side[u] == side[v]:
-                same += 1
-            else:
-                other += 1
-        if other == 0 and same > 0:
-            gain -= w  # move would newly cut this edge
-        elif same == 0 and other > 0:
-            gain += w  # move would uncut it
-    return gain
+            w, members = edges[ei]
+            for u in members:
+                if u != v:
+                    s = side[u]
+                    if c[1 - s] == 0:
+                        gains[u] += w
+                    elif c[s] == 1:
+                        gains[u] -= w
+            c[src] -= 1
+            c[dst] += 1
+            for u in members:
+                if u != v:
+                    s = side[u]
+                    if c[1 - s] == 0:
+                        gains[u] -= w
+                    elif c[s] == 1:
+                        gains[u] += w
+        side[v] = dst
+        gains[v] = -gains[v]
 
 
 def _refine(inst: _Instance, side: list[int]) -> None:
-    """Fiduccia-Mattheyses refinement with exact cut gains.
+    """Fiduccia-Mattheyses refinement on cached pin-count gains.
 
     Each pass tentatively moves every cluster at most once, always taking
-    the best-gain move (lower cluster index on ties) even when it is
-    negative. A move may overflow the target cap by up to the heaviest
-    cluster weight so that weight exchanges stay reachable, but the pass
-    rolls back to the best prefix whose loads satisfy both caps. Passes
-    repeat while they improve the cut, so the result is never worse than
-    the (assumed feasible) input.
+    the highest-gain move among unlocked clusters whose move fits the target
+    cap plus slack, the lowest cluster index on ties, even when the gain is
+    negative. The slack is the heaviest cluster weight, so weight exchanges
+    stay reachable, but the pass rolls back to the best prefix whose loads
+    satisfy both caps. Passes repeat while they improve the cut, so the
+    result is never worse than the (assumed feasible) input.
     """
-    incident: dict[int, list[int]] = {}
-    for ei, (_, members) in enumerate(inst.edges):
-        for v in members:
-            incident.setdefault(v, []).append(ei)
+    weights = inst.weights
     caps = (inst.cap0, inst.cap1)
-    slack = max(inst.weights, default=0.0)
+    slack = max(weights, default=0.0)
+    limits = (caps[0] + slack, caps[1] + slack)
+    n = len(side)
 
     improved = True
     while improved:
         improved = False
-        loads = [0.0, 0.0]
-        for v, s in enumerate(side):
-            loads[s] += inst.weights[v]
-        locked = [False] * len(side)
+        cache = _GainCache(inst, side)
+        gains = cache.gains
+        loads = _side_loads(weights, side)
+        unlocked = list(range(n))  # ascending, so the scan keeps the tie-break
         moves: list[int] = []
         running = 0.0
         best_running, best_prefix = 0.0, 0
-        for _ in range(len(side)):
+        for _ in range(n):
             best_v, best_gain = -1, -math.inf
-            for v in range(len(side)):
-                if locked[v]:
-                    continue
-                target = 1 - side[v]
-                if loads[target] + inst.weights[v] > caps[target] + slack:
-                    continue
-                gain = _move_gain(inst, side, incident, v)
+            for v in unlocked:
+                gain = gains[v]
                 if gain > best_gain:
-                    best_v, best_gain = v, gain
+                    target = 1 - side[v]
+                    if loads[target] + weights[v] <= limits[target]:
+                        best_v, best_gain = v, gain
             if best_v < 0:
                 break
-            loads[side[best_v]] -= inst.weights[best_v]
-            side[best_v] = 1 - side[best_v]
-            loads[side[best_v]] += inst.weights[best_v]
-            locked[best_v] = True
+            loads[side[best_v]] -= weights[best_v]
+            cache.move(best_v)
+            loads[side[best_v]] += weights[best_v]
+            unlocked.remove(best_v)
             moves.append(best_v)
             running += best_gain
-            feasible = loads[0] <= caps[0] and loads[1] <= caps[1]
-            if feasible and running > best_running:
+            if _sides_feasible(loads, inst) and running > best_running:
                 best_running, best_prefix = running, len(moves)
         for v in moves[best_prefix:]:
             side[v] = 1 - side[v]
@@ -298,32 +355,31 @@ def _refine(inst: _Instance, side: list[int]) -> None:
 
 
 def _repair_balance(inst: _Instance, side: list[int]) -> bool:
-    """Move lightest-damage clusters off an overloaded side. True on success."""
-    incident: dict[int, list[int]] = {}
-    for ei, (_, members) in enumerate(inst.edges):
-        for v in members:
-            incident.setdefault(v, []).append(ei)
-    loads = [0.0, 0.0]
-    for v, s in enumerate(side):
-        loads[s] += inst.weights[v]
+    """Move lightest-damage clusters off an overloaded side. True on success.
+
+    Each step moves the overloaded side's cluster that fits the other side
+    with the highest cached gain, the lowest index on ties.
+    """
+    weights = inst.weights
+    loads = _side_loads(weights, side)
     caps = (inst.cap0, inst.cap1)
+    cache = _GainCache(inst, side)
+    gains = cache.gains
     for _ in range(len(side)):
         over = next((s for s in (0, 1) if loads[s] > caps[s]), None)
         if over is None:
             return True
-        candidates = [v for v in range(len(side)) if side[v] == over]
-        candidates.sort(key=lambda v: (-_move_gain(inst, side, incident, v), v))
-        moved = False
-        for v in candidates:
-            target = 1 - over
-            if loads[target] + inst.weights[v] <= caps[target]:
-                loads[over] -= inst.weights[v]
-                side[v] = target
-                loads[target] += inst.weights[v]
-                moved = True
-                break
-        if not moved:
+        target = 1 - over
+        fits = [
+            v for v in range(len(side))
+            if side[v] == over and loads[target] + weights[v] <= caps[target]
+        ]
+        if not fits:
             return False
+        v = min(fits, key=lambda u: (-gains[u], u))
+        loads[over] -= weights[v]
+        cache.move(v)
+        loads[target] += weights[v]
     return _sides_feasible(loads, inst)
 
 
@@ -353,20 +409,14 @@ def _solve_bisection(inst: _Instance, rng: SplitMix64) -> list[int] | None:
             side = _greedy_initial(coarse, rng)
         else:
             side = [rng.next_below(2) for _ in coarse.clusters]
-        loads = [0.0, 0.0]
-        for v, s in enumerate(side):
-            loads[s] += coarse.weights[v]
-        if not _sides_feasible(loads, coarse):
+        if not _sides_feasible(_side_loads(coarse.weights, side), coarse):
             if not _repair_balance(coarse, side):
                 continue
         _refine(coarse, side)
         for level in range(len(levels) - 2, -1, -1):
             side = _project(levels[level], levels[level + 1], side)
             _refine(levels[level], side)
-        loads = [0.0, 0.0]
-        for v, s in enumerate(side):
-            loads[s] += inst.weights[v]
-        if not _sides_feasible(loads, inst):
+        if not _sides_feasible(_side_loads(inst.weights, side), inst):
             if not _repair_balance(inst, side):
                 continue
             _refine(inst, side)
@@ -379,10 +429,8 @@ def _solve_bisection(inst: _Instance, rng: SplitMix64) -> list[int] | None:
         # flat on the finest level where individual clusters are lighter.
         for _ in range(_RESTARTS):
             side = [rng.next_below(2) for _ in inst.clusters]
-            loads = [0.0, 0.0]
-            for v, s in enumerate(side):
-                loads[s] += inst.weights[v]
-            if not _sides_feasible(loads, inst) and not _repair_balance(inst, side):
+            feasible = _sides_feasible(_side_loads(inst.weights, side), inst)
+            if not feasible and not _repair_balance(inst, side):
                 continue
             _refine(inst, side)
             cost = _bisection_cost(inst, side)
@@ -436,10 +484,7 @@ def _partition_internal(hg: Hypergraph, config: SolverConfig) -> PartitionAssign
         rand = random_balanced_assignment(hg, k, config.seed)
         inst = _induce(hg, list(range(hg.num_nodes)), cap0=cap, cap1=cap)
         side = list(rand.labels)
-        loads = [0.0, 0.0]
-        for v, s in enumerate(side):
-            loads[s] += inst.weights[v]
-        if _sides_feasible(loads, inst):
+        if _sides_feasible(_side_loads(inst.weights, side), inst):
             _refine(inst, side)
             candidate = PartitionAssignment(tuple(side), k)
             if km1(hg, candidate) < km1(hg, result):
@@ -484,10 +529,21 @@ def _partition_external(hg: Hypergraph, config: SolverConfig) -> PartitionAssign
         partition_file = max(candidates, key=os.path.getmtime)
         labels = []
         with open(partition_file) as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
-                if line:
-                    labels.append(int(line))
+                if not line:
+                    continue
+                try:
+                    label = int(line)
+                except ValueError:
+                    raise SolverError(
+                        f"partition file line {lineno}: label {line!r} is not an integer"
+                    ) from None
+                if not 0 <= label < config.k:
+                    raise SolverError(
+                        f"partition file line {lineno}: label {label} outside [0, {config.k})"
+                    )
+                labels.append(label)
     if len(labels) != hg.num_nodes:
         raise SolverError(
             f"label count mismatch: {len(labels)} labels for {hg.num_nodes} nodes"

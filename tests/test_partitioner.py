@@ -1,9 +1,15 @@
+import hashlib
+import math
 import stat
 import textwrap
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qcpart as q
+from qcpart import partitioner as qp
+from qcpart.rng import SplitMix64
 
 
 def brute_force_km1(hg: q.Hypergraph, labels) -> float:
@@ -109,33 +115,272 @@ class TestInternalSolver:
         assert q.check_balance(q.normalize_weights(hg), asg, 0.05)
 
 
+def _outcome(hg: q.Hypergraph, config: q.SolverConfig) -> str:
+    """The labels of one solve, or the SolverError text it raised."""
+    try:
+        return ",".join(map(str, q.partition(hg, config).labels))
+    except q.SolverError as exc:
+        return f"SolverError: {exc}"
+
+
+def _digest(lines) -> str:
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def _random_h_cnot_circuit(rng: SplitMix64, num_qubits: int, num_gates: int) -> q.Circuit:
+    """Each gate is H on a uniform qubit or CNOT on a uniform distinct pair, 50/50."""
+    gates = []
+    for _ in range(num_gates):
+        if rng.next_below(2) == 0:
+            gates.append(q.h(rng.next_below(num_qubits)))
+        else:
+            control = rng.next_below(num_qubits)
+            target = rng.next_below(num_qubits - 1)
+            gates.append(q.cnot(control, target + (target >= control)))
+    return q.Circuit(num_qubits, tuple(gates))
+
+
+class TestGoldenLabels:
+    """Labels (or failure messages) pinned by SHA-256 digest.
+
+    The digests were recorded from the solver that evaluated every move gain
+    from scratch; any change to the internal solver's labels or to its
+    SolverError messages changes them. The paper set has 135 solves, 40 of
+    which raise SolverError; the random set has 16, one of which raises.
+    """
+
+    PAPER_DIGEST = "c9cb81f61611c084d78ba0e114faa8ba697ec86f5cb15b89fc71a4908d24530d"
+    RANDOM_DIGEST = "3b291c0e93dd4bbb03fae1e1bcd1e503e66686e85be3ca0487201c0d1ee06d0c"
+
+    def test_paper_circuits(self):
+        lines = []
+        for name in ("s", "m", "l"):
+            hg = q.circuit_to_hypergraph(q.benchmark_circuit(name))
+            for k in (2, 3, 4, 6, 8):
+                for eps in (0.03, 0.05, 0.1):
+                    for seed in (0, 1, 42):
+                        config = q.SolverConfig(k=k, imbalance=eps, seed=seed)
+                        lines.append(f"{name} k={k} eps={eps} seed={seed} {_outcome(hg, config)}")
+        assert _digest(lines) == self.PAPER_DIGEST
+
+    def test_random_circuits(self):
+        rng = SplitMix64(2506)
+        lines = []
+        for i in range(8):
+            hg = q.circuit_to_hypergraph(_random_h_cnot_circuit(rng, 16, 200))
+            for k in (2, 4):
+                config = q.SolverConfig(k=k, imbalance=0.1, seed=i)
+                lines.append(f"circuit {i} k={k} {_outcome(hg, config)}")
+        assert _digest(lines) == self.RANDOM_DIGEST
+
+
+# From-scratch reference versions of the internal solver's refinement and
+# balance repair: every gain is re-evaluated over the cluster's edges.
+
+
+def _reference_move_gain(inst, side, incident, v):
+    gain = 0.0
+    for ei in incident.get(v, ()):
+        w, members = inst.edges[ei]
+        same = other = 0
+        for u in members:
+            if u == v:
+                continue
+            if side[u] == side[v]:
+                same += 1
+            else:
+                other += 1
+        if other == 0 and same > 0:
+            gain -= w  # move would newly cut this edge
+        elif same == 0 and other > 0:
+            gain += w  # move would uncut it
+    return gain
+
+
+def _reference_incidence(inst):
+    incident = {}
+    for ei, (_, members) in enumerate(inst.edges):
+        for v in members:
+            incident.setdefault(v, []).append(ei)
+    return incident
+
+
+def _reference_refine(inst, side):
+    incident = _reference_incidence(inst)
+    caps = (inst.cap0, inst.cap1)
+    slack = max(inst.weights, default=0.0)
+
+    improved = True
+    while improved:
+        improved = False
+        loads = [0.0, 0.0]
+        for v, s in enumerate(side):
+            loads[s] += inst.weights[v]
+        locked = [False] * len(side)
+        moves = []
+        running = 0.0
+        best_running, best_prefix = 0.0, 0
+        for _ in range(len(side)):
+            best_v, best_gain = -1, -math.inf
+            for v in range(len(side)):
+                if locked[v]:
+                    continue
+                target = 1 - side[v]
+                if loads[target] + inst.weights[v] > caps[target] + slack:
+                    continue
+                gain = _reference_move_gain(inst, side, incident, v)
+                if gain > best_gain:
+                    best_v, best_gain = v, gain
+            if best_v < 0:
+                break
+            loads[side[best_v]] -= inst.weights[best_v]
+            side[best_v] = 1 - side[best_v]
+            loads[side[best_v]] += inst.weights[best_v]
+            locked[best_v] = True
+            moves.append(best_v)
+            running += best_gain
+            feasible = loads[0] <= caps[0] and loads[1] <= caps[1]
+            if feasible and running > best_running:
+                best_running, best_prefix = running, len(moves)
+        for v in moves[best_prefix:]:
+            side[v] = 1 - side[v]
+        if best_running > 0:
+            improved = True
+
+
+def _reference_repair_balance(inst, side):
+    incident = _reference_incidence(inst)
+    loads = [0.0, 0.0]
+    for v, s in enumerate(side):
+        loads[s] += inst.weights[v]
+    caps = (inst.cap0, inst.cap1)
+    for _ in range(len(side)):
+        over = next((s for s in (0, 1) if loads[s] > caps[s]), None)
+        if over is None:
+            return True
+        candidates = [v for v in range(len(side)) if side[v] == over]
+        candidates.sort(key=lambda v: (-_reference_move_gain(inst, side, incident, v), v))
+        moved = False
+        for v in candidates:
+            target = 1 - over
+            if loads[target] + inst.weights[v] <= caps[target]:
+                loads[over] -= inst.weights[v]
+                side[v] = target
+                loads[target] += inst.weights[v]
+                moved = True
+                break
+        if not moved:
+            return False
+    return loads[0] <= caps[0] and loads[1] <= caps[1]
+
+
+@st.composite
+def bisection_starts(draw):
+    """A small instance with integral weights and a start that may overload a side."""
+    n = draw(st.integers(min_value=2, max_value=30))
+    weights = [float(w) for w in draw(st.lists(st.integers(1, 20), min_size=n, max_size=n))]
+    edges = [
+        (float(w), tuple(sorted(members)))
+        for w, members in draw(
+            st.lists(
+                st.tuples(
+                    st.integers(1, 50),
+                    st.lists(st.integers(0, n - 1), min_size=2, max_size=min(n, 6), unique=True),
+                ),
+                max_size=3 * n,
+            )
+        )
+    ]
+    side = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    loads = [sum(w for w, s in zip(weights, side) if s == t) for t in (0, 1)]
+    total = int(sum(weights))
+    if draw(st.booleans()):  # feasible start
+        caps = [loads[t] + draw(st.integers(0, total)) for t in (0, 1)]
+    else:  # caps independent of the start, usually overloading a side
+        caps = [float(draw(st.integers(0, total))) for _ in (0, 1)]
+    inst = qp._Instance([[v] for v in range(n)], weights, edges, caps[0], caps[1])
+    return inst, side
+
+
+class TestCachedGainsMatchReference:
+    @settings(max_examples=200, deadline=None)
+    @given(start=bisection_starts(), moves=st.lists(st.integers(0, 29), max_size=40))
+    def test_gain_cache_tracks_moves(self, start, moves):
+        inst, side = start
+        cache = qp._GainCache(inst, side)
+        incident = _reference_incidence(inst)
+        for v in [m % len(side) for m in moves] + [None]:
+            expected = [_reference_move_gain(inst, side, incident, u) for u in range(len(side))]
+            assert cache.gains == expected
+            assert cache.counts == [
+                [sum(1 for u in m if side[u] == t) for t in (0, 1)] for _, m in inst.edges
+            ]
+            if v is not None:
+                cache.move(v)
+
+    @settings(max_examples=200, deadline=None)
+    @given(start=bisection_starts())
+    def test_refine_matches_reference(self, start):
+        inst, side = start
+        cached, reference = list(side), list(side)
+        qp._refine(inst, cached)
+        _reference_refine(inst, reference)
+        assert cached == reference
+
+    @settings(max_examples=200, deadline=None)
+    @given(start=bisection_starts())
+    def test_repair_balance_matches_reference(self, start):
+        inst, side = start
+        cached, reference = list(side), list(side)
+        assert qp._repair_balance(inst, cached) == _reference_repair_balance(inst, reference)
+        assert cached == reference
+
+
+def _fake_solver(tmp_path, label: str):
+    """A km1 solver stand-in that writes `label` for every node.
+
+    `label` is shell text; `$i` is the node index and `$k` the part count.
+    """
+    script = tmp_path / "fakesolver"
+    script.write_text(textwrap.dedent("""\
+        #!/bin/sh
+        hgr=""
+        k=2
+        while [ $# -gt 0 ]; do
+          case "$1" in
+            -h) hgr="$2"; shift 2 ;;
+            -k) k="$2"; shift 2 ;;
+            *) shift ;;
+          esac
+        done
+        nodes=$(head -1 "$hgr" | cut -d' ' -f2)
+        out="$hgr.part$k.epsilon0.05.seed42"
+        : > "$out"
+        i=0
+        while [ $i -lt $nodes ]; do
+          echo LABEL >> "$out"
+          i=$((i + 1))
+        done
+        """).replace("LABEL", label))
+    script.chmod(script.stat().st_mode | stat.S_IEXEC)
+    return str(script)
+
+
 class TestExternalAdapter:
     def test_fake_solver_round_trip(self, hypergraph_s, tmp_path):
-        script = tmp_path / "fakesolver"
-        script.write_text(textwrap.dedent("""\
-            #!/bin/sh
-            # minimal km1 solver stand-in: alternate labels 0/1 per node
-            hgr=""
-            k=2
-            while [ $# -gt 0 ]; do
-              case "$1" in
-                -h) hgr="$2"; shift 2 ;;
-                -k) k="$2"; shift 2 ;;
-                *) shift ;;
-              esac
-            done
-            nodes=$(head -1 "$hgr" | cut -d' ' -f2)
-            out="$hgr.part$k.epsilon0.05.seed42"
-            : > "$out"
-            i=0
-            while [ $i -lt $nodes ]; do
-              echo $((i % k)) >> "$out"
-              i=$((i + 1))
-            done
-            """))
-        script.chmod(script.stat().st_mode | stat.S_IEXEC)
-        asg = q.partition(hypergraph_s, q.SolverConfig(k=2, backend=str(script)))
+        solver = _fake_solver(tmp_path, "$((i % k))")  # alternate labels 0/1 per node
+        asg = q.partition(hypergraph_s, q.SolverConfig(k=2, backend=solver))
         assert asg.labels == tuple(i % 2 for i in range(22))
+
+    def test_non_integer_label_raises(self, hypergraph_s, tmp_path):
+        solver = _fake_solver(tmp_path, "x")
+        with pytest.raises(q.SolverError, match=r"line 1: label 'x' is not an integer"):
+            q.partition(hypergraph_s, q.SolverConfig(k=2, backend=solver))
+
+    def test_out_of_range_label_raises(self, hypergraph_s, tmp_path):
+        solver = _fake_solver(tmp_path, "7")
+        with pytest.raises(q.SolverError, match=r"line 1: label 7 outside \[0, 2\)"):
+            q.partition(hypergraph_s, q.SolverConfig(k=2, backend=solver))
 
     def test_failing_solver_raises(self, hypergraph_s, tmp_path):
         script = tmp_path / "broken"
