@@ -5,6 +5,11 @@ partitioners: gates are packed into the earliest open block with qubit
 capacity, guarded so a gate never jumps behind a later block that already
 touched one of its qubits. Published reference partitions are replayed
 through JSON fixtures instead.
+
+The guard reads a per-qubit index, ``last[q]`` (the latest block holding
+qubit q), so a gate scans only the blocks from ``max(last[q])`` onwards
+instead of testing every block against every later one: O(blocks after that
+position) per gate rather than O(blocks^2).
 """
 
 from __future__ import annotations
@@ -37,29 +42,32 @@ def block_partition(circuit: Circuit, config: BaselineConfig) -> list[list[int]]
     block_size, unless a block opened later already contains a gate on any
     of its qubits (which would reorder causally dependent gates).
     """
-    blocks: list[dict] = []  # each: {"qubits": set, "gates": list}
+    blocks: list[list[int]] = []  # gate indices per block
+    block_qubits: list[set[int]] = []
+    last = [0] * circuit.num_qubits  # index of the latest block holding each qubit
     for idx, gate in enumerate(circuit.gates):
         if gate.kind.arity > config.block_size:
             raise ValueError(
                 f"gate {gate.kind.name}{gate.qubits} exceeds block size "
                 f"{config.block_size}"
             )
-        chosen = None
-        for pos, block in enumerate(blocks):
-            if len(block["qubits"] | set(gate.qubits)) > config.block_size:
-                continue
-            blocked = any(
-                later["qubits"] & set(gate.qubits) for later in blocks[pos + 1 :]
-            )
-            if not blocked:
-                chosen = block
+        # Joining a block before the latest one holding any of the gate's
+        # qubits would reorder causally dependent gates.
+        start = max(last[q] for q in gate.qubits)
+        chosen = len(blocks)
+        for pos in range(start, len(blocks)):
+            held = block_qubits[pos]
+            if len(held) + sum(q not in held for q in gate.qubits) <= config.block_size:
+                chosen = pos
                 break
-        if chosen is None:
-            chosen = {"qubits": set(), "gates": []}
-            blocks.append(chosen)
-        chosen["qubits"] |= set(gate.qubits)
-        chosen["gates"].append(idx)
-    return [block["gates"] for block in blocks]
+        if chosen == len(blocks):
+            blocks.append([])
+            block_qubits.append(set())
+        blocks[chosen].append(idx)
+        block_qubits[chosen].update(gate.qubits)
+        for q in gate.qubits:
+            last[q] = chosen
+    return blocks
 
 
 def remap_groups(circuit: Circuit, groups: list[list[int]]) -> list[Partition]:
@@ -67,6 +75,10 @@ def remap_groups(circuit: Circuit, groups: list[list[int]]) -> list[Partition]:
     seen: set[int] = set()
     for group in groups:
         for idx in group:
+            if not 0 <= idx < len(circuit.gates):
+                raise FixtureError(
+                    f"gate index {idx} out of range for {len(circuit.gates)} gates"
+                )
             if idx in seen:
                 raise FixtureError(f"gate index {idx} appears in more than one group")
             seen.add(idx)

@@ -7,7 +7,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 
 from . import baseline as baseline_mod
 from . import metrics as metrics_mod
@@ -19,20 +18,6 @@ from .pipeline import DependencyDag, Partition, run_hypergraph_pipeline
 SOLVER_ENV_VAR = "QCPART_SOLVER_BIN"
 
 
-@dataclass
-class RunConfig:
-    circuit: Circuit
-    block_size: int | None
-    k: int | None
-    merge_threshold: int | None
-    backend: str
-    seed: int
-    imbalance: float
-    heuristic_on: bool
-    output_mode: str  # "text" or "json"
-    hgr_mode: HgrMode
-
-
 def _load_circuit(args) -> Circuit:
     if args.bench:
         return benchmark_circuit(args.bench)
@@ -40,14 +25,12 @@ def _load_circuit(args) -> Circuit:
         return parse_circuit(fh.read())
 
 
-def _resolve_k(config: RunConfig) -> int:
-    if config.k is not None:
-        return config.k
-    if config.block_size is None:
+def _resolve_k(k: int | None, block_size: int | None, circuit: Circuit) -> int:
+    if k is not None:
+        return k
+    if block_size is None:
         raise SolverError("either --k or --block-size is required")
-    return dynamic_k(
-        len(config.circuit.gates), config.circuit.num_qubits, config.block_size
-    )
+    return dynamic_k(len(circuit.gates), circuit.num_qubits, block_size)
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -95,34 +78,21 @@ def cmd_convert(args) -> int:
 
 def _pipeline_from_args(args, circuit: Circuit):
     backend = args.solver_binary or os.environ.get(SOLVER_ENV_VAR) or INTERNAL
-    config = RunConfig(
-        circuit=circuit,
-        block_size=args.block_size,
-        k=getattr(args, "k", None),
-        merge_threshold=args.merge_threshold if getattr(args, "merge", False) else None,
-        backend=backend,
-        seed=args.seed,
-        imbalance=args.imbalance,
-        heuristic_on=getattr(args, "heuristic", False),
-        output_mode=args.format,
-        hgr_mode=HgrMode.PAPER_NORMALIZED,
-    )
-    k = _resolve_k(config)
-    return config, run_hypergraph_pipeline(
+    return run_hypergraph_pipeline(
         circuit,
-        k=k,
-        imbalance=config.imbalance,
-        seed=config.seed,
-        backend=config.backend,
-        merge_threshold=config.merge_threshold,
+        k=_resolve_k(getattr(args, "k", None), args.block_size, circuit),
+        imbalance=args.imbalance,
+        seed=args.seed,
+        backend=backend,
+        merge_threshold=args.merge_threshold if getattr(args, "merge", False) else None,
     )
 
 
 def cmd_partition(args) -> int:
     circuit = _load_circuit(args)
-    config, result = _pipeline_from_args(args, circuit)
+    result = _pipeline_from_args(args, circuit)
     parts = list(result.partitions)
-    if config.output_mode == "json":
+    if args.format == "json":
         doc = {
             "num_partitions": len(parts),
             "labels": list(result.assignment.labels),
@@ -164,7 +134,7 @@ def cmd_compare(args) -> int:
     t_baseline = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    _, result = _pipeline_from_args(args, circuit)
+    result = _pipeline_from_args(args, circuit)
     t_hypergraph = time.perf_counter() - t0
 
     report = metrics_mod.build_report(

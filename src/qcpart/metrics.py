@@ -6,6 +6,11 @@ with each SWAP counted as three CNOTs and other gates folded in as CNOT
 equivalents (CCX: a configurable decomposition size) or as default
 single-qubit errors. Estimated SWAPs are logical realignments: one per
 shared global qubit whose local indices differ between two partitions.
+
+Pairwise cuts and the SWAP estimate read partition pairs from
+``pipeline.overlapping_pairs``, which indexes partitions by qubit: their
+cost grows with the number of (pair, shared qubit) entries rather than with
+the square of the partition count.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 from .circuits import CCX, CNOT, H, SWAP, Circuit, ErrorModel, GateKind, depth
-from .pipeline import Partition
+from .pipeline import Partition, overlapping_pairs
 from .rng import SplitMix64
 
 
@@ -77,13 +82,7 @@ def cut_qubits(parts: Sequence[Partition]) -> set[int]:
 
 def pairwise_cuts(parts: Sequence[Partition]) -> dict[tuple[int, int], set[int]]:
     """Non-empty qubit-map intersections for every partition pair i < j."""
-    result = {}
-    for i in range(len(parts)):
-        for j in range(i + 1, len(parts)):
-            shared = set(parts[i].qubit_map) & set(parts[j].qubit_map)
-            if shared:
-                result[(i, j)] = shared
-    return result
+    return {(i, j): set(shared) for i, j, shared in overlapping_pairs(parts)}
 
 
 def estimate_swaps(
@@ -103,17 +102,17 @@ def estimate_swaps(
     per_pair: dict[tuple[int, int], int] = {}
     attribution = [0] * len(parts)
     waived = 0
-    for i in range(len(parts)):
-        for j in range(i + 1, len(parts)):
-            for q in sorted(set(parts[i].qubit_map) & set(parts[j].qubit_map)):
-                if parts[i].qubit_map[q] == parts[j].qubit_map[q]:
-                    continue
-                misalignments[q] += 1
-                if heuristic_on and misalignments[q] > 3 and rng.next_float() < 0.6:
-                    waived += 1
-                    continue
-                per_pair[(i, j)] = per_pair.get((i, j), 0) + 1
-                attribution[i] += 1
+    for i, j, shared in overlapping_pairs(parts):
+        map_i, map_j = parts[i].qubit_map, parts[j].qubit_map
+        for q in shared:
+            if map_i[q] == map_j[q]:
+                continue
+            misalignments[q] += 1
+            if heuristic_on and misalignments[q] > 3 and rng.next_float() < 0.6:
+                waived += 1
+                continue
+            per_pair[(i, j)] = per_pair.get((i, j), 0) + 1
+            attribution[i] += 1
     return SwapEstimate(
         total=sum(per_pair.values()),
         per_pair=per_pair,

@@ -5,7 +5,8 @@ heavy-connectivity matching for coarsening, greedy balanced initial
 assignment, then Fiduccia-Mattheyses refinement and balance repair that
 read move gains from cached per-edge pin counts. k > 2 is handled by
 recursive bisection. An external-solver adapter mirrors the usual
-Mt-KaHyPar style invocation for users who have a binary available.
+Mt-KaHyPar style invocation for users who have a binary available; it
+rejects labels that are out of range or break the balance cap.
 
 All randomness comes from the splitmix64 generator seeded from the config,
 so identical inputs always produce identical labels.
@@ -80,13 +81,17 @@ def balance_cap(hg: Hypergraph, k: int, imbalance: float) -> float:
     return (1.0 + imbalance) * math.ceil(sum(hg.node_weights) / k)
 
 
+def _part_loads(hg: Hypergraph, assignment: PartitionAssignment) -> list[float]:
+    loads = [0.0] * assignment.k
+    for v, label in enumerate(assignment.labels):
+        loads[label] += hg.node_weights[v]
+    return loads
+
+
 def check_balance(hg: Hypergraph, assignment: PartitionAssignment, imbalance: float) -> bool:
     """True iff every part's node weight is within (1+imbalance)*ceil(total/k)."""
     cap = balance_cap(hg, assignment.k, imbalance)
-    part_weights = [0.0] * assignment.k
-    for v, label in enumerate(assignment.labels):
-        part_weights[label] += hg.node_weights[v]
-    return all(w <= cap for w in part_weights)
+    return all(w <= cap for w in _part_loads(hg, assignment))
 
 
 def random_balanced_assignment(hg: Hypergraph, k: int, seed: int) -> PartitionAssignment:
@@ -548,7 +553,16 @@ def _partition_external(hg: Hypergraph, config: SolverConfig) -> PartitionAssign
         raise SolverError(
             f"label count mismatch: {len(labels)} labels for {hg.num_nodes} nodes"
         )
-    return PartitionAssignment(tuple(labels), config.k)
+    result = PartitionAssignment(tuple(labels), config.k)
+    if not check_balance(hg, result, config.imbalance):
+        loads = _part_loads(hg, result)
+        heaviest = max(range(config.k), key=loads.__getitem__)
+        cap = balance_cap(hg, config.k, config.imbalance)
+        raise SolverError(
+            f"external solver labels are unbalanced: part {heaviest} weighs "
+            f"{loads[heaviest]:g}, over the cap {cap:g}"
+        )
+    return result
 
 
 def partition(hg: Hypergraph, config: SolverConfig) -> PartitionAssignment:

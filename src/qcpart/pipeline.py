@@ -1,9 +1,24 @@
-"""Labeled circuit -> trimmed partitions -> optional merge -> dependency DAG."""
+"""Labeled circuit -> trimmed partitions -> optional merge -> dependency DAG.
+
+Work over many partitions goes through a qubit -> holders index (the
+ascending indices of the partitions whose qubit maps hold each global
+qubit), so nothing scans every partition pair:
+
+- trimming buckets the gates by label in one pass, O(G);
+- each merge pass counts shared qubits through the index, O(sum over
+  qubits of holders^2) instead of O(P^2) set intersections, and merged
+  partitions are built once, after the last pass;
+- ``overlapping_pairs`` yields every intersecting pair with its shared
+  qubits at a cost that grows with the number of shared (pair, qubit)
+  entries, not with P^2. The dependency DAG and, in ``metrics``, the
+  pairwise cuts and the SWAP estimate all read pairs from it.
+"""
 
 from __future__ import annotations
 
 import logging
-from collections.abc import Mapping, Sequence
+from bisect import bisect_right
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 
 from .circuits import Circuit, ErrorModel, Gate
@@ -92,21 +107,43 @@ def create_trimmed_partitions(
             f"number of labels ({len(label_seq)}) does not match "
             f"number of gates ({len(circuit.gates)})"
         )
-    present = set(label_seq)
     if isinstance(labels, PartitionAssignment):
+        present = set(label_seq)
         for part_id in range(labels.k):
             if part_id not in present:
                 logger.warning("partition %d is empty (no active qubits)", part_id)
-    parts: list[Partition] = []
-    for part_id in sorted(present):
-        gates = [g for g, label in zip(circuit.gates, label_seq) if label == part_id]
-        parts.append(partition_from_global_gates(gates))
-    return parts
+    buckets: dict[int, list[Gate]] = {}
+    for gate, label in zip(circuit.gates, label_seq):
+        buckets.setdefault(label, []).append(gate)
+    return [partition_from_global_gates(buckets[part_id]) for part_id in sorted(buckets)]
 
 
 def shared_qubits(map_a: Mapping[int, int], map_b: Mapping[int, int]) -> set[int]:
     """Global qubits present in both maps."""
     return set(map_a.keys()) & set(map_b.keys())
+
+
+def _qubit_holders(qubit_sets: Iterable[Iterable[int]]) -> dict[int, list[int]]:
+    """Global qubit -> ascending indices of the sets that hold it."""
+    holders: dict[int, list[int]] = {}
+    for i, qubits in enumerate(qubit_sets):
+        for q in qubits:
+            holders.setdefault(q, []).append(i)
+    return holders
+
+
+def overlapping_pairs(parts: Sequence[Partition]) -> Iterator[tuple[int, int, list[int]]]:
+    """(i, j, shared global qubits ascending) for every pair i < j whose qubit
+    maps intersect, in lexicographic (i, j) order."""
+    holders = _qubit_holders(p.qubit_map for p in parts)
+    for i, part in enumerate(parts):
+        shared: dict[int, list[int]] = {}
+        for q in sorted(part.qubit_map):
+            held = holders[q]
+            for j in held[bisect_right(held, i) :]:
+                shared.setdefault(j, []).append(q)
+        for j in sorted(shared):
+            yield i, j, shared[j]
 
 
 def combine_partitions(a: Partition, b: Partition) -> Partition:
@@ -120,37 +157,50 @@ def merge_partitions(parts: Sequence[Partition], threshold: int) -> list[Partiti
     Each pass scans in index order; every unconsumed partition merges with
     the later unconsumed partner sharing the most qubits (first maximum
     wins), provided the count meets the threshold. Passes repeat until one
-    completes without a merge.
+    completes without a merge. A merged partition holds its first member's
+    gates then its second's, as ``combine_partitions`` builds it.
     """
     if threshold < 1:
         raise ValueError("threshold must be >= 1")
-    current = list(parts)
+    # Each current partition is a list of input indices, whose gates it holds
+    # in that order, plus the union of their qubits.
+    members = [[i] for i in range(len(parts))]
+    qubits = [set(p.qubit_map) for p in parts]
     merged = True
     while merged:
         merged = False
-        next_round: list[Partition] = []
-        consumed: set[int] = set()
-        for i, p1 in enumerate(current):
-            if i in consumed:
+        holders = _qubit_holders(qubits)
+        consumed = [False] * len(members)
+        next_members: list[list[int]] = []
+        next_qubits: list[set[int]] = []
+        for i in range(len(members)):
+            if consumed[i]:
                 continue
-            best_j, best_shared = -1, 0
-            for j in range(i + 1, len(current)):
-                if j in consumed:
-                    continue
-                num_shared = len(shared_qubits(p1.qubit_map, current[j].qubit_map))
-                if num_shared >= threshold and num_shared > best_shared:
-                    best_shared = num_shared
-                    best_j = j
-            if best_j >= 0:
-                next_round.append(combine_partitions(p1, current[best_j]))
-                consumed.add(i)
-                consumed.add(best_j)
+            counts: dict[int, int] = {}
+            for q in qubits[i]:
+                held = holders[q]
+                for j in held[bisect_right(held, i) :]:
+                    if not consumed[j]:
+                        counts[j] = counts.get(j, 0) + 1
+            # the most shared qubits, then the lowest index
+            best_j = min(counts, key=lambda j: (-counts[j], j), default=None)
+            if best_j is not None and counts[best_j] >= threshold:
+                next_members.append(members[i] + members[best_j])
+                next_qubits.append(qubits[i] | qubits[best_j])
+                consumed[best_j] = True
                 merged = True
             else:
-                next_round.append(p1)
-                consumed.add(i)
-        current = next_round
-    return current
+                next_members.append(members[i])
+                next_qubits.append(qubits[i])
+        members, qubits = next_members, next_qubits
+    return [
+        parts[group[0]]
+        if len(group) == 1
+        else partition_from_global_gates(
+            [g for idx in group for g in parts[idx].global_gates()]
+        )
+        for group in members
+    ]
 
 
 @dataclass(frozen=True)
@@ -192,10 +242,5 @@ def run_hypergraph_pipeline(
 
 def build_dependency_graph(parts: Sequence[Partition]) -> DependencyDag:
     """Edge i -> j for every i < j whose qubit maps intersect."""
-    edges = []
-    for i in range(len(parts)):
-        for j in range(i + 1, len(parts)):
-            shared = shared_qubits(parts[i].qubit_map, parts[j].qubit_map)
-            if shared:
-                edges.append((i, j, frozenset(shared)))
-    return DependencyDag(len(parts), tuple(edges))
+    edges = tuple((i, j, frozenset(shared)) for i, j, shared in overlapping_pairs(parts))
+    return DependencyDag(len(parts), edges)

@@ -53,6 +53,14 @@ class TestRemapGroups:
         with pytest.raises(q.FixtureError):
             q.remap_groups(circuit_s, [[0, 1], [1, 2]])
 
+    def test_negative_index_rejected(self, circuit_s):
+        with pytest.raises(q.FixtureError, match=r"gate index -1 out of range"):
+            q.remap_groups(circuit_s, [[-1]])
+
+    def test_index_past_end_rejected(self, circuit_s):
+        with pytest.raises(q.FixtureError, match=r"gate index 22 out of range"):
+            q.remap_groups(circuit_s, [[len(circuit_s.gates)]])
+
 
 class TestFixtures:
     def test_builtin_fixture_matches_reference(self, circuit_s):

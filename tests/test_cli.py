@@ -149,8 +149,10 @@ class TestCompare:
         )
         script.chmod(0o755)
         monkeypatch.setenv("QCPART_SOLVER_BIN", str(script))
+        # alternating labels put 8600 of 14000 node weight in part 1: eps >= 0.23
         code, out, _ = run_cli(
-            capsys, "partition", "--bench", "s", "--k", "2", "--format", "json"
+            capsys, "partition", "--bench", "s", "--k", "2", "--imbalance", "0.25",
+            "--format", "json",
         )
         assert code == 0
         assert json.loads(out)["labels"] == [i % 2 for i in range(22)]

@@ -1,0 +1,356 @@
+"""The qubit-indexed baseline, trim, merge, DAG and SWAP code against references.
+
+Golden SHA-256 digests pin the outputs of the earlier quadratic versions on
+SplitMix64 circuits with many small parts; the from-scratch quadratic
+versions are kept below as references for the Hypothesis tests, which
+require identical results on random small inputs.
+"""
+
+import hashlib
+from collections import Counter
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import qcpart as q
+from qcpart.rng import SplitMix64
+
+PROPERTY_SETTINGS = settings(max_examples=200, deadline=None)
+
+
+# ---------------------------------------------------------------------------
+# Quadratic reference versions
+# ---------------------------------------------------------------------------
+
+
+def reference_block_partition(circuit, config):
+    blocks = []
+    for idx, gate in enumerate(circuit.gates):
+        if gate.kind.arity > config.block_size:
+            raise ValueError(
+                f"gate {gate.kind.name}{gate.qubits} exceeds block size "
+                f"{config.block_size}"
+            )
+        chosen = None
+        for pos, block in enumerate(blocks):
+            if len(block["qubits"] | set(gate.qubits)) > config.block_size:
+                continue
+            blocked = any(
+                later["qubits"] & set(gate.qubits) for later in blocks[pos + 1 :]
+            )
+            if not blocked:
+                chosen = block
+                break
+        if chosen is None:
+            chosen = {"qubits": set(), "gates": []}
+            blocks.append(chosen)
+        chosen["qubits"] |= set(gate.qubits)
+        chosen["gates"].append(idx)
+    return [block["gates"] for block in blocks]
+
+
+def reference_trim(circuit, labels):
+    label_seq = tuple(labels)
+    return [
+        q.partition_from_global_gates(
+            [g for g, label in zip(circuit.gates, label_seq) if label == part_id]
+        )
+        for part_id in sorted(set(label_seq))
+    ]
+
+
+def reference_merge(parts, threshold):
+    current = list(parts)
+    merged = True
+    while merged:
+        merged = False
+        next_round = []
+        consumed = set()
+        for i, p1 in enumerate(current):
+            if i in consumed:
+                continue
+            best_j, best_shared = -1, 0
+            for j in range(i + 1, len(current)):
+                if j in consumed:
+                    continue
+                num_shared = len(set(p1.qubit_map) & set(current[j].qubit_map))
+                if num_shared >= threshold and num_shared > best_shared:
+                    best_shared = num_shared
+                    best_j = j
+            if best_j >= 0:
+                next_round.append(q.combine_partitions(p1, current[best_j]))
+                consumed.add(i)
+                consumed.add(best_j)
+                merged = True
+            else:
+                next_round.append(p1)
+                consumed.add(i)
+        current = next_round
+    return current
+
+
+def reference_pairwise_cuts(parts):
+    result = {}
+    for i in range(len(parts)):
+        for j in range(i + 1, len(parts)):
+            shared = set(parts[i].qubit_map) & set(parts[j].qubit_map)
+            if shared:
+                result[(i, j)] = shared
+    return result
+
+
+def reference_dag_edges(parts):
+    return tuple(
+        (i, j, frozenset(shared)) for (i, j), shared in reference_pairwise_cuts(parts).items()
+    )
+
+
+def reference_estimate_swaps(parts, heuristic_on=False, seed=42):
+    rng = SplitMix64(seed)
+    misalignments = Counter()
+    per_pair = {}
+    attribution = [0] * len(parts)
+    waived = 0
+    for i in range(len(parts)):
+        for j in range(i + 1, len(parts)):
+            for qb in sorted(set(parts[i].qubit_map) & set(parts[j].qubit_map)):
+                if parts[i].qubit_map[qb] == parts[j].qubit_map[qb]:
+                    continue
+                misalignments[qb] += 1
+                if heuristic_on and misalignments[qb] > 3 and rng.next_float() < 0.6:
+                    waived += 1
+                    continue
+                per_pair[(i, j)] = per_pair.get((i, j), 0) + 1
+                attribution[i] += 1
+    return q.SwapEstimate(sum(per_pair.values()), per_pair, tuple(attribution), waived)
+
+
+# ---------------------------------------------------------------------------
+# Canonical forms: sorted tuples, never the repr of a set or dict
+# ---------------------------------------------------------------------------
+
+
+def parts_key(parts):
+    return tuple(
+        (
+            tuple(sorted(p.qubit_map.items())),
+            tuple((g.kind.name, g.qubits) for g in p.subcircuit.gates),
+        )
+        for p in parts
+    )
+
+
+def dag_key(dag):
+    return (dag.num_partitions, tuple((i, j, tuple(sorted(s))) for i, j, s in dag.edges))
+
+
+def cuts_key(cuts):
+    return tuple((pair, tuple(sorted(s))) for pair, s in sorted(cuts.items()))
+
+
+def swaps_key(est):
+    return (
+        est.total,
+        tuple(sorted(est.per_pair.items())),
+        est.per_partition_attribution,
+        est.waived,
+    )
+
+
+def _digest(lines) -> str:
+    return hashlib.sha256("\n".join(map(str, lines)).encode()).hexdigest()
+
+
+# ---------------------------------------------------------------------------
+# Golden digests
+# ---------------------------------------------------------------------------
+
+
+def _random_h_cnot_circuit(rng: SplitMix64, num_qubits: int, num_gates: int) -> q.Circuit:
+    """Each gate is H on a uniform qubit or CNOT on a uniform distinct pair, 50/50."""
+    gates = []
+    for _ in range(num_gates):
+        if rng.next_below(2) == 0:
+            gates.append(q.h(rng.next_below(num_qubits)))
+        else:
+            control = rng.next_below(num_qubits)
+            target = rng.next_below(num_qubits - 1)
+            gates.append(q.cnot(control, target + (target >= control)))
+    return q.Circuit(num_qubits, tuple(gates))
+
+
+def _chunk_labels(circuit: q.Circuit, k: int) -> list[int]:
+    """Contiguous gate-order chunks by node-weight midpoint, as an external
+    solver that cuts the gate sequence into k chunks would return them."""
+    weights = [int(w) for w in q.circuit_to_hypergraph(circuit).node_weights]
+    total = sum(weights)
+    labels, before = [], 0
+    for w in weights:
+        labels.append(min(k - 1, k * (2 * before + w) // (2 * total)))
+        before += w
+    return labels
+
+
+# (qubits, gates, chunk count): about ten gates per chunk, as with many parts.
+GOLDEN_SIZES = ((8, 200, 20), (24, 600, 60), (48, 1200, 120))
+
+
+def _golden_cases():
+    """Per size: the circuit, its chunk-labelled parts and random-labelled parts."""
+    rng = SplitMix64(3003)
+    cases = []
+    for nq, ng, k in GOLDEN_SIZES:
+        circuit = _random_h_cnot_circuit(rng, nq, ng)
+        random_labels = [rng.next_below(k // 4) for _ in range(ng)]
+        cases.append((f"{nq}q/{ng}g", circuit, _chunk_labels(circuit, k), random_labels))
+    return cases
+
+
+@pytest.fixture(scope="module")
+def golden_cases():
+    return _golden_cases()
+
+
+def _merge_inputs(golden_cases):
+    """Chunk- and random-labelled parts, which merge into one part at every
+    threshold, and block-baseline parts of 2 and 3 qubits, which do not."""
+    for name, circuit, chunks, random_labels in golden_cases:
+        yield f"{name} chunks", q.create_trimmed_partitions(circuit, chunks)
+        yield f"{name} random", q.create_trimmed_partitions(circuit, random_labels)
+        for b in (2, 3):
+            groups = q.block_partition(circuit, q.BaselineConfig(b))
+            yield f"{name} blocks b={b}", q.remap_groups(circuit, groups)
+
+
+class TestGoldenDigests:
+    """Digests recorded from the quadratic implementations."""
+
+    BLOCK_DIGEST = "e770f902aba411b144d4e683808761cb0c307c54af1c07f6f58d2a3cbb83f810"
+    TRIM_DIGEST = "30f0af842288ebc9c76ee424388473380f3ce6c26fa5e77867a2f32a50dbaa02"
+    MERGE_DIGEST = "5507ccc983616fd1611a327e926c9b0b716af5df1b7352fea960fd75748fcae2"
+    DAG_DIGEST = "99f00177d0e590f90cd54e2d6afe3a41f177e0a5287c8530ded679c2467c4908"
+    CUTS_DIGEST = "98b02cf3905299c4778e39105114ce7403a4f3a53866a5554402afc42c948f7a"
+    SWAP_DIGEST = "60397c788f5d09f48bf78037d02c625d932bc80d41d6637735846b8f7fe69aa8"
+
+    def test_block_groups(self, golden_cases):
+        lines = []
+        for name, circuit, _, _ in golden_cases:
+            for b in range(2, 9):
+                groups = q.block_partition(circuit, q.BaselineConfig(b))
+                lines.append((name, b, tuple(map(tuple, groups))))
+        assert _digest(lines) == self.BLOCK_DIGEST
+
+    def test_trimmed_parts(self, golden_cases):
+        lines = []
+        for name, circuit, chunks, random_labels in golden_cases:
+            lines.append((name, "chunks", parts_key(q.create_trimmed_partitions(circuit, chunks))))
+            lines.append((name, "random", parts_key(q.create_trimmed_partitions(circuit, random_labels))))
+        assert _digest(lines) == self.TRIM_DIGEST
+
+    def test_merged_parts(self, golden_cases):
+        lines = []
+        for name, parts in _merge_inputs(golden_cases):
+            for threshold in (1, 2, 3):
+                lines.append((name, threshold, parts_key(q.merge_partitions(parts, threshold))))
+        assert _digest(lines) == self.MERGE_DIGEST
+
+    def test_dag_edges(self, golden_cases):
+        lines = []
+        for name, parts in _merge_inputs(golden_cases):
+            lines.append((name, dag_key(q.build_dependency_graph(parts))))
+            merged = q.merge_partitions(parts, 2)
+            lines.append((name, dag_key(q.build_dependency_graph(merged))))
+        assert _digest(lines) == self.DAG_DIGEST
+
+    def test_pairwise_cuts(self, golden_cases):
+        lines = []
+        for name, circuit, chunks, _ in golden_cases:
+            parts = q.create_trimmed_partitions(circuit, chunks)
+            lines.append((name, cuts_key(q.pairwise_cuts(parts)), sorted(q.cut_qubits(parts))))
+        assert _digest(lines) == self.CUTS_DIGEST
+
+    def test_swap_estimates(self, golden_cases):
+        lines = []
+        for name, circuit, chunks, _ in golden_cases:
+            baseline = q.remap_groups(circuit, q.block_partition(circuit, q.BaselineConfig(8)))
+            trimmed = q.create_trimmed_partitions(circuit, chunks)
+            for label, parts in (("baseline", baseline), ("chunks", trimmed)):
+                for heuristic_on in (False, True):
+                    for seed in (0, 42):
+                        est = q.estimate_swaps(parts, heuristic_on=heuristic_on, seed=seed)
+                        lines.append((name, label, heuristic_on, seed, swaps_key(est)))
+        assert _digest(lines) == self.SWAP_DIGEST
+
+
+# ---------------------------------------------------------------------------
+# Equivalence with the references on random small inputs
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def labelled_circuits(draw, max_qubits=8, max_gates=40):
+    """A circuit of H, CNOT and CCX gates plus a per-gate label vector."""
+    num_qubits = draw(st.integers(min_value=3, max_value=max_qubits))
+    gates = []
+    for _ in range(draw(st.integers(min_value=0, max_value=max_gates))):
+        kind = draw(st.sampled_from([q.H, q.CNOT, q.CNOT, q.CCX]))
+        qubits = draw(
+            st.lists(
+                st.integers(min_value=0, max_value=num_qubits - 1),
+                min_size=kind.arity,
+                max_size=kind.arity,
+                unique=True,
+            )
+        )
+        gates.append(q.Gate(kind, tuple(qubits)))
+    k = draw(st.integers(min_value=1, max_value=12))
+    labels = draw(
+        st.lists(st.integers(min_value=0, max_value=k - 1), min_size=len(gates), max_size=len(gates))
+    )
+    return q.Circuit(num_qubits, tuple(gates)), labels
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@PROPERTY_SETTINGS
+@given(case=labelled_circuits(), block_size=st.integers(min_value=1, max_value=6))
+def test_block_partition_matches_reference(case, block_size):
+    circuit, _ = case
+    config = q.BaselineConfig(block_size)
+    assert _outcome(q.block_partition, circuit, config) == _outcome(
+        reference_block_partition, circuit, config
+    )
+
+
+@PROPERTY_SETTINGS
+@given(case=labelled_circuits(), threshold=st.integers(min_value=1, max_value=4))
+def test_trim_and_merge_match_reference(case, threshold):
+    circuit, labels = case
+    parts = q.create_trimmed_partitions(circuit, labels)
+    assert parts_key(parts) == parts_key(reference_trim(circuit, labels))
+    merged = q.merge_partitions(parts, threshold)
+    assert parts_key(merged) == parts_key(reference_merge(parts, threshold))
+
+
+@PROPERTY_SETTINGS
+@given(
+    case=labelled_circuits(),
+    block_size=st.integers(min_value=3, max_value=5),
+    heuristic_on=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32),
+)
+def test_overlap_consumers_match_reference(case, block_size, heuristic_on, seed):
+    circuit, labels = case
+    baseline = q.remap_groups(circuit, q.block_partition(circuit, q.BaselineConfig(block_size)))
+    for parts in (baseline, q.create_trimmed_partitions(circuit, labels)):
+        cuts = q.pairwise_cuts(parts)
+        assert cuts_key(cuts) == cuts_key(reference_pairwise_cuts(parts))
+        assert q.build_dependency_graph(parts).edges == reference_dag_edges(parts)
+        est = q.estimate_swaps(parts, heuristic_on=heuristic_on, seed=seed)
+        assert swaps_key(est) == swaps_key(reference_estimate_swaps(parts, heuristic_on, seed))

@@ -369,8 +369,15 @@ def _fake_solver(tmp_path, label: str):
 class TestExternalAdapter:
     def test_fake_solver_round_trip(self, hypergraph_s, tmp_path):
         solver = _fake_solver(tmp_path, "$((i % k))")  # alternate labels 0/1 per node
-        asg = q.partition(hypergraph_s, q.SolverConfig(k=2, backend=solver))
+        # The odd nodes weigh 8600 of 14000, so the cap (1 + eps) * 7000 needs eps >= 0.23.
+        config = q.SolverConfig(k=2, imbalance=0.25, backend=solver)
+        asg = q.partition(hypergraph_s, config)
         assert asg.labels == tuple(i % 2 for i in range(22))
+
+    def test_unbalanced_labels_raise(self, hypergraph_s, tmp_path):
+        solver = _fake_solver(tmp_path, "0")  # every node in part 0
+        with pytest.raises(q.SolverError, match=r"part 0 weighs 14000, over the cap 7350"):
+            q.partition(hypergraph_s, q.SolverConfig(k=2, imbalance=0.05, backend=solver))
 
     def test_non_integer_label_raises(self, hypergraph_s, tmp_path):
         solver = _fake_solver(tmp_path, "x")
