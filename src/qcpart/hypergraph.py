@@ -7,6 +7,11 @@ One node per gate. Two hyperedge families:
     max(1, 100 * (m // 2) / eps_h), preserving per-qubit execution order.
 
 Node weights are 10/eps for CNOT and 1/eps otherwise.
+
+A gate-level edge has one pin, so it always spans one part (lambda = 1)
+and adds 0 to km1 under any assignment. It exists only so the paper's hgr
+output carries it; the internal solver's `_induce` drops it with every
+other edge of fewer than two pins.
 """
 
 from __future__ import annotations

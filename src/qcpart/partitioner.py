@@ -3,10 +3,15 @@
 The internal solver is a deterministic multilevel bisection scheme:
 heavy-connectivity matching for coarsening, greedy balanced initial
 assignment, then Fiduccia-Mattheyses refinement and balance repair that
-read move gains from cached per-edge pin counts. k > 2 is handled by
-recursive bisection. An external-solver adapter mirrors the usual
-Mt-KaHyPar style invocation for users who have a binary available; it
-rejects labels that are out of range or break the balance cap.
+read move gains from cached per-edge pin counts. Coarsening rates a
+cluster's merge partners from its own incidence list when the cluster is
+visited, and each coarse level keeps its fine-to-coarse map for
+projection. A move updates each affected edge's pin gains in one pass by
+fixed per-side deltas. k > 2 is handled by recursive bisection. An
+external-solver adapter mirrors the usual Mt-KaHyPar style invocation for
+users who have a binary available; it rejects labels that are out of range
+or break the balance cap, and raises SolverError when the binary cannot be
+started.
 
 All randomness comes from the splitmix64 generator seeded from the config,
 so identical inputs always produce identical labels.
@@ -124,6 +129,8 @@ class _Instance:
     cap0: float
     cap1: float
     incident: list[list[int]] = field(init=False, repr=False)  # edge ids per cluster
+    # set by _contract: this instance's cluster id for each finer-level cluster
+    fine_to_coarse: list[int] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.incident = [[] for _ in self.weights]
@@ -149,21 +156,16 @@ def _induce(hg: Hypergraph, nodes: list[int], cap0: float, cap1: float) -> _Inst
 
 
 def _contract(inst: _Instance, rng: SplitMix64, max_cluster: float) -> _Instance | None:
-    """One round of heavy-connectivity matching; None when nothing matched."""
+    """One round of heavy-connectivity matching; None when nothing matched.
+
+    Clusters are visited in a shuffled order. An unmatched cluster v rates
+    each unmatched neighbour u by the sum of w / (|e| - 1) over the edges e
+    holding both, read from v's incidence list when v is visited, and merges
+    with the highest-rated neighbour that fits max_cluster, the lowest index
+    on ties.
+    """
     n = len(inst.clusters)
-    connectivity: dict[tuple[int, int], float] = {}
-    for w, members in inst.edges:
-        share = w / (len(members) - 1)
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                pair = (members[i], members[j])
-                connectivity[pair] = connectivity.get(pair, 0.0) + share
-
-    neighbors: dict[int, list[tuple[float, int]]] = {}
-    for (a, b), w in connectivity.items():
-        neighbors.setdefault(a, []).append((w, b))
-        neighbors.setdefault(b, []).append((w, a))
-
+    weights, edges, incident = inst.weights, inst.edges, inst.incident
     order = list(range(n))
     rng.shuffle(order)
     merged_into = list(range(n))
@@ -172,14 +174,21 @@ def _contract(inst: _Instance, rng: SplitMix64, max_cluster: float) -> _Instance
     for v in order:
         if matched[v]:
             continue
-        best = -1
-        for _, u in sorted(neighbors.get(v, []), key=lambda t: (-t[0], t[1])):
-            if matched[u] or u == v:
+        rating: dict[int, float] = {}
+        for ei in incident[v]:
+            w, members = edges[ei]
+            share = w / (len(members) - 1)
+            for u in members:
+                if u != v and not matched[u]:
+                    rating[u] = rating.get(u, 0.0) + share
+        best, best_rating = -1, -math.inf
+        wv = weights[v]
+        for u, r in rating.items():
+            if r < best_rating or (r == best_rating and u > best):
                 continue
-            if inst.weights[v] + inst.weights[u] > max_cluster:
+            if wv + weights[u] > max_cluster:
                 continue
-            best = u  # list is sorted; first feasible neighbor is the heaviest
-            break
+            best, best_rating = u, r
         if best >= 0:
             matched[v] = matched[best] = True
             merged_into[best] = v
@@ -187,25 +196,30 @@ def _contract(inst: _Instance, rng: SplitMix64, max_cluster: float) -> _Instance
     if not any_match:
         return None
 
-    new_id: dict[int, int] = {}
+    # Coarse ids are numbered by each cluster's lowest fine index; a pair's
+    # root may be its higher index, so the id is stored at the root first.
+    coarse_of = [-1] * n
     clusters: list[list[int]] = []
-    weights: list[float] = []
+    cweights: list[float] = []
     for v in range(n):
         root = merged_into[v]
-        if root not in new_id:
-            new_id[root] = len(clusters)
+        cid = coarse_of[root]
+        if cid < 0:
+            cid = coarse_of[root] = len(clusters)
             clusters.append([])
-            weights.append(0.0)
-        cid = new_id[root]
+            cweights.append(0.0)
+        coarse_of[v] = cid
         clusters[cid].extend(inst.clusters[v])
-        weights[cid] += inst.weights[v]
+        cweights[cid] += weights[v]
 
-    edges = []
-    for w, members in inst.edges:
-        mapped = tuple(sorted({new_id[merged_into[v]] for v in members}))
+    coarse_edges = []
+    for w, members in edges:
+        mapped = tuple(sorted({coarse_of[v] for v in members}))
         if len(mapped) >= 2:
-            edges.append((w, mapped))
-    return _Instance(clusters, weights, edges, inst.cap0, inst.cap1)
+            coarse_edges.append((w, mapped))
+    coarse = _Instance(clusters, cweights, coarse_edges, inst.cap0, inst.cap1)
+    coarse.fine_to_coarse = coarse_of
+    return coarse
 
 
 def _side_loads(weights: list[float], side: list[int]) -> list[float]:
@@ -274,38 +288,31 @@ class _GainCache:
     def move(self, v: int) -> None:
         """Flip cluster v's side and delta-update the counts and gains.
 
-        Only an edge with at most one pin on the target side or at most two
-        on the source side changes any pin's contribution; the others just
-        update their counts. v's own gain simply changes sign.
+        With cs and cd the edge's pins on the source and target side before
+        the move, each other source pin's gain changes by
+        w * ((cd == 0) + (cs == 2)) and each target pin's by
+        -w * ((cd == 1) + (cs == 1)), so an edge with cd > 1 and cs > 2 only
+        updates its counts. v's own gain simply changes sign.
         """
         side, gains, counts, edges = self.side, self.gains, self.counts, self.inst.edges
         src = side[v]
         dst = 1 - src
+        own = gains[v]
         for ei in self.inst.incident[v]:
             c = counts[ei]
-            if c[dst] > 1 and c[src] > 2:
-                c[src] -= 1
-                c[dst] += 1
+            cs = c[src]
+            cd = c[dst]
+            c[src] = cs - 1
+            c[dst] = cd + 1
+            if cd > 1 and cs > 2:
                 continue
             w, members = edges[ei]
+            d_src = w * ((cd == 0) + (cs == 2))
+            d_dst = -w * ((cd == 1) + (cs == 1))
             for u in members:
-                if u != v:
-                    s = side[u]
-                    if c[1 - s] == 0:
-                        gains[u] += w
-                    elif c[s] == 1:
-                        gains[u] -= w
-            c[src] -= 1
-            c[dst] += 1
-            for u in members:
-                if u != v:
-                    s = side[u]
-                    if c[1 - s] == 0:
-                        gains[u] -= w
-                    elif c[s] == 1:
-                        gains[u] += w
+                gains[u] += d_src if side[u] == src else d_dst
         side[v] = dst
-        gains[v] = -gains[v]
+        gains[v] = -own
 
 
 def _refine(inst: _Instance, side: list[int]) -> None:
@@ -388,12 +395,9 @@ def _repair_balance(inst: _Instance, side: list[int]) -> bool:
     return _sides_feasible(loads, inst)
 
 
-def _project(inst: _Instance, coarse: _Instance, coarse_side: list[int]) -> list[int]:
-    label_of_node = {}
-    for cid, cluster in enumerate(coarse.clusters):
-        for v in cluster:
-            label_of_node[v] = coarse_side[cid]
-    return [label_of_node[inst.clusters[i][0]] for i in range(len(inst.clusters))]
+def _project(coarse: _Instance, coarse_side: list[int]) -> list[int]:
+    """The finer level's sides: each cluster takes its coarse cluster's side."""
+    return [coarse_side[c] for c in coarse.fine_to_coarse]
 
 
 def _solve_bisection(inst: _Instance, rng: SplitMix64) -> list[int] | None:
@@ -419,7 +423,7 @@ def _solve_bisection(inst: _Instance, rng: SplitMix64) -> list[int] | None:
                 continue
         _refine(coarse, side)
         for level in range(len(levels) - 2, -1, -1):
-            side = _project(levels[level], levels[level + 1], side)
+            side = _project(levels[level + 1], side)
             _refine(levels[level], side)
         if not _sides_feasible(_side_loads(inst.weights, side), inst):
             if not _repair_balance(inst, side):
@@ -521,7 +525,12 @@ def _partition_external(hg: Hypergraph, config: SolverConfig) -> PartitionAssign
             "--seed", str(config.seed),
             "--write-partition-file=true",
         ]
-        proc = subprocess.run(cmd, capture_output=True, text=True)
+        try:
+            proc = subprocess.run(cmd, capture_output=True, text=True)
+        except OSError as exc:
+            raise SolverError(
+                f"external solver {binary!r} could not be started: {exc.strerror or exc}"
+            ) from exc
         if proc.returncode != 0:
             raise SolverError(f"external solver failed: {proc.stderr.strip()}")
         candidates = [

@@ -174,6 +174,63 @@ class TestGoldenLabels:
         assert _digest(lines) == self.RANDOM_DIGEST
 
 
+def _hierarchy_lines(label: str, hg: q.Hypergraph, k: int, eps: float, seed: int, tight: bool):
+    """Every coarsening level of the top bisection, as `_solve_bisection` builds it.
+
+    `tight` caps clusters at the heaviest plus the lightest node weight
+    instead, so most merges are blocked and some fit the cap exactly.
+    """
+    hg = q.normalize_weights(hg)
+    cap = qp.balance_cap(hg, k, eps)
+    k0 = (k + 1) // 2
+    inst = qp._induce(hg, list(range(hg.num_nodes)), cap0=k0 * cap, cap1=(k - k0) * cap)
+    total = sum(inst.weights)
+    inst.cap0, inst.cap1 = min(inst.cap0, total), min(inst.cap1, total)
+    max_cluster = max(inst.cap0, inst.cap1) / 2.0
+    if tight:
+        max_cluster = max(inst.weights) + min(inst.weights)
+    rng = SplitMix64(seed)
+    levels = [inst]
+    while len(levels[-1].clusters) > 8:
+        coarser = qp._contract(levels[-1], rng, max_cluster)
+        if coarser is None or len(coarser.clusters) == len(levels[-1].clusters):
+            yield f"{label} k={k} eps={eps} seed={seed} tight={tight} stop state={rng.state}"
+            return
+        levels.append(coarser)
+        yield (
+            f"{label} k={k} eps={eps} seed={seed} tight={tight} level={len(levels) - 1}"
+            f" n={len(coarser.clusters)} clusters={coarser.clusters}"
+            f" weights={coarser.weights} edges={coarser.edges}"
+            f" caps={coarser.cap0},{coarser.cap1} state={rng.state}"
+        )
+
+
+class TestCoarseningHierarchy:
+    """The coarsening hierarchy and RNG state pinned by SHA-256 digest.
+
+    Per level: cluster count, clusters, weights, edges and `rng.state` after
+    each `_contract`. The digest was recorded from the contraction that
+    summed ratings in a pair dictionary over every hyperedge's member pairs.
+    """
+
+    DIGEST = "c063ac2fa7c5fd877bba21935592bf2220e4ca61bd249c52459ab2df7dc38aa7"
+
+    def test_hierarchy(self):
+        circuits = [(name, q.benchmark_circuit(name)) for name in ("s", "m", "l")]
+        rng = SplitMix64(777)
+        circuits += [(f"16q/200g #{i}", _random_h_cnot_circuit(rng, 16, 200)) for i in range(4)]
+        circuits += [(f"32q/400g #{i}", _random_h_cnot_circuit(rng, 32, 400)) for i in range(2)]
+        lines = []
+        for label, circuit in circuits:
+            hg = q.circuit_to_hypergraph(circuit)
+            for k, eps in ((2, 0.1), (2, 0.03), (4, 0.1), (8, 0.05)):
+                for seed in (0, 1, 42):
+                    for tight in (False, True):
+                        lines.extend(_hierarchy_lines(label, hg, k, eps, seed, tight))
+        assert len(lines) > 200
+        assert _digest(lines) == self.DIGEST
+
+
 # From-scratch reference versions of the internal solver's refinement and
 # balance repair: every gain is re-evaluated over the cluster's edges.
 
@@ -318,6 +375,28 @@ class TestCachedGainsMatchReference:
             if v is not None:
                 cache.move(v)
 
+    def test_gain_cache_delta_cases(self):
+        # Moving the four pins of edge 0 one by one from side 0 to side 1
+        # meets cd = 0, 1 and cs = 2, 1; the two-pin edges meet cd = 0 with
+        # cs = 2 (both pins together) and cd = 1 with cs = 1 (split pins).
+        edges = [(3.0, (0, 1, 2, 3)), (5.0, (0, 4)), (7.0, (1, 5)), (2.0, (2, 3, 4, 5))]
+        inst = qp._Instance([[v] for v in range(6)], [1.0] * 6, edges, 6.0, 6.0)
+        side = [0, 0, 0, 0, 0, 1]
+        cache = qp._GainCache(inst, side)
+        incident = _reference_incidence(inst)
+        seen = set()
+        for v in (0, 1, 2, 3):
+            for ei in inst.incident[v]:
+                c = cache.counts[ei]
+                seen.add((len(inst.edges[ei][1]), c[side[v]], c[1 - side[v]]))
+            cache.move(v)
+            assert cache.gains == [
+                _reference_move_gain(inst, side, incident, u) for u in range(6)
+            ]
+        cs_cd = {(cs, cd) for _, cs, cd in seen}
+        assert {cd for _, cd in cs_cd} >= {0, 1} and {cs for cs, _ in cs_cd} >= {1, 2}
+        assert (2, 2, 0) in seen and (2, 1, 1) in seen
+
     @settings(max_examples=200, deadline=None)
     @given(start=bisection_starts())
     def test_refine_matches_reference(self, start):
@@ -334,6 +413,131 @@ class TestCachedGainsMatchReference:
         cached, reference = list(side), list(side)
         assert qp._repair_balance(inst, cached) == _reference_repair_balance(inst, reference)
         assert cached == reference
+
+
+# Reference versions of the contraction and projection that summed ratings
+# in a dictionary over every pair of every hyperedge's members and projected
+# through a dictionary over original nodes.
+
+
+def _reference_contract(inst, rng, max_cluster):
+    n = len(inst.clusters)
+    connectivity = {}
+    for w, members in inst.edges:
+        share = w / (len(members) - 1)
+        for i in range(len(members)):
+            for j in range(i + 1, len(members)):
+                pair = (members[i], members[j])
+                connectivity[pair] = connectivity.get(pair, 0.0) + share
+
+    neighbors = {}
+    for (a, b), w in connectivity.items():
+        neighbors.setdefault(a, []).append((w, b))
+        neighbors.setdefault(b, []).append((w, a))
+
+    order = list(range(n))
+    rng.shuffle(order)
+    merged_into = list(range(n))
+    matched = [False] * n
+    any_match = False
+    for v in order:
+        if matched[v]:
+            continue
+        best = -1
+        for _, u in sorted(neighbors.get(v, []), key=lambda t: (-t[0], t[1])):
+            if matched[u] or u == v:
+                continue
+            if inst.weights[v] + inst.weights[u] > max_cluster:
+                continue
+            best = u
+            break
+        if best >= 0:
+            matched[v] = matched[best] = True
+            merged_into[best] = v
+            any_match = True
+    if not any_match:
+        return None
+
+    new_id = {}
+    clusters = []
+    weights = []
+    for v in range(n):
+        root = merged_into[v]
+        if root not in new_id:
+            new_id[root] = len(clusters)
+            clusters.append([])
+            weights.append(0.0)
+        cid = new_id[root]
+        clusters[cid].extend(inst.clusters[v])
+        weights[cid] += inst.weights[v]
+
+    edges = []
+    for w, members in inst.edges:
+        mapped = tuple(sorted({new_id[merged_into[v]] for v in members}))
+        if len(mapped) >= 2:
+            edges.append((w, mapped))
+    return qp._Instance(clusters, weights, edges, inst.cap0, inst.cap1)
+
+
+def _reference_project(inst, coarse, coarse_side):
+    label_of_node = {}
+    for cid, cluster in enumerate(coarse.clusters):
+        for v in cluster:
+            label_of_node[v] = coarse_side[cid]
+    return [label_of_node[inst.clusters[i][0]] for i in range(len(inst.clusters))]
+
+
+def _contents(inst):
+    return (inst.clusters, inst.weights, inst.edges, inst.cap0, inst.cap1, inst.incident)
+
+
+@st.composite
+def contraction_inputs(draw):
+    """Integral weights, edges of 2-6 distinct pins, a cluster cap that may block merges."""
+    n = draw(st.integers(min_value=2, max_value=30))
+    weights = [float(w) for w in draw(st.lists(st.integers(1, 20), min_size=n, max_size=n))]
+    edges = [
+        (float(w), tuple(sorted(members)))
+        for w, members in draw(
+            st.lists(
+                st.tuples(
+                    st.integers(1, 50),
+                    st.lists(st.integers(0, n - 1), min_size=2, max_size=min(n, 6), unique=True),
+                ),
+                max_size=3 * n,
+            )
+        )
+    ]
+    total = sum(weights)
+    inst = qp._Instance([[v] for v in range(n)], weights, edges, total, total)
+    max_cluster = float(draw(st.integers(0, 45)))
+    return inst, max_cluster, draw(st.integers(0, 2**64 - 1))
+
+
+class TestContractionMatchesReference:
+    @settings(max_examples=200, deadline=None)
+    @given(inputs=contraction_inputs(), data=st.data())
+    def test_hierarchy_and_projection(self, inputs, data):
+        inst, max_cluster, seed = inputs
+        rng, reference_rng = SplitMix64(seed), SplitMix64(seed)
+        levels = [inst]
+        for _ in range(4):
+            coarse = qp._contract(levels[-1], rng, max_cluster)
+            expected = _reference_contract(levels[-1], reference_rng, max_cluster)
+            assert rng.state == reference_rng.state
+            if expected is None:
+                assert coarse is None
+                break
+            assert _contents(coarse) == _contents(expected)
+            levels.append(coarse)
+        side = data.draw(
+            st.lists(st.integers(0, 1), min_size=len(levels[-1].clusters),
+                     max_size=len(levels[-1].clusters))
+        )
+        for level in range(len(levels) - 2, -1, -1):
+            projected = qp._project(levels[level + 1], side)
+            assert projected == _reference_project(levels[level], levels[level + 1], side)
+            side = projected
 
 
 def _fake_solver(tmp_path, label: str):
@@ -394,6 +598,18 @@ class TestExternalAdapter:
         script.write_text("#!/bin/sh\nexit 3\n")
         script.chmod(script.stat().st_mode | stat.S_IEXEC)
         with pytest.raises(q.SolverError):
+            q.partition(hypergraph_s, q.SolverConfig(k=2, backend=str(script)))
+
+    def test_missing_binary_raises(self, hypergraph_s, tmp_path):
+        missing = str(tmp_path / "no-such-solver")
+        with pytest.raises(q.SolverError, match=r"no-such-solver' could not be started"):
+            q.partition(hypergraph_s, q.SolverConfig(k=2, backend=missing))
+
+    def test_non_executable_binary_raises(self, hypergraph_s, tmp_path):
+        script = tmp_path / "not-executable"
+        script.write_text("#!/bin/sh\nexit 0\n")
+        script.chmod(0o644)
+        with pytest.raises(q.SolverError, match=r"not-executable' could not be started"):
             q.partition(hypergraph_s, q.SolverConfig(k=2, backend=str(script)))
 
     def test_solver_without_output_raises(self, hypergraph_s, tmp_path):

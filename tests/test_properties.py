@@ -6,6 +6,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import qcpart as q
+from qcpart import partitioner
+from qcpart.hypergraph import GATE_LEVEL
 
 PROPERTY_SETTINGS = settings(max_examples=200, deadline=None)
 
@@ -119,6 +121,29 @@ def test_km1_relabel_invariance_and_scaling(circuit, data):
         ),
     )
     assert q.km1(scaled_hg, q.PartitionAssignment(labels, k)) == factor * base
+
+
+@PROPERTY_SETTINGS
+@given(circuit=circuits(), data=st.data())
+def test_gate_level_edges_add_nothing_to_km1(circuit, data):
+    assume(circuit.gates)
+    hg = q.circuit_to_hypergraph(circuit)
+    temporal = tuple(e for e in hg.hyperedges if e.kind != GATE_LEVEL)
+    assert all(len(e.members) == 1 for e in hg.hyperedges if e.kind == GATE_LEVEL)
+    k = data.draw(st.integers(min_value=1, max_value=4))
+    labels = data.draw(
+        st.lists(
+            st.integers(min_value=0, max_value=k - 1),
+            min_size=hg.num_nodes,
+            max_size=hg.num_nodes,
+        )
+    )
+    assignment = q.PartitionAssignment(tuple(labels), k)
+    without = q.Hypergraph(hg.num_nodes, hg.node_weights, temporal)
+    assert q.km1(without, assignment) == q.km1(hg, assignment)
+    # the internal solver never sees them
+    induced = partitioner._induce(hg, list(range(hg.num_nodes)), 1.0, 1.0)
+    assert len(induced.edges) == len(temporal)
 
 
 @PROPERTY_SETTINGS
