@@ -177,6 +177,8 @@ def parse_circuit(text: str) -> Circuit:
                 raise CircuitParseError(f"unknown gate {tokens[0]!r}", lineno)
         except CircuitParseError:
             raise
+        except CircuitError as exc:  # a bad gate kind, not a bad integer
+            raise CircuitParseError(str(exc), lineno) from None
         except ValueError:
             raise CircuitParseError(f"bad integer in {line!r}", lineno)
         if len(qubits) != kind.arity:

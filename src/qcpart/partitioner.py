@@ -7,11 +7,16 @@ read move gains from cached per-edge pin counts. Coarsening rates a
 cluster's merge partners from its own incidence list when the cluster is
 visited, and each coarse level keeps its fine-to-coarse map for
 projection. A move updates each affected edge's pin gains in one pass by
-fixed per-side deltas. k > 2 is handled by recursive bisection. An
-external-solver adapter mirrors the usual Mt-KaHyPar style invocation for
-users who have a binary available; it rejects labels that are out of range
-or break the balance cap, and raises SolverError when the binary cannot be
-started.
+fixed per-side deltas. Two prunings skip only work whose outcome is already
+known: an FM pass stops once the weight of edges with locked clusters on
+both sides (cut for the rest of the pass) leaves no later prefix able to
+beat the best one, and a restart whose refined side at some level repeats
+an earlier restart's is dropped, since the rest of a restart is
+deterministic and draws nothing from the RNG. k > 2 is handled by recursive
+bisection. An external-solver adapter mirrors the usual Mt-KaHyPar style
+invocation for users who have a binary available; it rejects labels that
+are out of range or break the balance cap, and raises SolverError when the
+binary cannot be started or runs past a fixed time limit.
 
 All randomness comes from the splitmix64 generator seeded from the config,
 so identical inputs always produce identical labels.
@@ -30,6 +35,7 @@ from .rng import SplitMix64
 
 INTERNAL = "internal"
 _RESTARTS = 4
+_EXTERNAL_TIMEOUT_S = 600.0  # wall-clock limit for one external solver run
 
 
 class SolverError(RuntimeError):
@@ -325,8 +331,16 @@ def _refine(inst: _Instance, side: list[int]) -> None:
     stay reachable, but the pass rolls back to the best prefix whose loads
     satisfy both caps. Passes repeat while they improve the cut, so the
     result is never worse than the (assumed feasible) input.
+
+    A moved cluster stays locked for the rest of the pass, so an edge with
+    locked pins on both sides stays cut: with C0 the cut at the start of the
+    pass and L the weight of such edges, no later prefix gains more than
+    C0 - L. The pass therefore stops once that bound cannot beat the best
+    prefix, and a pass that starts uncut moves nothing. Edge weights are
+    integral floats, so the bound is exact and the labels are those of a
+    full pass.
     """
-    weights = inst.weights
+    weights, edges, incident = inst.weights, inst.edges, inst.incident
     caps = (inst.cap0, inst.cap1)
     slack = max(weights, default=0.0)
     limits = (caps[0] + slack, caps[1] + slack)
@@ -337,12 +351,15 @@ def _refine(inst: _Instance, side: list[int]) -> None:
         improved = False
         cache = _GainCache(inst, side)
         gains = cache.gains
+        cut = sum(w for (w, _), c in zip(edges, cache.counts) if c[0] and c[1])
+        locked = ([False] * len(edges), [False] * len(edges))  # per side: edge has a locked pin
+        locked_cut = 0.0
         loads = _side_loads(weights, side)
         unlocked = list(range(n))  # ascending, so the scan keeps the tie-break
         moves: list[int] = []
         running = 0.0
         best_running, best_prefix = 0.0, 0
-        for _ in range(n):
+        while unlocked and locked_cut < cut - best_running:
             best_v, best_gain = -1, -math.inf
             for v in unlocked:
                 gain = gains[v]
@@ -352,9 +369,17 @@ def _refine(inst: _Instance, side: list[int]) -> None:
                         best_v, best_gain = v, gain
             if best_v < 0:
                 break
-            loads[side[best_v]] -= weights[best_v]
+            src = side[best_v]
+            dst = 1 - src
+            loads[src] -= weights[best_v]
             cache.move(best_v)
-            loads[side[best_v]] += weights[best_v]
+            loads[dst] += weights[best_v]
+            on_src, on_dst = locked[src], locked[dst]
+            for ei in incident[best_v]:
+                if not on_dst[ei]:
+                    on_dst[ei] = True
+                    if on_src[ei]:
+                        locked_cut += edges[ei][0]
             unlocked.remove(best_v)
             moves.append(best_v)
             running += best_gain
@@ -400,8 +425,32 @@ def _project(coarse: _Instance, coarse_side: list[int]) -> list[int]:
     return [coarse_side[c] for c in coarse.fine_to_coarse]
 
 
+def _uncoarsen(levels: list[_Instance], side: list[int], seen: set) -> list[int] | None:
+    """Refine at the coarsest level, then project and refine down to the finest.
+
+    Returns None as soon as the refined (level, side) is already in `seen`,
+    and records it there otherwise.
+    """
+    for level in range(len(levels) - 1, -1, -1):
+        if level < len(levels) - 1:
+            side = _project(levels[level + 1], side)
+        _refine(levels[level], side)
+        key = (level, tuple(side))
+        if key in seen:
+            return None
+        seen.add(key)
+    return side
+
+
 def _solve_bisection(inst: _Instance, rng: SplitMix64) -> list[int] | None:
-    """Multilevel bisection of one instance; None if no balanced split found."""
+    """Multilevel bisection of one instance; None if no balanced split found.
+
+    A restart whose refined side at some level repeats an earlier restart's
+    side at that level is dropped: the rest of a restart draws nothing from
+    the RNG and is deterministic, so it would end as the earlier one did,
+    with the same cost, which the strict `cost < best_cost` never takes, or
+    with the same failed repair.
+    """
     max_cluster = max(inst.cap0, inst.cap1) / 2.0
     levels = [inst]
     while len(levels[-1].clusters) > 8:
@@ -412,6 +461,7 @@ def _solve_bisection(inst: _Instance, rng: SplitMix64) -> list[int] | None:
 
     best_side: list[int] | None = None
     best_cost = math.inf
+    seen: set[tuple[int, tuple[int, ...]]] = set()
     for restart in range(_RESTARTS):
         coarse = levels[-1]
         if restart == 0:
@@ -421,10 +471,9 @@ def _solve_bisection(inst: _Instance, rng: SplitMix64) -> list[int] | None:
         if not _sides_feasible(_side_loads(coarse.weights, side), coarse):
             if not _repair_balance(coarse, side):
                 continue
-        _refine(coarse, side)
-        for level in range(len(levels) - 2, -1, -1):
-            side = _project(levels[level + 1], side)
-            _refine(levels[level], side)
+        side = _uncoarsen(levels, side, seen)
+        if side is None:
+            continue
         if not _sides_feasible(_side_loads(inst.weights, side), inst):
             if not _repair_balance(inst, side):
                 continue
@@ -526,7 +575,13 @@ def _partition_external(hg: Hypergraph, config: SolverConfig) -> PartitionAssign
             "--write-partition-file=true",
         ]
         try:
-            proc = subprocess.run(cmd, capture_output=True, text=True)
+            proc = subprocess.run(
+                cmd, capture_output=True, text=True, timeout=_EXTERNAL_TIMEOUT_S
+            )
+        except subprocess.TimeoutExpired:
+            raise SolverError(
+                f"external solver {binary!r} did not finish within {_EXTERNAL_TIMEOUT_S:g} s"
+            ) from None
         except OSError as exc:
             raise SolverError(
                 f"external solver {binary!r} could not be started: {exc.strerror or exc}"

@@ -91,6 +91,16 @@ class TestSerialization:
         with pytest.raises(CircuitParseError):
             q.parse_circuit("qubits 2\ncx 0 5\n")
 
+    def test_zero_arity_gate_kind(self):
+        with pytest.raises(CircuitParseError, match=r"^line 2: gate arity must be >= 1, got 0$"):
+            q.parse_circuit("qubits 2\ng foo 0\n")
+
+    def test_builtin_name_with_wrong_arity(self):
+        with pytest.raises(CircuitParseError, match=r"^line 2: H has fixed arity 1$"):
+            q.parse_circuit("qubits 2\ng H 2 0 1\n")
+        with pytest.raises(CircuitParseError, match=r"^line 3: CNOT has fixed arity 2$"):
+            q.parse_circuit("qubits 2\nh 0\ng CNOT 1 0\n")
+
 
 class TestErrorModel:
     def test_defaults(self):

@@ -331,23 +331,28 @@ def _reference_repair_balance(inst, side):
     return loads[0] <= caps[0] and loads[1] <= caps[1]
 
 
-@st.composite
-def bisection_starts(draw):
-    """A small instance with integral weights and a start that may overload a side."""
-    n = draw(st.integers(min_value=2, max_value=30))
-    weights = [float(w) for w in draw(st.lists(st.integers(1, 20), min_size=n, max_size=n))]
-    edges = [
+def _integral_edges(draw, n, max_weight=50):
+    """Up to 3n edges of 2-6 distinct pins over n clusters, integral weights."""
+    return [
         (float(w), tuple(sorted(members)))
         for w, members in draw(
             st.lists(
                 st.tuples(
-                    st.integers(1, 50),
+                    st.integers(1, max_weight),
                     st.lists(st.integers(0, n - 1), min_size=2, max_size=min(n, 6), unique=True),
                 ),
                 max_size=3 * n,
             )
         )
     ]
+
+
+@st.composite
+def bisection_starts(draw, max_edge_weight=50):
+    """A small instance with integral weights and a start that may overload a side."""
+    n = draw(st.integers(min_value=2, max_value=30))
+    weights = [float(w) for w in draw(st.lists(st.integers(1, 20), min_size=n, max_size=n))]
+    edges = _integral_edges(draw, n, max_edge_weight)
     side = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
     loads = [sum(w for w, s in zip(weights, side) if s == t) for t in (0, 1)]
     total = int(sum(weights))
@@ -413,6 +418,119 @@ class TestCachedGainsMatchReference:
         cached, reference = list(side), list(side)
         assert qp._repair_balance(inst, cached) == _reference_repair_balance(inst, reference)
         assert cached == reference
+
+
+# Reference multilevel bisection that runs every restart to the end, even
+# one that repeats an earlier restart's side at some level.
+
+
+def _reference_solve_bisection(inst, rng):
+    max_cluster = max(inst.cap0, inst.cap1) / 2.0
+    levels = [inst]
+    while len(levels[-1].clusters) > 8:
+        coarser = qp._contract(levels[-1], rng, max_cluster)
+        if coarser is None or len(coarser.clusters) == len(levels[-1].clusters):
+            break
+        levels.append(coarser)
+
+    best_side = None
+    best_cost = math.inf
+    for restart in range(qp._RESTARTS):
+        coarse = levels[-1]
+        if restart == 0:
+            side = qp._greedy_initial(coarse, rng)
+        else:
+            side = [rng.next_below(2) for _ in coarse.clusters]
+        if not qp._sides_feasible(qp._side_loads(coarse.weights, side), coarse):
+            if not qp._repair_balance(coarse, side):
+                continue
+        qp._refine(coarse, side)
+        for level in range(len(levels) - 2, -1, -1):
+            side = qp._project(levels[level + 1], side)
+            qp._refine(levels[level], side)
+        if not qp._sides_feasible(qp._side_loads(inst.weights, side), inst):
+            if not qp._repair_balance(inst, side):
+                continue
+            qp._refine(inst, side)
+        cost = qp._bisection_cost(inst, side)
+        if cost < best_cost:
+            best_cost, best_side = cost, list(side)
+
+    if best_side is None:
+        for _ in range(qp._RESTARTS):
+            side = [rng.next_below(2) for _ in inst.clusters]
+            feasible = qp._sides_feasible(qp._side_loads(inst.weights, side), inst)
+            if not feasible and not qp._repair_balance(inst, side):
+                continue
+            qp._refine(inst, side)
+            cost = qp._bisection_cost(inst, side)
+            if cost < best_cost:
+                best_cost, best_side = cost, list(side)
+    return best_side
+
+
+@st.composite
+def bisection_instances(draw):
+    """9-40 clusters, so coarsening runs; integral weights; caps from loose to infeasible."""
+    n = draw(st.integers(min_value=9, max_value=40))
+    weights = [float(w) for w in draw(st.lists(st.integers(1, 20), min_size=n, max_size=n))]
+    edges = _integral_edges(draw, n)
+    total = int(sum(weights))
+    # Caps in percent of half the total weight: below 100 nothing fits, just
+    # above it random starts usually need repair.
+    caps = [float(total * draw(st.integers(90, 200)) // 200) for _ in (0, 1)]
+    inst = qp._Instance([[v] for v in range(n)], weights, edges, caps[0], caps[1])
+    return inst, draw(st.integers(0, 2**64 - 1))
+
+
+class TestPruning:
+    """The locked-cut stop and the repeated-restart skip change no result."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(instance=bisection_instances())
+    def test_solve_bisection_matches_reference(self, instance):
+        inst, seed = instance
+        rng, reference_rng = SplitMix64(seed), SplitMix64(seed)
+        assert qp._solve_bisection(inst, rng) == _reference_solve_bisection(inst, reference_rng)
+        assert rng.state == reference_rng.state
+
+    @settings(max_examples=200, deadline=None)
+    @given(start=bisection_starts(max_edge_weight=2))
+    def test_refine_with_light_edges_matches_reference(self, start):
+        # With edge weights 1 and 2 a pass often ends on a gain of exactly
+        # the bound's margin, so an off-by-one in the stop rule shows.
+        inst, side = start
+        cached, reference = list(side), list(side)
+        qp._refine(inst, cached)
+        _reference_refine(inst, reference)
+        assert cached == reference
+
+    def test_uncut_start_moves_nothing(self, monkeypatch):
+        # Two components, each whole on its own side: the cut is already 0.
+        edges = [(4.0, (0, 1, 2)), (3.0, (1, 2)), (5.0, (3, 4, 5)), (2.0, (4, 5))]
+        inst = qp._Instance([[v] for v in range(6)], [1.0] * 6, edges, 3.0, 3.0)
+        side = [0, 0, 0, 1, 1, 1]
+        moved = []
+        move = qp._GainCache.move
+        monkeypatch.setattr(qp._GainCache, "move", lambda c, v: moved.append(v) or move(c, v))
+        qp._refine(inst, side)
+        assert side == [0, 0, 0, 1, 1, 1]
+        assert moved == []
+
+    def test_repeated_restart_skips_projection(self, monkeypatch):
+        hg = q.normalize_weights(q.circuit_to_hypergraph(q.benchmark_circuit("m")))
+        inst = qp._induce(hg, list(range(hg.num_nodes)), cap0=0.0, cap1=0.0)
+        inst.cap0 = inst.cap1 = qp.balance_cap(hg, 2, 0.1)
+        projected = []  # the coarse instance of each projection
+        project = qp._project
+        monkeypatch.setattr(qp, "_project", lambda c, s: projected.append(id(c)) or project(c, s))
+        expected = _reference_solve_bisection(inst, SplitMix64(0))
+        levels = 1 + len(set(projected))
+        # Every reference restart reaches the finest level.
+        assert levels >= 3 and len(projected) == qp._RESTARTS * (levels - 1)
+        projected.clear()
+        assert qp._solve_bisection(inst, SplitMix64(0)) == expected
+        assert len(projected) < qp._RESTARTS * (levels - 1)
 
 
 # Reference versions of the contraction and projection that summed ratings
@@ -496,18 +614,7 @@ def contraction_inputs(draw):
     """Integral weights, edges of 2-6 distinct pins, a cluster cap that may block merges."""
     n = draw(st.integers(min_value=2, max_value=30))
     weights = [float(w) for w in draw(st.lists(st.integers(1, 20), min_size=n, max_size=n))]
-    edges = [
-        (float(w), tuple(sorted(members)))
-        for w, members in draw(
-            st.lists(
-                st.tuples(
-                    st.integers(1, 50),
-                    st.lists(st.integers(0, n - 1), min_size=2, max_size=min(n, 6), unique=True),
-                ),
-                max_size=3 * n,
-            )
-        )
-    ]
+    edges = _integral_edges(draw, n)
     total = sum(weights)
     inst = qp._Instance([[v] for v in range(n)], weights, edges, total, total)
     max_cluster = float(draw(st.integers(0, 45)))
@@ -610,6 +717,14 @@ class TestExternalAdapter:
         script.write_text("#!/bin/sh\nexit 0\n")
         script.chmod(0o644)
         with pytest.raises(q.SolverError, match=r"not-executable' could not be started"):
+            q.partition(hypergraph_s, q.SolverConfig(k=2, backend=str(script)))
+
+    def test_slow_solver_times_out(self, hypergraph_s, tmp_path, monkeypatch):
+        script = tmp_path / "slow"
+        script.write_text("#!/bin/sh\nexec sleep 30\n")
+        script.chmod(script.stat().st_mode | stat.S_IEXEC)
+        monkeypatch.setattr(qp, "_EXTERNAL_TIMEOUT_S", 0.5)
+        with pytest.raises(q.SolverError, match=r"slow' did not finish within 0.5 s"):
             q.partition(hypergraph_s, q.SolverConfig(k=2, backend=str(script)))
 
     def test_solver_without_output_raises(self, hypergraph_s, tmp_path):
