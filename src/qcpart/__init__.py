@@ -73,12 +73,10 @@ from .pipeline import (
     Partition,
     PipelineResult,
     build_dependency_graph,
-    combine_partitions,
     create_trimmed_partitions,
     merge_partitions,
     partition_from_global_gates,
     run_hypergraph_pipeline,
-    shared_qubits,
 )
 from .rng import SplitMix64
 

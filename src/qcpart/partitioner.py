@@ -2,12 +2,16 @@
 
 The internal solver is a deterministic multilevel bisection scheme:
 heavy-connectivity matching for coarsening, greedy balanced initial
-assignment, then Fiduccia-Mattheyses refinement and balance repair that
-read move gains from cached per-edge pin counts. Coarsening rates a
-cluster's merge partners from its own incidence list when the cluster is
-visited, and each coarse level keeps its fine-to-coarse map for
-projection. A move updates each affected edge's pin gains in one pass by
-fixed per-side deltas. Two prunings skip only work whose outcome is already
+assignment, then Fiduccia-Mattheyses refinement and balance repair.
+Coarsening rates a cluster's merge partners from its own incidence list
+when the cluster is visited, and each coarse level keeps its
+fine-to-coarse map for projection. One bisection state per level,
+`_Bisection`, owns the sides, side loads, cut, per-edge pin counts and
+move gains that refinement, repair and restart selection all read. A move
+updates each affected edge's pin gains in one pass by fixed per-side
+deltas; an FM pass that rolls moves back recounts the state once. Every
+restart, the flat retry on the finest level included, runs through
+`_uncoarsen`. Two prunings skip only work whose outcome is already
 known: an FM pass stops once the weight of edges with locked clusters on
 both sides (cut for the rest of the pass) leaves no later prefix able to
 beat the best one, and a restart whose refined side at some level repeats
@@ -16,7 +20,8 @@ deterministic and draws nothing from the RNG. k > 2 is handled by recursive
 bisection. An external-solver adapter mirrors the usual Mt-KaHyPar style
 invocation for users who have a binary available; it rejects labels that
 are out of range or break the balance cap, and raises SolverError when the
-binary cannot be started or runs past a fixed time limit.
+binary cannot be started or runs past a fixed time limit, after killing
+the binary's whole process group.
 
 All randomness comes from the splitmix64 generator seeded from the config,
 so identical inputs always produce identical labels.
@@ -26,6 +31,7 @@ from __future__ import annotations
 
 import math
 import os
+import signal
 import subprocess
 import tempfile
 from dataclasses import dataclass, field
@@ -228,17 +234,6 @@ def _contract(inst: _Instance, rng: SplitMix64, max_cluster: float) -> _Instance
     return coarse
 
 
-def _side_loads(weights: list[float], side: list[int]) -> list[float]:
-    loads = [0.0, 0.0]
-    for v, s in enumerate(side):
-        loads[s] += weights[v]
-    return loads
-
-
-def _sides_feasible(side_weights: list[float], inst: _Instance) -> bool:
-    return side_weights[0] <= inst.cap0 and side_weights[1] <= inst.cap1
-
-
 def _greedy_initial(inst: _Instance, rng: SplitMix64) -> list[int]:
     """Heaviest-first assignment to the side with the most remaining headroom."""
     order = sorted(range(len(inst.weights)), key=lambda v: (-inst.weights[v], v))
@@ -254,45 +249,53 @@ def _greedy_initial(inst: _Instance, rng: SplitMix64) -> list[int]:
     return side
 
 
-def _bisection_cost(inst: _Instance, side: list[int]) -> float:
-    cost = 0.0
-    for w, members in inst.edges:
-        if len({side[v] for v in members}) > 1:
-            cost += w
-    return cost
+class _Bisection:
+    """One bisection of an instance: sides, side loads, cut and move gains.
 
-
-class _GainCache:
-    """Per-edge side pin counts and the cut gain of moving each cluster.
-
-    For a pin on side s, edge e adds -w when no pin of e is on the other
-    side (the move would cut e) and +w when the pin is e's only one on s
-    (the move would uncut e). Edge weights are integral floats, so the
-    cached sums are exact and equal a from-scratch evaluation.
+    `counts` holds each edge's pins per side. For a pin on side s, edge e
+    adds -w to the pin's gain when no pin of e is on the other side (the
+    move would cut e) and +w when the pin is e's only one on s (the move
+    would uncut e), so a cluster's gain is exactly the drop in cut its move
+    causes. Edge weights are integral floats, so the gains and the cut stay
+    exact under moves and equal a from-scratch `recount`.
     """
 
-    __slots__ = ("inst", "side", "counts", "gains")
+    __slots__ = ("inst", "side", "loads", "cut", "counts", "gains")
 
     def __init__(self, inst: _Instance, side: list[int]):
         self.inst = inst
         self.side = side
-        self.counts = []
+        self.recount()
+
+    def recount(self) -> None:
+        """Derive loads, cut, counts and gains from `side` alone."""
+        inst, side = self.inst, self.side
+        loads = [0.0, 0.0]
+        for v, s in enumerate(side):
+            loads[s] += inst.weights[v]
+        cut = 0.0
+        counts = []
         gains = [0.0] * len(side)
         for w, members in inst.edges:
-            c = [0, 0]
+            c1 = 0
             for u in members:
-                c[side[u]] += 1
-            self.counts.append(c)
-            for u in members:
-                s = side[u]
-                if c[1 - s] == 0:
-                    gains[u] -= w
-                elif c[s] == 1:
-                    gains[u] += w
-        self.gains = gains
+                c1 += side[u]
+            c0 = len(members) - c1
+            counts.append([c0, c1])
+            if c0 and c1:
+                cut += w
+            g0 = -w if not c1 else w if c0 == 1 else 0.0  # each side-0 pin's gain
+            g1 = -w if not c0 else w if c1 == 1 else 0.0
+            if g0 or g1:
+                for u in members:
+                    gains[u] += g1 if side[u] else g0
+        self.loads, self.cut, self.counts, self.gains = loads, cut, counts, gains
+
+    def feasible(self) -> bool:
+        return self.loads[0] <= self.inst.cap0 and self.loads[1] <= self.inst.cap1
 
     def move(self, v: int) -> None:
-        """Flip cluster v's side and delta-update the counts and gains.
+        """Flip cluster v's side and delta-update the state.
 
         With cs and cd the edge's pins on the source and target side before
         the move, each other source pin's gain changes by
@@ -300,11 +303,12 @@ class _GainCache:
         -w * ((cd == 1) + (cs == 1)), so an edge with cd > 1 and cs > 2 only
         updates its counts. v's own gain simply changes sign.
         """
-        side, gains, counts, edges = self.side, self.gains, self.counts, self.inst.edges
+        inst = self.inst
+        side, gains, counts, edges = self.side, self.gains, self.counts, inst.edges
         src = side[v]
         dst = 1 - src
         own = gains[v]
-        for ei in self.inst.incident[v]:
+        for ei in inst.incident[v]:
             c = counts[ei]
             cs = c[src]
             cd = c[dst]
@@ -319,18 +323,22 @@ class _GainCache:
                 gains[u] += d_src if side[u] == src else d_dst
         side[v] = dst
         gains[v] = -own
+        self.loads[src] -= inst.weights[v]
+        self.loads[dst] += inst.weights[v]
+        self.cut -= own
 
 
-def _refine(inst: _Instance, side: list[int]) -> None:
-    """Fiduccia-Mattheyses refinement on cached pin-count gains.
+def _refine(bis: _Bisection) -> None:
+    """Fiduccia-Mattheyses refinement of `bis` in place.
 
     Each pass tentatively moves every cluster at most once, always taking
     the highest-gain move among unlocked clusters whose move fits the target
     cap plus slack, the lowest cluster index on ties, even when the gain is
     negative. The slack is the heaviest cluster weight, so weight exchanges
     stay reachable, but the pass rolls back to the best prefix whose loads
-    satisfy both caps. Passes repeat while they improve the cut, so the
-    result is never worse than the (assumed feasible) input.
+    satisfy both caps: it flips the rolled-back sides and recounts `bis`
+    once. Passes repeat while they improve the cut, so the result is never
+    worse than the (assumed feasible) input.
 
     A moved cluster stays locked for the rest of the pass, so an edge with
     locked pins on both sides stays cut: with C0 the cut at the start of the
@@ -340,6 +348,7 @@ def _refine(inst: _Instance, side: list[int]) -> None:
     integral floats, so the bound is exact and the labels are those of a
     full pass.
     """
+    inst, side = bis.inst, bis.side
     weights, edges, incident = inst.weights, inst.edges, inst.incident
     caps = (inst.cap0, inst.cap1)
     slack = max(weights, default=0.0)
@@ -348,13 +357,9 @@ def _refine(inst: _Instance, side: list[int]) -> None:
 
     improved = True
     while improved:
-        improved = False
-        cache = _GainCache(inst, side)
-        gains = cache.gains
-        cut = sum(w for (w, _), c in zip(edges, cache.counts) if c[0] and c[1])
+        gains, loads, cut = bis.gains, bis.loads, bis.cut  # recount replaces the lists
         locked = ([False] * len(edges), [False] * len(edges))  # per side: edge has a locked pin
         locked_cut = 0.0
-        loads = _side_loads(weights, side)
         unlocked = list(range(n))  # ascending, so the scan keeps the tie-break
         moves: list[int] = []
         running = 0.0
@@ -370,11 +375,8 @@ def _refine(inst: _Instance, side: list[int]) -> None:
             if best_v < 0:
                 break
             src = side[best_v]
-            dst = 1 - src
-            loads[src] -= weights[best_v]
-            cache.move(best_v)
-            loads[dst] += weights[best_v]
-            on_src, on_dst = locked[src], locked[dst]
+            bis.move(best_v)
+            on_src, on_dst = locked[src], locked[1 - src]
             for ei in incident[best_v]:
                 if not on_dst[ei]:
                     on_dst[ei] = True
@@ -383,25 +385,24 @@ def _refine(inst: _Instance, side: list[int]) -> None:
             unlocked.remove(best_v)
             moves.append(best_v)
             running += best_gain
-            if _sides_feasible(loads, inst) and running > best_running:
+            if bis.feasible() and running > best_running:
                 best_running, best_prefix = running, len(moves)
-        for v in moves[best_prefix:]:
-            side[v] = 1 - side[v]
-        if best_running > 0:
-            improved = True
+        if best_prefix < len(moves):
+            for v in moves[best_prefix:]:
+                side[v] = 1 - side[v]
+            bis.recount()
+        improved = best_running > 0
 
 
-def _repair_balance(inst: _Instance, side: list[int]) -> bool:
+def _repair_balance(bis: _Bisection) -> bool:
     """Move lightest-damage clusters off an overloaded side. True on success.
 
     Each step moves the overloaded side's cluster that fits the other side
-    with the highest cached gain, the lowest index on ties.
+    with the highest gain, the lowest index on ties.
     """
+    inst, side, loads, gains = bis.inst, bis.side, bis.loads, bis.gains
     weights = inst.weights
-    loads = _side_loads(weights, side)
     caps = (inst.cap0, inst.cap1)
-    cache = _GainCache(inst, side)
-    gains = cache.gains
     for _ in range(len(side)):
         over = next((s for s in (0, 1) if loads[s] > caps[s]), None)
         if over is None:
@@ -413,11 +414,8 @@ def _repair_balance(inst: _Instance, side: list[int]) -> bool:
         ]
         if not fits:
             return False
-        v = min(fits, key=lambda u: (-gains[u], u))
-        loads[over] -= weights[v]
-        cache.move(v)
-        loads[target] += weights[v]
-    return _sides_feasible(loads, inst)
+        bis.move(min(fits, key=lambda u: (-gains[u], u)))
+    return bis.feasible()
 
 
 def _project(coarse: _Instance, coarse_side: list[int]) -> list[int]:
@@ -425,31 +423,42 @@ def _project(coarse: _Instance, coarse_side: list[int]) -> list[int]:
     return [coarse_side[c] for c in coarse.fine_to_coarse]
 
 
-def _uncoarsen(levels: list[_Instance], side: list[int], seen: set) -> list[int] | None:
-    """Refine at the coarsest level, then project and refine down to the finest.
+def _uncoarsen(levels: list[_Instance], side: list[int], seen: set) -> _Bisection | None:
+    """Run one restart from `side` at the coarsest level; the finest `_Bisection`.
 
-    Returns None as soon as the refined (level, side) is already in `seen`,
-    and records it there otherwise.
+    Repairs the balance at the coarsest level if needed, refines there, then
+    projects and refines down to the finest level, where a split whose loads
+    summed at that level break a cap is repaired and refined once more.
+    Returns None when a repair fails, or as soon as the refined
+    (level, side) is already in `seen`, and records it there otherwise.
     """
+    bis = _Bisection(levels[-1], side)
+    if not bis.feasible() and not _repair_balance(bis):
+        return None
     for level in range(len(levels) - 1, -1, -1):
         if level < len(levels) - 1:
-            side = _project(levels[level + 1], side)
-        _refine(levels[level], side)
-        key = (level, tuple(side))
+            bis = _Bisection(levels[level], _project(levels[level + 1], bis.side))
+        _refine(bis)
+        key = (level, tuple(bis.side))
         if key in seen:
             return None
         seen.add(key)
-    return side
+    if not bis.feasible():
+        if not _repair_balance(bis):
+            return None
+        _refine(bis)
+    return bis
 
 
 def _solve_bisection(inst: _Instance, rng: SplitMix64) -> list[int] | None:
     """Multilevel bisection of one instance; None if no balanced split found.
 
-    A restart whose refined side at some level repeats an earlier restart's
-    side at that level is dropped: the rest of a restart draws nothing from
-    the RNG and is deterministic, so it would end as the earlier one did,
-    with the same cost, which the strict `cost < best_cost` never takes, or
-    with the same failed repair.
+    Keeps the restart with the lowest cut, the earliest on ties. A restart
+    whose refined side at some level repeats an earlier restart's side at
+    that level is dropped: the rest of a restart draws nothing from the RNG
+    and is deterministic, so it would end as the earlier one did, with the
+    same cut, which the strict `<` never takes, or with the same failed
+    repair.
     """
     max_cluster = max(inst.cap0, inst.cap1) / 2.0
     levels = [inst]
@@ -459,42 +468,24 @@ def _solve_bisection(inst: _Instance, rng: SplitMix64) -> list[int] | None:
             break
         levels.append(coarser)
 
-    best_side: list[int] | None = None
-    best_cost = math.inf
+    best: _Bisection | None = None
     seen: set[tuple[int, tuple[int, ...]]] = set()
-    for restart in range(_RESTARTS):
+    for restart in range(2 * _RESTARTS):
+        if restart == _RESTARTS:
+            if best is not None:
+                break
+            # Coarse-level restarts could not be repaired into balance; retry
+            # flat on the finest level, where individual clusters are lighter.
+            levels, seen = [inst], set()
         coarse = levels[-1]
         if restart == 0:
             side = _greedy_initial(coarse, rng)
         else:
             side = [rng.next_below(2) for _ in coarse.clusters]
-        if not _sides_feasible(_side_loads(coarse.weights, side), coarse):
-            if not _repair_balance(coarse, side):
-                continue
-        side = _uncoarsen(levels, side, seen)
-        if side is None:
-            continue
-        if not _sides_feasible(_side_loads(inst.weights, side), inst):
-            if not _repair_balance(inst, side):
-                continue
-            _refine(inst, side)
-        cost = _bisection_cost(inst, side)
-        if cost < best_cost:
-            best_cost, best_side = cost, list(side)
-
-    if best_side is None:
-        # Coarse-level restarts could not be repaired into balance; retry
-        # flat on the finest level where individual clusters are lighter.
-        for _ in range(_RESTARTS):
-            side = [rng.next_below(2) for _ in inst.clusters]
-            feasible = _sides_feasible(_side_loads(inst.weights, side), inst)
-            if not feasible and not _repair_balance(inst, side):
-                continue
-            _refine(inst, side)
-            cost = _bisection_cost(inst, side)
-            if cost < best_cost:
-                best_cost, best_side = cost, list(side)
-    return best_side
+        bis = _uncoarsen(levels, side, seen)
+        if bis is not None and (best is None or bis.cut < best.cut):
+            best = bis
+    return None if best is None else best.side
 
 
 def _partition_internal(hg: Hypergraph, config: SolverConfig) -> PartitionAssignment:
@@ -520,11 +511,9 @@ def _partition_internal(hg: Hypergraph, config: SolverConfig) -> PartitionAssign
             continue
         k0 = (parts + 1) // 2
         k1 = parts - k0
-        inst = _induce(hg, nodes, cap0=k0 * cap, cap1=k1 * cap)
         # each side must also leave the other side enough room
-        total = sum(inst.weights)
-        inst.cap0 = min(inst.cap0, total)
-        inst.cap1 = min(inst.cap1, total)
+        total = sum(hg.node_weights[v] for v in nodes)
+        inst = _induce(hg, nodes, cap0=min(k0 * cap, total), cap1=min(k1 * cap, total))
         side = _solve_bisection(inst, rng)
         if side is None:
             raise SolverError("no balanced bisection found at the configured imbalance")
@@ -541,10 +530,10 @@ def _partition_internal(hg: Hypergraph, config: SolverConfig) -> PartitionAssign
     if k == 2:
         rand = random_balanced_assignment(hg, k, config.seed)
         inst = _induce(hg, list(range(hg.num_nodes)), cap0=cap, cap1=cap)
-        side = list(rand.labels)
-        if _sides_feasible(_side_loads(inst.weights, side), inst):
-            _refine(inst, side)
-            candidate = PartitionAssignment(tuple(side), k)
+        bis = _Bisection(inst, list(rand.labels))
+        if bis.feasible():
+            _refine(bis)
+            candidate = PartitionAssignment(tuple(bis.side), k)
             if km1(hg, candidate) < km1(hg, result):
                 result = candidate
 
@@ -575,19 +564,29 @@ def _partition_external(hg: Hypergraph, config: SolverConfig) -> PartitionAssign
             "--write-partition-file=true",
         ]
         try:
-            proc = subprocess.run(
-                cmd, capture_output=True, text=True, timeout=_EXTERNAL_TIMEOUT_S
+            # A session of its own, so a timeout can kill the children of a
+            # wrapper script along with it.
+            proc = subprocess.Popen(
+                cmd,
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                text=True,
+                start_new_session=True,
             )
-        except subprocess.TimeoutExpired:
-            raise SolverError(
-                f"external solver {binary!r} did not finish within {_EXTERNAL_TIMEOUT_S:g} s"
-            ) from None
         except OSError as exc:
             raise SolverError(
                 f"external solver {binary!r} could not be started: {exc.strerror or exc}"
             ) from exc
+        try:
+            _, stderr = proc.communicate(timeout=_EXTERNAL_TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            raise SolverError(
+                f"external solver {binary!r} did not finish within {_EXTERNAL_TIMEOUT_S:g} s"
+            ) from None
         if proc.returncode != 0:
-            raise SolverError(f"external solver failed: {proc.stderr.strip()}")
+            raise SolverError(f"external solver failed: {stderr.strip()}")
         candidates = [
             os.path.join(tmp, name)
             for name in os.listdir(tmp)

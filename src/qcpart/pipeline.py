@@ -118,11 +118,6 @@ def create_trimmed_partitions(
     return [partition_from_global_gates(buckets[part_id]) for part_id in sorted(buckets)]
 
 
-def shared_qubits(map_a: Mapping[int, int], map_b: Mapping[int, int]) -> set[int]:
-    """Global qubits present in both maps."""
-    return set(map_a.keys()) & set(map_b.keys())
-
-
 def _qubit_holders(qubit_sets: Iterable[Iterable[int]]) -> dict[int, list[int]]:
     """Global qubit -> ascending indices of the sets that hold it."""
     holders: dict[int, list[int]] = {}
@@ -146,11 +141,6 @@ def overlapping_pairs(parts: Sequence[Partition]) -> Iterator[tuple[int, int, li
             yield i, j, shared[j]
 
 
-def combine_partitions(a: Partition, b: Partition) -> Partition:
-    """Merge two partitions: a's gates then b's, over a unified contiguous map."""
-    return partition_from_global_gates(a.global_gates() + b.global_gates())
-
-
 def merge_partitions(parts: Sequence[Partition], threshold: int) -> list[Partition]:
     """Multi-pass greedy merging of partitions sharing >= threshold qubits.
 
@@ -158,7 +148,7 @@ def merge_partitions(parts: Sequence[Partition], threshold: int) -> list[Partiti
     the later unconsumed partner sharing the most qubits (first maximum
     wins), provided the count meets the threshold. Passes repeat until one
     completes without a merge. A merged partition holds its first member's
-    gates then its second's, as ``combine_partitions`` builds it.
+    gates then its second's, over a unified contiguous qubit map.
     """
     if threshold < 1:
         raise ValueError("threshold must be >= 1")

@@ -79,7 +79,11 @@ def reference_merge(parts, threshold):
                     best_shared = num_shared
                     best_j = j
             if best_j >= 0:
-                next_round.append(q.combine_partitions(p1, current[best_j]))
+                next_round.append(
+                    q.partition_from_global_gates(
+                        p1.global_gates() + current[best_j].global_gates()
+                    )
+                )
                 consumed.add(i)
                 consumed.add(best_j)
                 merged = True

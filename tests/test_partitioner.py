@@ -1,7 +1,11 @@
 import hashlib
 import math
+import os
+import signal
 import stat
+import subprocess
 import textwrap
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -254,6 +258,22 @@ def _reference_move_gain(inst, side, incident, v):
     return gain
 
 
+def _reference_loads(inst, side):
+    loads = [0.0, 0.0]
+    for v, s in enumerate(side):
+        loads[s] += inst.weights[v]
+    return loads
+
+
+def _reference_feasible(inst, side):
+    loads = _reference_loads(inst, side)
+    return loads[0] <= inst.cap0 and loads[1] <= inst.cap1
+
+
+def _reference_cost(inst, side):
+    return sum(w for w, members in inst.edges if len({side[v] for v in members}) > 1)
+
+
 def _reference_incidence(inst):
     incident = {}
     for ei, (_, members) in enumerate(inst.edges):
@@ -367,18 +387,26 @@ def bisection_starts(draw, max_edge_weight=50):
 class TestCachedGainsMatchReference:
     @settings(max_examples=200, deadline=None)
     @given(start=bisection_starts(), moves=st.lists(st.integers(0, 29), max_size=40))
-    def test_gain_cache_tracks_moves(self, start, moves):
+    def test_bisection_tracks_moves(self, start, moves):
         inst, side = start
-        cache = qp._GainCache(inst, side)
+        bis = qp._Bisection(inst, side)
         incident = _reference_incidence(inst)
-        for v in [m % len(side) for m in moves] + [None]:
+
+        def assert_matches_scratch():
             expected = [_reference_move_gain(inst, side, incident, u) for u in range(len(side))]
-            assert cache.gains == expected
-            assert cache.counts == [
+            assert bis.gains == expected
+            assert bis.counts == [
                 [sum(1 for u in m if side[u] == t) for t in (0, 1)] for _, m in inst.edges
             ]
-            if v is not None:
-                cache.move(v)
+            assert bis.loads == _reference_loads(inst, side)
+            assert bis.cut == _reference_cost(inst, side)
+
+        for v in [m % len(side) for m in moves]:
+            assert_matches_scratch()
+            bis.move(v)
+        assert_matches_scratch()
+        bis.recount()
+        assert_matches_scratch()
 
     def test_gain_cache_delta_cases(self):
         # Moving the four pins of edge 0 one by one from side 0 to side 1
@@ -387,7 +415,7 @@ class TestCachedGainsMatchReference:
         edges = [(3.0, (0, 1, 2, 3)), (5.0, (0, 4)), (7.0, (1, 5)), (2.0, (2, 3, 4, 5))]
         inst = qp._Instance([[v] for v in range(6)], [1.0] * 6, edges, 6.0, 6.0)
         side = [0, 0, 0, 0, 0, 1]
-        cache = qp._GainCache(inst, side)
+        cache = qp._Bisection(inst, side)
         incident = _reference_incidence(inst)
         seen = set()
         for v in (0, 1, 2, 3):
@@ -407,7 +435,7 @@ class TestCachedGainsMatchReference:
     def test_refine_matches_reference(self, start):
         inst, side = start
         cached, reference = list(side), list(side)
-        qp._refine(inst, cached)
+        qp._refine(qp._Bisection(inst, cached))
         _reference_refine(inst, reference)
         assert cached == reference
 
@@ -416,12 +444,15 @@ class TestCachedGainsMatchReference:
     def test_repair_balance_matches_reference(self, start):
         inst, side = start
         cached, reference = list(side), list(side)
-        assert qp._repair_balance(inst, cached) == _reference_repair_balance(inst, reference)
+        repaired = qp._repair_balance(qp._Bisection(inst, cached))
+        assert repaired == _reference_repair_balance(inst, reference)
         assert cached == reference
 
 
 # Reference multilevel bisection that runs every restart to the end, even
-# one that repeats an earlier restart's side at some level.
+# one that repeats an earlier restart's side at some level. It refines and
+# repairs with the from-scratch references above and recomputes loads and
+# cost from the sides, so it shares no bisection state with the solver.
 
 
 def _reference_solve_bisection(inst, rng):
@@ -441,29 +472,28 @@ def _reference_solve_bisection(inst, rng):
             side = qp._greedy_initial(coarse, rng)
         else:
             side = [rng.next_below(2) for _ in coarse.clusters]
-        if not qp._sides_feasible(qp._side_loads(coarse.weights, side), coarse):
-            if not qp._repair_balance(coarse, side):
+        if not _reference_feasible(coarse, side):
+            if not _reference_repair_balance(coarse, side):
                 continue
-        qp._refine(coarse, side)
+        _reference_refine(coarse, side)
         for level in range(len(levels) - 2, -1, -1):
             side = qp._project(levels[level + 1], side)
-            qp._refine(levels[level], side)
-        if not qp._sides_feasible(qp._side_loads(inst.weights, side), inst):
-            if not qp._repair_balance(inst, side):
+            _reference_refine(levels[level], side)
+        if not _reference_feasible(inst, side):
+            if not _reference_repair_balance(inst, side):
                 continue
-            qp._refine(inst, side)
-        cost = qp._bisection_cost(inst, side)
+            _reference_refine(inst, side)
+        cost = _reference_cost(inst, side)
         if cost < best_cost:
             best_cost, best_side = cost, list(side)
 
     if best_side is None:
         for _ in range(qp._RESTARTS):
             side = [rng.next_below(2) for _ in inst.clusters]
-            feasible = qp._sides_feasible(qp._side_loads(inst.weights, side), inst)
-            if not feasible and not qp._repair_balance(inst, side):
+            if not _reference_feasible(inst, side) and not _reference_repair_balance(inst, side):
                 continue
-            qp._refine(inst, side)
-            cost = qp._bisection_cost(inst, side)
+            _reference_refine(inst, side)
+            cost = _reference_cost(inst, side)
             if cost < best_cost:
                 best_cost, best_side = cost, list(side)
     return best_side
@@ -501,7 +531,7 @@ class TestPruning:
         # the bound's margin, so an off-by-one in the stop rule shows.
         inst, side = start
         cached, reference = list(side), list(side)
-        qp._refine(inst, cached)
+        qp._refine(qp._Bisection(inst, cached))
         _reference_refine(inst, reference)
         assert cached == reference
 
@@ -511,9 +541,9 @@ class TestPruning:
         inst = qp._Instance([[v] for v in range(6)], [1.0] * 6, edges, 3.0, 3.0)
         side = [0, 0, 0, 1, 1, 1]
         moved = []
-        move = qp._GainCache.move
-        monkeypatch.setattr(qp._GainCache, "move", lambda c, v: moved.append(v) or move(c, v))
-        qp._refine(inst, side)
+        move = qp._Bisection.move
+        monkeypatch.setattr(qp._Bisection, "move", lambda b, v: moved.append(v) or move(b, v))
+        qp._refine(qp._Bisection(inst, side))
         assert side == [0, 0, 0, 1, 1, 1]
         assert moved == []
 
@@ -677,6 +707,12 @@ def _fake_solver(tmp_path, label: str):
     return str(script)
 
 
+def _running(pid: int) -> bool:
+    """True while process `pid` exists and is not a zombie."""
+    ps = subprocess.run(["ps", "-o", "stat=", "-p", str(pid)], capture_output=True, text=True)
+    return ps.stdout.strip()[:1] not in ("", "Z")
+
+
 class TestExternalAdapter:
     def test_fake_solver_round_trip(self, hypergraph_s, tmp_path):
         solver = _fake_solver(tmp_path, "$((i % k))")  # alternate labels 0/1 per node
@@ -726,6 +762,27 @@ class TestExternalAdapter:
         monkeypatch.setattr(qp, "_EXTERNAL_TIMEOUT_S", 0.5)
         with pytest.raises(q.SolverError, match=r"slow' did not finish within 0.5 s"):
             q.partition(hypergraph_s, q.SolverConfig(k=2, backend=str(script)))
+
+    def test_timeout_kills_the_solver_process_group(self, hypergraph_s, tmp_path, monkeypatch):
+        pid_file = tmp_path / "child.pid"
+        script = tmp_path / "wrapper"
+        script.write_text(f"#!/bin/sh\nsleep 30 &\necho $! > '{pid_file}'\nwait\n")
+        script.chmod(script.stat().st_mode | stat.S_IEXEC)
+        monkeypatch.setattr(qp, "_EXTERNAL_TIMEOUT_S", 0.5)
+        start = time.monotonic()
+        with pytest.raises(q.SolverError, match=r"wrapper' did not finish within 0.5 s"):
+            q.partition(hypergraph_s, q.SolverConfig(k=2, backend=str(script)))
+        # A surviving `sleep` would hold the output pipes open until it ends.
+        assert time.monotonic() - start < 10.0
+        child = int(pid_file.read_text())
+        try:
+            deadline = time.monotonic() + 5.0  # SIGKILL lands asynchronously
+            while _running(child) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not _running(child)
+        finally:
+            if _running(child):
+                os.kill(child, signal.SIGKILL)
 
     def test_solver_without_output_raises(self, hypergraph_s, tmp_path):
         script = tmp_path / "silent"

@@ -94,7 +94,7 @@ class TestMerging:
     def test_gate_order_preserved(self):
         a = q.partition_from_global_gates([q.h(0), q.cnot(0, 2)])
         b = q.partition_from_global_gates([q.h(2)])
-        merged = q.combine_partitions(a, b)
+        [merged] = q.merge_partitions([a, b], threshold=1)
         assert merged.global_gates() == [q.h(0), q.cnot(0, 2), q.h(2)]
 
 
