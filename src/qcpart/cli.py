@@ -76,6 +76,13 @@ def cmd_convert(args) -> int:
     return 0
 
 
+def _merge_threshold(args) -> int | None:
+    """An explicit --merge-threshold enables merging; --merge alone merges at 2."""
+    if getattr(args, "merge_threshold", None) is not None:
+        return args.merge_threshold
+    return 2 if getattr(args, "merge", False) else None
+
+
 def _pipeline_from_args(args, circuit: Circuit):
     backend = args.solver_binary or os.environ.get(SOLVER_ENV_VAR) or INTERNAL
     return run_hypergraph_pipeline(
@@ -84,7 +91,7 @@ def _pipeline_from_args(args, circuit: Circuit):
         imbalance=args.imbalance,
         seed=args.seed,
         backend=backend,
-        merge_threshold=args.merge_threshold if getattr(args, "merge", False) else None,
+        merge_threshold=_merge_threshold(args),
     )
 
 
@@ -196,8 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_partition)
     _add_solver_options(p_partition)
     p_partition.add_argument("--k", type=int, help="explicit part count")
-    p_partition.add_argument("--merge", action="store_true", help="enable merging")
-    p_partition.add_argument("--merge-threshold", type=int, default=2)
+    p_partition.add_argument("--merge", action="store_true", help="merge parts sharing 2+ qubits")
+    p_partition.add_argument("--merge-threshold", type=int, help="merge parts sharing N+ qubits")
     p_partition.set_defaults(func=cmd_partition)
 
     p_compare = sub.add_parser("compare", help="compare against the block baseline")

@@ -4,20 +4,23 @@ The internal solver is a deterministic multilevel bisection scheme:
 heavy-connectivity matching for coarsening, greedy balanced initial
 assignment, then Fiduccia-Mattheyses refinement and balance repair.
 Coarsening rates a cluster's merge partners from its own incidence list
-when the cluster is visited, and each coarse level keeps its
-fine-to-coarse map for projection. One bisection state per level,
-`_Bisection`, owns the sides, side loads, cut, per-edge pin counts and
-move gains that refinement, repair and restart selection all read. A move
-updates each affected edge's pin gains in one pass by fixed per-side
-deltas; an FM pass that rolls moves back recounts the state once. Every
-restart, the flat retry on the finest level included, runs through
-`_uncoarsen`. Two prunings skip only work whose outcome is already
-known: an FM pass stops once the weight of edges with locked clusters on
-both sides (cut for the rest of the pass) leaves no later prefix able to
-beat the best one, and a restart whose refined side at some level repeats
-an earlier restart's is dropped, since the rest of a restart is
-deterministic and draws nothing from the RNG. k > 2 is handled by recursive
-bisection. An external-solver adapter mirrors the usual Mt-KaHyPar style
+when the cluster is visited, and each coarse level keeps only its
+fine-to-coarse map to project a bisection back, not its clusters'
+original nodes. One bisection state per level, `_Bisection`, owns the
+sides, side loads, cut, per-edge pin counts and move gains that
+refinement, repair and candidate selection all read. A move updates each
+affected edge's pin gains in one pass by fixed per-side deltas; an FM pass
+that rolls moves back recounts the state once. Every restart, the flat
+retry on the finest level included, runs through `_uncoarsen`. Two
+prunings skip only work whose outcome is already known: an FM pass stops
+once the weight of edges with locked clusters on both sides (cut for the
+rest of the pass) leaves no later prefix able to beat the best one, and a
+restart whose refined side at some level repeats an earlier restart's is
+dropped, since the rest of a restart is deterministic and draws nothing
+from the RNG. k > 2 is handled by recursive bisection, where a side left
+empty leaves its parts empty. At k = 2 a refined random balanced
+assignment on the top instance replaces the top bisection when its cut is
+lower. An external-solver adapter mirrors the usual Mt-KaHyPar style
 invocation for users who have a binary available; it rejects labels that
 are out of range or break the balance cap, and raises SolverError when the
 binary cannot be started or runs past a fixed time limit, after killing
@@ -114,9 +117,9 @@ def check_balance(hg: Hypergraph, assignment: PartitionAssignment, imbalance: fl
 def random_balanced_assignment(hg: Hypergraph, k: int, seed: int) -> PartitionAssignment:
     """Round-robin labels over a seeded shuffle of the nodes.
 
-    Exactly balanced for unit node weights; also used as one of the internal
-    solver's restart points, so the solver's km1 never exceeds this one's
-    after refinement.
+    Exactly balanced for unit node weights. At k = 2 the internal solver
+    refines it after the recursive bisection and keeps it when its cut is
+    lower, so the solver's km1 never exceeds this one's after refinement.
     """
     order = list(range(hg.num_nodes))
     SplitMix64(seed).shuffle(order)
@@ -135,14 +138,13 @@ def random_balanced_assignment(hg: Hypergraph, k: int, seed: int) -> PartitionAs
 class _Instance:
     """A bisection sub-problem over contracted clusters of original nodes."""
 
-    clusters: list[list[int]]  # original node ids per cluster
     weights: list[float]
     edges: list[tuple[float, tuple[int, ...]]]  # weight, cluster indices (>= 2 distinct)
     cap0: float
     cap1: float
+    # from _contract: this instance's cluster id for each finer-level cluster
+    fine_to_coarse: list[int] | None = field(default=None, repr=False)
     incident: list[list[int]] = field(init=False, repr=False)  # edge ids per cluster
-    # set by _contract: this instance's cluster id for each finer-level cluster
-    fine_to_coarse: list[int] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.incident = [[] for _ in self.weights]
@@ -158,13 +160,7 @@ def _induce(hg: Hypergraph, nodes: list[int], cap0: float, cap1: float) -> _Inst
         members = tuple(sorted({index[v] for v in e.members if v in index}))
         if len(members) >= 2:
             edges.append((e.weight, members))
-    return _Instance(
-        clusters=[[v] for v in nodes],
-        weights=[hg.node_weights[v] for v in nodes],
-        edges=edges,
-        cap0=cap0,
-        cap1=cap1,
-    )
+    return _Instance([hg.node_weights[v] for v in nodes], edges, cap0, cap1)
 
 
 def _contract(inst: _Instance, rng: SplitMix64, max_cluster: float) -> _Instance | None:
@@ -176,7 +172,7 @@ def _contract(inst: _Instance, rng: SplitMix64, max_cluster: float) -> _Instance
     with the highest-rated neighbour that fits max_cluster, the lowest index
     on ties.
     """
-    n = len(inst.clusters)
+    n = len(inst.weights)
     weights, edges, incident = inst.weights, inst.edges, inst.incident
     order = list(range(n))
     rng.shuffle(order)
@@ -211,17 +207,14 @@ def _contract(inst: _Instance, rng: SplitMix64, max_cluster: float) -> _Instance
     # Coarse ids are numbered by each cluster's lowest fine index; a pair's
     # root may be its higher index, so the id is stored at the root first.
     coarse_of = [-1] * n
-    clusters: list[list[int]] = []
     cweights: list[float] = []
     for v in range(n):
         root = merged_into[v]
         cid = coarse_of[root]
         if cid < 0:
-            cid = coarse_of[root] = len(clusters)
-            clusters.append([])
+            cid = coarse_of[root] = len(cweights)
             cweights.append(0.0)
         coarse_of[v] = cid
-        clusters[cid].extend(inst.clusters[v])
         cweights[cid] += weights[v]
 
     coarse_edges = []
@@ -229,9 +222,7 @@ def _contract(inst: _Instance, rng: SplitMix64, max_cluster: float) -> _Instance
         mapped = tuple(sorted({coarse_of[v] for v in members}))
         if len(mapped) >= 2:
             coarse_edges.append((w, mapped))
-    coarse = _Instance(clusters, cweights, coarse_edges, inst.cap0, inst.cap1)
-    coarse.fine_to_coarse = coarse_of
-    return coarse
+    return _Instance(cweights, coarse_edges, inst.cap0, inst.cap1, coarse_of)
 
 
 def _greedy_initial(inst: _Instance, rng: SplitMix64) -> list[int]:
@@ -450,7 +441,7 @@ def _uncoarsen(levels: list[_Instance], side: list[int], seen: set) -> _Bisectio
     return bis
 
 
-def _solve_bisection(inst: _Instance, rng: SplitMix64) -> list[int] | None:
+def _solve_bisection(inst: _Instance, rng: SplitMix64) -> _Bisection | None:
     """Multilevel bisection of one instance; None if no balanced split found.
 
     Keeps the restart with the lowest cut, the earliest on ties. A restart
@@ -462,9 +453,9 @@ def _solve_bisection(inst: _Instance, rng: SplitMix64) -> list[int] | None:
     """
     max_cluster = max(inst.cap0, inst.cap1) / 2.0
     levels = [inst]
-    while len(levels[-1].clusters) > 8:
+    while len(levels[-1].weights) > 8:
         coarser = _contract(levels[-1], rng, max_cluster)
-        if coarser is None or len(coarser.clusters) == len(levels[-1].clusters):
+        if coarser is None:
             break
         levels.append(coarser)
 
@@ -481,18 +472,18 @@ def _solve_bisection(inst: _Instance, rng: SplitMix64) -> list[int] | None:
         if restart == 0:
             side = _greedy_initial(coarse, rng)
         else:
-            side = [rng.next_below(2) for _ in coarse.clusters]
+            side = [rng.next_below(2) for _ in coarse.weights]
         bis = _uncoarsen(levels, side, seen)
         if bis is not None and (best is None or bis.cut < best.cut):
             best = bis
-    return None if best is None else best.side
+    return best
 
 
 def _partition_internal(hg: Hypergraph, config: SolverConfig) -> PartitionAssignment:
     k = config.k
     if k > hg.num_nodes:
         raise SolverError(f"k={k} exceeds node count {hg.num_nodes}")
-    if k == 1 or hg.num_nodes == 0:
+    if k == 1:
         return PartitionAssignment(tuple([0] * hg.num_nodes), k)
 
     hg = normalize_weights(hg)
@@ -501,42 +492,38 @@ def _partition_internal(hg: Hypergraph, config: SolverConfig) -> PartitionAssign
     labels = [0] * hg.num_nodes
 
     # Recursive bisection: split the k target parts into two groups and
-    # bound each side by (parts on that side) * final cap.
+    # bound each side by (parts on that side) * final cap. A side left empty
+    # is balanced too; its parts stay empty.
     stack: list[tuple[list[int], int, int]] = [(list(range(hg.num_nodes)), 0, k)]
     while stack:
         nodes, first_label, parts = stack.pop()
-        if parts == 1:
+        if parts == 1 or not nodes:
             for v in nodes:
                 labels[v] = first_label
             continue
         k0 = (parts + 1) // 2
         k1 = parts - k0
-        # each side must also leave the other side enough room
+        # no side can hold more than the sub-problem's whole weight
         total = sum(hg.node_weights[v] for v in nodes)
         inst = _induce(hg, nodes, cap0=min(k0 * cap, total), cap1=min(k1 * cap, total))
-        side = _solve_bisection(inst, rng)
-        if side is None:
+        bis = _solve_bisection(inst, rng)
+        if bis is None:
             raise SolverError("no balanced bisection found at the configured imbalance")
-        left = [nodes[i] for i in range(len(nodes)) if side[i] == 0]
-        right = [nodes[i] for i in range(len(nodes)) if side[i] == 1]
-        if not left or not right:
-            raise SolverError("degenerate bisection (one side empty)")
-        stack.append((left, first_label, k0))
-        stack.append((right, first_label + k0, k1))
+        stack.append(([v for v, s in zip(nodes, bis.side) if s == 0], first_label, k0))
+        stack.append(([v for v, s in zip(nodes, bis.side) if s == 1], first_label + k0, k1))
 
-    # A refined seeded random assignment is one more candidate, which also
-    # upper-bounds the result by that assignment's km1.
-    result = PartitionAssignment(tuple(labels), k)
+    # At k = 2 the one bisection solved is the top one, whose labels are its
+    # sides. A refined seeded random assignment on the same instance is one
+    # more candidate, which also upper-bounds the result by that assignment's
+    # km1: normalized edge weights are integral, so a bisection's cut is
+    # exactly its km1.
     if k == 2:
-        rand = random_balanced_assignment(hg, k, config.seed)
-        inst = _induce(hg, list(range(hg.num_nodes)), cap0=cap, cap1=cap)
-        bis = _Bisection(inst, list(rand.labels))
-        if bis.feasible():
-            _refine(bis)
-            candidate = PartitionAssignment(tuple(bis.side), k)
-            if km1(hg, candidate) < km1(hg, result):
-                result = candidate
-
+        rand = _Bisection(bis.inst, list(random_balanced_assignment(hg, k, config.seed).labels))
+        if rand.feasible():
+            _refine(rand)
+            if rand.cut < bis.cut:
+                labels = rand.side
+    result = PartitionAssignment(tuple(labels), k)
     if not check_balance(hg, result, config.imbalance):
         raise SolverError("internal solver produced an unbalanced assignment")
     return result

@@ -94,6 +94,15 @@ class TestPartition:
         assert code == 0
         assert json.loads(out)["num_partitions"] == 1
 
+    def test_merge_threshold_alone_enables_merging(self, capsys):
+        code, out, _ = run_cli(
+            capsys,
+            "partition", "--bench", "s", "--k", "2",
+            "--merge-threshold", "1", "--format", "json",
+        )
+        assert code == 0
+        assert json.loads(out)["num_partitions"] == 1
+
     def test_k_or_block_size_required(self, capsys):
         code, _, err = run_cli(capsys, "partition", "--bench", "s")
         assert code == 1

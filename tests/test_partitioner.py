@@ -118,6 +118,48 @@ class TestInternalSolver:
         assert len(set(asg.labels)) == 4
         assert q.check_balance(q.normalize_weights(hg), asg, 0.05)
 
+    def test_empty_side_is_balanced(self):
+        # At eps = 1.0 the k=2 cap is the whole weight, so the uncut split fits.
+        hg = q.circuit_to_hypergraph(q.benchmark_circuit("s"))
+        asg = q.partition(hg, q.SolverConfig(k=2, imbalance=1.0, seed=0))
+        assert asg.labels == (0,) * hg.num_nodes
+        assert q.km1(q.normalize_weights(hg), asg) == 0.0
+
+    def test_empty_side_leaves_its_parts_empty(self):
+        hg = q.circuit_to_hypergraph(q.benchmark_circuit("s"))
+        asg = q.partition(hg, q.SolverConfig(k=3, imbalance=0.5, seed=0))
+        assert len(set(asg.labels)) == 2
+        assert q.check_balance(q.normalize_weights(hg), asg, 0.5)
+
+    def test_refined_random_candidate_wins_at_k2(self):
+        # The top bisection cuts 5.8e6 here; the refined random balanced
+        # assignment on the same instance cuts 5.4e6 and replaces it.
+        hg = q.normalize_weights(q.circuit_to_hypergraph(q.benchmark_circuit("m")))
+        config = q.SolverConfig(k=2, imbalance=0.1, seed=2)
+        top, candidate = _k2_candidates(hg, config)
+        assert top.cut == brute_force_km1(hg, top.side) == 5_800_000.0
+        asg = q.partition(hg, config)
+        assert asg.labels == tuple(candidate)
+        assert q.km1(hg, asg) == brute_force_km1(hg, candidate) == 5_400_000.0
+
+    def test_tied_random_candidate_loses_at_k2(self):
+        hg = q.normalize_weights(q.circuit_to_hypergraph(q.benchmark_circuit("s")))
+        config = q.SolverConfig(k=2, imbalance=0.05, seed=8)
+        top, candidate = _k2_candidates(hg, config)
+        assert top.cut == brute_force_km1(hg, candidate) == 1_750_000.0
+        assert candidate != top.side
+        assert q.partition(hg, config).labels == tuple(top.side)
+
+
+def _k2_candidates(hg: q.Hypergraph, config: q.SolverConfig):
+    """The top bisection of a k=2 solve and the sides of its refined random candidate."""
+    cap = min(qp.balance_cap(hg, 2, config.imbalance), sum(hg.node_weights))
+    inst = qp._induce(hg, list(range(hg.num_nodes)), cap0=cap, cap1=cap)
+    top = qp._solve_bisection(inst, SplitMix64(config.seed))
+    candidate = list(q.random_balanced_assignment(hg, 2, config.seed).labels)
+    _reference_refine(inst, candidate)
+    return top, candidate
+
 
 def _outcome(hg: q.Hypergraph, config: q.SolverConfig) -> str:
     """The labels of one solve, or the SolverError text it raised."""
@@ -178,6 +220,14 @@ class TestGoldenLabels:
         assert _digest(lines) == self.RANDOM_DIGEST
 
 
+def _compose(clusters, fine_to_coarse):
+    """Each coarse cluster's original nodes, in fine-cluster order."""
+    coarse = [[] for _ in range(max(fine_to_coarse) + 1)]
+    for v, cid in enumerate(fine_to_coarse):
+        coarse[cid].extend(clusters[v])
+    return coarse
+
+
 def _hierarchy_lines(label: str, hg: q.Hypergraph, k: int, eps: float, seed: int, tight: bool):
     """Every coarsening level of the top bisection, as `_solve_bisection` builds it.
 
@@ -195,15 +245,17 @@ def _hierarchy_lines(label: str, hg: q.Hypergraph, k: int, eps: float, seed: int
         max_cluster = max(inst.weights) + min(inst.weights)
     rng = SplitMix64(seed)
     levels = [inst]
-    while len(levels[-1].clusters) > 8:
+    clusters = [[v] for v in range(hg.num_nodes)]  # original node ids per cluster
+    while len(levels[-1].weights) > 8:
         coarser = qp._contract(levels[-1], rng, max_cluster)
-        if coarser is None or len(coarser.clusters) == len(levels[-1].clusters):
+        if coarser is None:
             yield f"{label} k={k} eps={eps} seed={seed} tight={tight} stop state={rng.state}"
             return
         levels.append(coarser)
+        clusters = _compose(clusters, coarser.fine_to_coarse)
         yield (
             f"{label} k={k} eps={eps} seed={seed} tight={tight} level={len(levels) - 1}"
-            f" n={len(coarser.clusters)} clusters={coarser.clusters}"
+            f" n={len(clusters)} clusters={clusters}"
             f" weights={coarser.weights} edges={coarser.edges}"
             f" caps={coarser.cap0},{coarser.cap1} state={rng.state}"
         )
@@ -380,7 +432,7 @@ def bisection_starts(draw, max_edge_weight=50):
         caps = [loads[t] + draw(st.integers(0, total)) for t in (0, 1)]
     else:  # caps independent of the start, usually overloading a side
         caps = [float(draw(st.integers(0, total))) for _ in (0, 1)]
-    inst = qp._Instance([[v] for v in range(n)], weights, edges, caps[0], caps[1])
+    inst = qp._Instance(weights, edges, caps[0], caps[1])
     return inst, side
 
 
@@ -413,7 +465,7 @@ class TestCachedGainsMatchReference:
         # meets cd = 0, 1 and cs = 2, 1; the two-pin edges meet cd = 0 with
         # cs = 2 (both pins together) and cd = 1 with cs = 1 (split pins).
         edges = [(3.0, (0, 1, 2, 3)), (5.0, (0, 4)), (7.0, (1, 5)), (2.0, (2, 3, 4, 5))]
-        inst = qp._Instance([[v] for v in range(6)], [1.0] * 6, edges, 6.0, 6.0)
+        inst = qp._Instance([1.0] * 6, edges, 6.0, 6.0)
         side = [0, 0, 0, 0, 0, 1]
         cache = qp._Bisection(inst, side)
         incident = _reference_incidence(inst)
@@ -458,9 +510,9 @@ class TestCachedGainsMatchReference:
 def _reference_solve_bisection(inst, rng):
     max_cluster = max(inst.cap0, inst.cap1) / 2.0
     levels = [inst]
-    while len(levels[-1].clusters) > 8:
+    while len(levels[-1].weights) > 8:
         coarser = qp._contract(levels[-1], rng, max_cluster)
-        if coarser is None or len(coarser.clusters) == len(levels[-1].clusters):
+        if coarser is None:
             break
         levels.append(coarser)
 
@@ -471,7 +523,7 @@ def _reference_solve_bisection(inst, rng):
         if restart == 0:
             side = qp._greedy_initial(coarse, rng)
         else:
-            side = [rng.next_below(2) for _ in coarse.clusters]
+            side = [rng.next_below(2) for _ in coarse.weights]
         if not _reference_feasible(coarse, side):
             if not _reference_repair_balance(coarse, side):
                 continue
@@ -489,7 +541,7 @@ def _reference_solve_bisection(inst, rng):
 
     if best_side is None:
         for _ in range(qp._RESTARTS):
-            side = [rng.next_below(2) for _ in inst.clusters]
+            side = [rng.next_below(2) for _ in inst.weights]
             if not _reference_feasible(inst, side) and not _reference_repair_balance(inst, side):
                 continue
             _reference_refine(inst, side)
@@ -497,6 +549,15 @@ def _reference_solve_bisection(inst, rng):
             if cost < best_cost:
                 best_cost, best_side = cost, list(side)
     return best_side
+
+
+def _solved_side(inst, rng):
+    """The sides `_solve_bisection` returns, after checking the cut it reports."""
+    bis = qp._solve_bisection(inst, rng)
+    if bis is None:
+        return None
+    assert bis.cut == _reference_cost(inst, bis.side)
+    return bis.side
 
 
 @st.composite
@@ -509,7 +570,7 @@ def bisection_instances(draw):
     # Caps in percent of half the total weight: below 100 nothing fits, just
     # above it random starts usually need repair.
     caps = [float(total * draw(st.integers(90, 200)) // 200) for _ in (0, 1)]
-    inst = qp._Instance([[v] for v in range(n)], weights, edges, caps[0], caps[1])
+    inst = qp._Instance(weights, edges, caps[0], caps[1])
     return inst, draw(st.integers(0, 2**64 - 1))
 
 
@@ -521,7 +582,7 @@ class TestPruning:
     def test_solve_bisection_matches_reference(self, instance):
         inst, seed = instance
         rng, reference_rng = SplitMix64(seed), SplitMix64(seed)
-        assert qp._solve_bisection(inst, rng) == _reference_solve_bisection(inst, reference_rng)
+        assert _solved_side(inst, rng) == _reference_solve_bisection(inst, reference_rng)
         assert rng.state == reference_rng.state
 
     @settings(max_examples=200, deadline=None)
@@ -538,7 +599,7 @@ class TestPruning:
     def test_uncut_start_moves_nothing(self, monkeypatch):
         # Two components, each whole on its own side: the cut is already 0.
         edges = [(4.0, (0, 1, 2)), (3.0, (1, 2)), (5.0, (3, 4, 5)), (2.0, (4, 5))]
-        inst = qp._Instance([[v] for v in range(6)], [1.0] * 6, edges, 3.0, 3.0)
+        inst = qp._Instance([1.0] * 6, edges, 3.0, 3.0)
         side = [0, 0, 0, 1, 1, 1]
         moved = []
         move = qp._Bisection.move
@@ -559,7 +620,7 @@ class TestPruning:
         # Every reference restart reaches the finest level.
         assert levels >= 3 and len(projected) == qp._RESTARTS * (levels - 1)
         projected.clear()
-        assert qp._solve_bisection(inst, SplitMix64(0)) == expected
+        assert _solved_side(inst, SplitMix64(0)) == expected
         assert len(projected) < qp._RESTARTS * (levels - 1)
 
 
@@ -568,8 +629,9 @@ class TestPruning:
 # through a dictionary over original nodes.
 
 
-def _reference_contract(inst, rng, max_cluster):
-    n = len(inst.clusters)
+def _reference_contract(inst, inst_clusters, rng, max_cluster):
+    """The coarse instance and its clusters' original node ids, or None."""
+    n = len(inst.weights)
     connectivity = {}
     for w, members in inst.edges:
         share = w / (len(members) - 1)
@@ -616,7 +678,7 @@ def _reference_contract(inst, rng, max_cluster):
             clusters.append([])
             weights.append(0.0)
         cid = new_id[root]
-        clusters[cid].extend(inst.clusters[v])
+        clusters[cid].extend(inst_clusters[v])
         weights[cid] += inst.weights[v]
 
     edges = []
@@ -624,19 +686,20 @@ def _reference_contract(inst, rng, max_cluster):
         mapped = tuple(sorted({new_id[merged_into[v]] for v in members}))
         if len(mapped) >= 2:
             edges.append((w, mapped))
-    return qp._Instance(clusters, weights, edges, inst.cap0, inst.cap1)
+    fine_to_coarse = [new_id[merged_into[v]] for v in range(n)]
+    return qp._Instance(weights, edges, inst.cap0, inst.cap1, fine_to_coarse), clusters
 
 
-def _reference_project(inst, coarse, coarse_side):
+def _reference_project(clusters, coarse_clusters, coarse_side):
     label_of_node = {}
-    for cid, cluster in enumerate(coarse.clusters):
+    for cid, cluster in enumerate(coarse_clusters):
         for v in cluster:
             label_of_node[v] = coarse_side[cid]
-    return [label_of_node[inst.clusters[i][0]] for i in range(len(inst.clusters))]
+    return [label_of_node[cluster[0]] for cluster in clusters]
 
 
 def _contents(inst):
-    return (inst.clusters, inst.weights, inst.edges, inst.cap0, inst.cap1, inst.incident)
+    return (inst.fine_to_coarse, inst.weights, inst.edges, inst.cap0, inst.cap1, inst.incident)
 
 
 @st.composite
@@ -646,7 +709,7 @@ def contraction_inputs(draw):
     weights = [float(w) for w in draw(st.lists(st.integers(1, 20), min_size=n, max_size=n))]
     edges = _integral_edges(draw, n)
     total = sum(weights)
-    inst = qp._Instance([[v] for v in range(n)], weights, edges, total, total)
+    inst = qp._Instance(weights, edges, total, total)
     max_cluster = float(draw(st.integers(0, 45)))
     return inst, max_cluster, draw(st.integers(0, 2**64 - 1))
 
@@ -658,22 +721,24 @@ class TestContractionMatchesReference:
         inst, max_cluster, seed = inputs
         rng, reference_rng = SplitMix64(seed), SplitMix64(seed)
         levels = [inst]
+        clusters = [[[v] for v in range(len(inst.weights))]]  # per level, the reference's
         for _ in range(4):
             coarse = qp._contract(levels[-1], rng, max_cluster)
-            expected = _reference_contract(levels[-1], reference_rng, max_cluster)
+            expected = _reference_contract(levels[-1], clusters[-1], reference_rng, max_cluster)
             assert rng.state == reference_rng.state
             if expected is None:
                 assert coarse is None
                 break
-            assert _contents(coarse) == _contents(expected)
+            assert _contents(coarse) == _contents(expected[0])
             levels.append(coarse)
+            clusters.append(expected[1])
         side = data.draw(
-            st.lists(st.integers(0, 1), min_size=len(levels[-1].clusters),
-                     max_size=len(levels[-1].clusters))
+            st.lists(st.integers(0, 1), min_size=len(levels[-1].weights),
+                     max_size=len(levels[-1].weights))
         )
         for level in range(len(levels) - 2, -1, -1):
             projected = qp._project(levels[level + 1], side)
-            assert projected == _reference_project(levels[level], levels[level + 1], side)
+            assert projected == _reference_project(clusters[level], clusters[level + 1], side)
             side = projected
 
 
