@@ -198,15 +198,31 @@ def parse_circuit(text: str) -> Circuit:
 
 
 def serialize_circuit(circuit: Circuit) -> str:
-    """Inverse of parse_circuit: parse(serialize(c)) == c."""
+    """Inverse of parse_circuit: parse(serialize(c)) == c.
+
+    Raises CircuitError for a gate whose kind the text format cannot carry:
+    a custom name that is empty or holds whitespace or ``#``, or a built-in
+    name at another arity.
+    """
     lines = [f"qubits {circuit.num_qubits}"]
     for g in circuit.gates:
         qubits = " ".join(str(q) for q in g.qubits)
         mnemonic = _KIND_TO_MNEMONIC.get(g.kind)
         if mnemonic is not None:
             lines.append(f"{mnemonic} {qubits}")
-        else:
-            lines.append(f"g {g.kind.name} {g.kind.arity} {qubits}")
+            continue
+        name = g.kind.name
+        if not name or "#" in name or any(ch.isspace() for ch in name):
+            raise CircuitError(
+                f"cannot serialize gate {name!r}{g.qubits}: a custom gate name "
+                "must be non-empty, without whitespace or '#'"
+            )
+        if name in _BUILTIN_KINDS:
+            raise CircuitError(
+                f"cannot serialize gate {name}{g.qubits}: {name} has fixed arity "
+                f"{_BUILTIN_KINDS[name].arity}"
+            )
+        lines.append(f"g {name} {g.kind.arity} {qubits}")
     return "\n".join(lines) + "\n"
 
 

@@ -7,21 +7,24 @@ equivalents (CCX: a configurable decomposition size) or as default
 single-qubit errors. Estimated SWAPs are logical realignments: one per
 shared global qubit whose local indices differ between two partitions.
 
-Pairwise cuts and the SWAP estimate read partition pairs from
-``pipeline.overlapping_pairs``, which indexes partitions by qubit: their
-cost grows with the number of (pair, shared qubit) entries rather than with
-the square of the partition count.
+Nothing here scans every partition pair. Pairwise cuts read pairs from
+``pipeline.overlapping_pairs``; the SWAP estimate walks the same qubit ->
+holders index directly and keeps only the misaligned (pair, qubit) entries,
+so both costs grow with the number of shared (pair, qubit) entries rather
+than with the square of the partition count. Gate validation counts plain
+(kind name, arity, global qubits) keys and builds no ``Gate`` objects.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import Counter
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 from .circuits import CCX, CNOT, H, SWAP, Circuit, ErrorModel, GateKind, depth
-from .pipeline import Partition, overlapping_pairs
+from .pipeline import Partition, _qubit_holders, overlapping_pairs
 from .rng import SplitMix64
 
 
@@ -97,22 +100,34 @@ def estimate_swaps(
     waived with probability 0.6, drawn from a splitmix64 stream seeded once
     per call.
     """
-    rng = SplitMix64(seed)
-    misalignments: Counter[int] = Counter()
+    maps = [p.qubit_map for p in parts]
+    holders = _qubit_holders(maps)
+    draw = SplitMix64(seed).next_float
+    misalignments = dict.fromkeys(holders, 0)
     per_pair: dict[tuple[int, int], int] = {}
     attribution = [0] * len(parts)
     waived = 0
-    for i, j, shared in overlapping_pairs(parts):
-        map_i, map_j = parts[i].qubit_map, parts[j].qubit_map
-        for q in shared:
-            if map_i[q] == map_j[q]:
-                continue
-            misalignments[q] += 1
-            if heuristic_on and misalignments[q] > 3 and rng.next_float() < 0.6:
-                waived += 1
-                continue
-            per_pair[(i, j)] = per_pair.get((i, j), 0) + 1
-            attribution[i] += 1
+    for i, map_i in enumerate(maps):
+        # later partition j -> the qubits it shares with i at another local index
+        misaligned: dict[int, list[int]] = {}
+        for q in sorted(map_i):
+            local = map_i[q]
+            held = holders[q]
+            for j in held[bisect_right(held, i) :]:
+                if maps[j][q] != local:
+                    misaligned.setdefault(j, []).append(q)
+        for j in sorted(misaligned):
+            qubits = misaligned[j]
+            count = len(qubits)
+            if heuristic_on:
+                for q in qubits:
+                    misalignments[q] += 1
+                    if misalignments[q] > 3 and draw() < 0.6:
+                        count -= 1
+                        waived += 1
+            if count:
+                per_pair[(i, j)] = count
+                attribution[i] += count
     return SwapEstimate(
         total=sum(per_pair.values()),
         per_pair=per_pair,
@@ -182,15 +197,23 @@ def validate_gate_counts(original: Circuit, parts: Sequence[Partition]) -> bool:
     """Multiset equality of (kind, global qubits) between circuit and partitions.
 
     SWAP gates are excluded on both sides; they may be communication
-    artifacts rather than core operations.
+    artifacts rather than core operations. Kinds are keyed by (name, arity),
+    the fields ``GateKind`` equality compares.
     """
-    def core(gates):
-        return Counter((g.kind, g.qubits) for g in gates if g.kind != SWAP)
-
+    swap = (SWAP.name, SWAP.arity)
+    expected = Counter((g.kind.name, g.kind.arity, g.qubits) for g in original.gates)
     partitioned = Counter()
     for p in parts:
-        partitioned.update(core(p.global_gates()))
-    return core(original.gates) == partitioned
+        # sorted-contiguous maps: the local index is the position in sorted globals
+        to_global = sorted(p.qubit_map)
+        partitioned.update(
+            (g.kind.name, g.kind.arity, tuple([to_global[x] for x in g.qubits]))
+            for g in p.subcircuit.gates
+        )
+    for counts in (expected, partitioned):
+        for key in [key for key in counts if key[:2] == swap]:
+            del counts[key]
+    return expected == partitioned
 
 
 def method_report(

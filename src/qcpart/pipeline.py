@@ -11,7 +11,8 @@ qubit), so nothing scans every partition pair:
 - ``overlapping_pairs`` yields every intersecting pair with its shared
   qubits at a cost that grows with the number of shared (pair, qubit)
   entries, not with P^2. The dependency DAG and, in ``metrics``, the
-  pairwise cuts and the SWAP estimate all read pairs from it.
+  pairwise cuts read pairs from it; the SWAP estimate walks the holders
+  index itself, keeping only the qubits whose local indices differ.
 """
 
 from __future__ import annotations

@@ -79,6 +79,17 @@ class TestSerialization:
         assert c.gates[0].qubits == (0, 2)
         assert q.parse_circuit(q.serialize_circuit(c)) == c
 
+    @pytest.mark.parametrize("name", ["a#b", "two words", "", "tab\tname", "line\nbreak"])
+    def test_unreadable_custom_name_rejected(self, name):
+        c = q.Circuit(2, (q.h(0), q.Gate(q.GateKind(name, 2), (0, 1))))
+        with pytest.raises(q.CircuitError, match=r"^cannot serialize gate .*\(0, 1\)"):
+            q.serialize_circuit(c)
+
+    def test_builtin_name_at_other_arity_rejected(self):
+        c = q.Circuit(2, (q.Gate(q.GateKind("H", 2), (0, 1)),))
+        with pytest.raises(q.CircuitError, match=r"^cannot serialize gate H\(0, 1\): H has fixed arity 1$"):
+            q.serialize_circuit(c)
+
     def test_missing_header(self):
         with pytest.raises(CircuitParseError):
             q.parse_circuit("h 0\n")

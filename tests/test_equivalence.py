@@ -1,4 +1,5 @@
-"""The qubit-indexed baseline, trim, merge, DAG and SWAP code against references.
+"""The qubit-indexed baseline, trim, merge, DAG, SWAP and gate-validation code
+against references.
 
 Golden SHA-256 digests pin the outputs of the earlier quadratic versions on
 SplitMix64 circuits with many small parts; the from-scratch quadratic
@@ -128,6 +129,16 @@ def reference_estimate_swaps(parts, heuristic_on=False, seed=42):
                 per_pair[(i, j)] = per_pair.get((i, j), 0) + 1
                 attribution[i] += 1
     return q.SwapEstimate(sum(per_pair.values()), per_pair, tuple(attribution), waived)
+
+
+def reference_validate_gate_counts(original, parts):
+    def core(gates):
+        return Counter((g.kind, g.qubits) for g in gates if g.kind != q.SWAP)
+
+    partitioned = Counter()
+    for p in parts:
+        partitioned.update(core(p.global_gates()))
+    return core(original.gates) == partitioned
 
 
 # ---------------------------------------------------------------------------
@@ -358,3 +369,124 @@ def test_overlap_consumers_match_reference(case, block_size, heuristic_on, seed)
         assert q.build_dependency_graph(parts).edges == reference_dag_edges(parts)
         est = q.estimate_swaps(parts, heuristic_on=heuristic_on, seed=seed)
         assert swaps_key(est) == swaps_key(reference_estimate_swaps(parts, heuristic_on, seed))
+
+
+def test_waiver_draws_follow_pair_then_qubit_order():
+    """Three qubits are misaligned together in the same pairs, so once each
+    passes its third misalignment the waiver draws alternate between qubits
+    inside one (i, j) pair; drawing in (qubit, i, j) or (i, qubit, j) order
+    instead waives other costs."""
+    shapes = ((5, 6, 7), (0, 5, 6, 7), (0, 1, 5, 6, 7))  # locals of 5-7 differ
+    parts = [
+        q.partition_from_global_gates([q.h(g) for g in shapes[n % 3]]) for n in range(12)
+    ]
+    for seed in range(10):
+        est = q.estimate_swaps(parts, heuristic_on=True, seed=seed)
+        ref = reference_estimate_swaps(parts, True, seed)
+        assert est.waived > 0
+        assert swaps_key(est) == swaps_key(ref)
+        assert list(est.per_pair.items()) == list(ref.per_pair.items())
+
+
+def _rebuilt(parts, index, global_gates):
+    """parts with part ``index`` rebuilt from global gates (appended if new)."""
+    parts = list(parts)
+    rebuilt = q.partition_from_global_gates(global_gates)
+    if index == len(parts):
+        parts.append(rebuilt)
+    else:
+        parts[index] = rebuilt
+    return parts
+
+
+CORRUPTIONS = ("none", "drop", "copy", "move", "retype", "swap")
+
+
+def _corrupt(parts, circuit, how, data):
+    """(corrupted parts, the validation result they must give)."""
+    gated = [i for i, p in enumerate(parts) if p.subcircuit.gates]
+    if how == "none" or not gated:
+        return list(parts), True
+    i = data.draw(st.sampled_from(gated))
+    part = parts[i]
+    gates = part.global_gates()
+    pos = data.draw(st.integers(min_value=0, max_value=len(gates) - 1))
+    if how == "drop":  # the map keeps the dropped gate's qubits
+        local = list(part.subcircuit.gates)
+        del local[pos]
+        dropped = q.Partition(q.Circuit(part.subcircuit.num_qubits, local), part.qubit_map)
+        return parts[:i] + [dropped] + list(parts[i + 1 :]), False
+    if how == "copy":
+        j = data.draw(st.integers(min_value=0, max_value=len(parts)).filter(lambda j: j != i))
+        target = parts[j].global_gates() if j < len(parts) else []
+        return _rebuilt(parts, j, target + [gates[pos]]), False
+    if how == "move":
+        gate = gates[pos]
+        free = [x for x in range(circuit.num_qubits) if x not in gate.qubits]
+        if not free:
+            return list(parts), True
+        slot = data.draw(st.integers(min_value=0, max_value=gate.kind.arity - 1))
+        qubits = list(gate.qubits)
+        qubits[slot] = data.draw(st.sampled_from(free))
+        gates[pos] = q.Gate(gate.kind, tuple(qubits))
+        return _rebuilt(parts, i, gates), False
+    if how == "retype":
+        h_at = [n for n, g in enumerate(gates) if g.kind == q.H]
+        if not h_at:
+            return list(parts), True
+        n = data.draw(st.sampled_from(h_at))
+        gates[n] = q.Gate(q.other_kind("RX", 1), gates[n].qubits)
+        return _rebuilt(parts, i, gates), False
+    pair = data.draw(
+        st.lists(
+            st.integers(min_value=0, max_value=circuit.num_qubits - 1),
+            min_size=2, max_size=2, unique=True,
+        )
+    )
+    gates.insert(pos, q.swap(*pair))
+    return _rebuilt(parts, i, gates), True
+
+
+@PROPERTY_SETTINGS
+@given(
+    case=labelled_circuits(),
+    block_size=st.integers(min_value=3, max_value=5),
+    how=st.sampled_from(CORRUPTIONS),
+    data=st.data(),
+)
+def test_validate_gate_counts_matches_reference(case, block_size, how, data):
+    circuit, labels = case
+    baseline = q.remap_groups(circuit, q.block_partition(circuit, q.BaselineConfig(block_size)))
+    for parts in (baseline, q.create_trimmed_partitions(circuit, labels)):
+        corrupted, expected = _corrupt(parts, circuit, how, data)
+        assert q.validate_gate_counts(circuit, corrupted) is expected
+        assert reference_validate_gate_counts(circuit, corrupted) is expected
+
+
+def _with_ccx_as(circuit, kind):
+    return q.Circuit(
+        circuit.num_qubits,
+        tuple(q.Gate(kind, g.qubits) if g.kind == q.CCX else g for g in circuit.gates),
+    )
+
+
+@PROPERTY_SETTINGS
+@given(case=labelled_circuits())
+def test_validate_gate_counts_compares_custom_kinds_by_value(case):
+    circuit, labels = case
+    kind, other = q.other_kind("U3", 3), q.other_kind("U3", 3)
+    assert kind == other and kind is not other
+    original = _with_ccx_as(circuit, kind)
+    parts = q.create_trimmed_partitions(_with_ccx_as(circuit, other), labels)
+    assert q.validate_gate_counts(original, parts) is True
+    assert reference_validate_gate_counts(original, parts) is True
+    # a kind of the same name at another arity is another kind
+    for i, part in enumerate(parts):
+        gates = part.global_gates()
+        for n, g in enumerate(gates):
+            if g.kind == other:
+                gates[n] = q.Gate(q.GateKind("U3", 2), g.qubits[:2])
+                changed = _rebuilt(parts, i, gates)
+                assert q.validate_gate_counts(original, changed) is False
+                assert reference_validate_gate_counts(original, changed) is False
+                return
