@@ -8,24 +8,31 @@ single-qubit errors. Estimated SWAPs are logical realignments: one per
 shared global qubit whose local indices differ between two partitions.
 
 Nothing here scans every partition pair. Pairwise cuts read pairs from
-``pipeline.overlapping_pairs``; the SWAP estimate walks the same qubit ->
-holders index directly and keeps only the misaligned (pair, qubit) entries,
-so both costs grow with the number of shared (pair, qubit) entries rather
-than with the square of the partition count. Gate validation counts plain
-(kind name, arity, global qubits) keys and builds no ``Gate`` objects.
+``pipeline.overlapping_pairs``; the SWAP estimate turns the same qubit ->
+holders index into a per-qubit list of (holder, local index) pairs, walks
+it with a per-qubit cursor and keeps only the misaligned (pair, qubit)
+entries, so both costs grow with the number of shared (pair, qubit) entries
+rather than with the square of the partition count. The waiver compares
+raw 64-bit draws with an integer threshold that decides exactly as the
+float test ``draw / 2**64 < 0.6``. Gate validation counts plain (kind
+name, arity, global qubits) keys and builds no ``Gate`` objects.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
-from collections import Counter
+from collections import Counter, defaultdict
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 from .circuits import CCX, CNOT, H, SWAP, Circuit, ErrorModel, GateKind, depth
 from .pipeline import Partition, _qubit_holders, overlapping_pairs
 from .rng import SplitMix64
+
+# The smallest u64 draw u with u / 2**64 >= 0.6: a draw waives a SWAP exactly
+# when ``next_float() < 0.6`` would hold, since true division of integers
+# rounds correctly and never falls as u rises.
+_WAIVE_BELOW = int(0.6 * 2**64) - 1023
 
 
 @dataclass(frozen=True)
@@ -101,28 +108,34 @@ def estimate_swaps(
     per call.
     """
     maps = [p.qubit_map for p in parts]
-    holders = _qubit_holders(maps)
-    draw = SplitMix64(seed).next_float
-    misalignments = dict.fromkeys(holders, 0)
+    # global qubit -> (holder, its local index) for the holders ascending
+    entries = {
+        q: [(j, maps[j][q]) for j in held] for q, held in _qubit_holders(maps).items()
+    }
+    # per qubit, the position of the current partition in its entries
+    cursor = dict.fromkeys(entries, 0)
+    draw = SplitMix64(seed).next_u64
+    misalignments = dict.fromkeys(entries, 0)
     per_pair: dict[tuple[int, int], int] = {}
     attribution = [0] * len(parts)
     waived = 0
     for i, map_i in enumerate(maps):
         # later partition j -> the qubits it shares with i at another local index
-        misaligned: dict[int, list[int]] = {}
-        for q in sorted(map_i):
-            local = map_i[q]
-            held = holders[q]
-            for j in held[bisect_right(held, i) :]:
-                if maps[j][q] != local:
-                    misaligned.setdefault(j, []).append(q)
+        misaligned: defaultdict[int, list[int]] = defaultdict(list)
+        # sorted-contiguous maps: the local index is the position in sorted globals
+        for local, q in enumerate(sorted(map_i)):
+            pos = cursor[q] + 1
+            cursor[q] = pos
+            for j, other in entries[q][pos:]:
+                if other != local:
+                    misaligned[j].append(q)
         for j in sorted(misaligned):
             qubits = misaligned[j]
             count = len(qubits)
             if heuristic_on:
                 for q in qubits:
                     misalignments[q] += 1
-                    if misalignments[q] > 3 and draw() < 0.6:
+                    if misalignments[q] > 3 and draw() < _WAIVE_BELOW:
                         count -= 1
                         waived += 1
             if count:

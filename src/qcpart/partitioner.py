@@ -73,8 +73,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        if self.imbalance < 0:
-            raise ValueError("imbalance must be >= 0")
+        if not (math.isfinite(self.imbalance) and self.imbalance >= 0):
+            raise ValueError("imbalance must be a finite number >= 0")
 
 
 def dynamic_k(num_ops: int, num_qubits: int, block_size: int) -> int:

@@ -5,22 +5,29 @@ ascending indices of the partitions whose qubit maps hold each global
 qubit), so nothing scans every partition pair:
 
 - trimming buckets the gates by label in one pass, O(G);
-- each merge pass counts shared qubits through the index, O(sum over
-  qubits of holders^2) instead of O(P^2) set intersections, and merged
-  partitions are built once, after the last pass;
+- each merge pass counts, for each partition, the qubits it shares with
+  every later one in a single ``Counter`` over the later holders of its
+  qubits, O(sum over qubits of holders^2) instead of O(P^2) set
+  intersections, and picks its partner in one loop over those counts;
+- merged partitions are built once, after the last pass: each member's
+  local gates map straight to the merged contiguous map, one ``Gate`` per
+  gate;
 - ``overlapping_pairs`` yields every intersecting pair with its shared
   qubits at a cost that grows with the number of shared (pair, qubit)
   entries, not with P^2. The dependency DAG and, in ``metrics``, the
-  pairwise cuts read pairs from it; the SWAP estimate walks the holders
-  index itself, keeping only the qubits whose local indices differ.
+  pairwise cuts read pairs from it; the SWAP estimate turns the index into
+  a (holder, local index) table and walks that, keeping only the qubits
+  whose local indices differ.
 """
 
 from __future__ import annotations
 
 import logging
 from bisect import bisect_right
+from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
+from itertools import chain
 
 from .circuits import Circuit, ErrorModel, Gate
 from .hypergraph import Hypergraph, circuit_to_hypergraph
@@ -86,11 +93,8 @@ def _contiguous_map(active_globals: set[int]) -> dict[int, int]:
 
 def partition_from_global_gates(gates: Sequence[Gate]) -> Partition:
     """Build a Partition (map + local-indexed subcircuit) from global-indexed gates."""
-    active = {q for g in gates for q in g.qubits}
-    qubit_map = _contiguous_map(active)
-    local_gates = tuple(
-        Gate(g.kind, tuple(qubit_map[q] for q in g.qubits)) for g in gates
-    )
+    qubit_map = _contiguous_map(set(chain.from_iterable([g.qubits for g in gates])))
+    local_gates = [Gate(g.kind, tuple([qubit_map[q] for q in g.qubits])) for g in gates]
     return Partition(Circuit(len(qubit_map), local_gates), qubit_map)
 
 
@@ -167,15 +171,18 @@ def merge_partitions(parts: Sequence[Partition], threshold: int) -> list[Partiti
         for i in range(len(members)):
             if consumed[i]:
                 continue
-            counts: dict[int, int] = {}
-            for q in qubits[i]:
-                held = holders[q]
-                for j in held[bisect_right(held, i) :]:
-                    if not consumed[j]:
-                        counts[j] = counts.get(j, 0) + 1
+            # later partition -> number of qubits it shares with i
+            counts = Counter(
+                chain.from_iterable(
+                    held[bisect_right(held, i) :] for held in map(holders.__getitem__, qubits[i])
+                )
+            )
             # the most shared qubits, then the lowest index
-            best_j = min(counts, key=lambda j: (-counts[j], j), default=None)
-            if best_j is not None and counts[best_j] >= threshold:
+            best_j, best = -1, 0
+            for j, n in counts.items():
+                if (n > best or (n == best and j < best_j)) and not consumed[j]:
+                    best_j, best = j, n
+            if best >= threshold:
                 next_members.append(members[i] + members[best_j])
                 next_qubits.append(qubits[i] | qubits[best_j])
                 consumed[best_j] = True
@@ -185,13 +192,32 @@ def merge_partitions(parts: Sequence[Partition], threshold: int) -> list[Partiti
                 next_qubits.append(qubits[i])
         members, qubits = next_members, next_qubits
     return [
-        parts[group[0]]
-        if len(group) == 1
-        else partition_from_global_gates(
-            [g for idx in group for g in parts[idx].global_gates()]
-        )
+        parts[group[0]] if len(group) == 1 else _merged([parts[idx] for idx in group])
         for group in members
     ]
+
+
+def _merged(members: Sequence[Partition]) -> Partition:
+    """One partition holding the members' gates in order, over the contiguous
+    map of the global qubits those gates act on.
+
+    Each member's local gates map straight to the merged locals through its
+    sorted globals (its maps are sorted-contiguous), one ``Gate`` per gate.
+    """
+    to_globals = [sorted(p.qubit_map) for p in members]
+    active: set[int] = set()
+    for p, to_global in zip(members, to_globals):
+        used = set(chain.from_iterable([g.qubits for g in p.subcircuit.gates]))
+        active.update(to_global[x] for x in used)
+    qubit_map = _contiguous_map(active)
+    local_gates = []
+    for p, to_global in zip(members, to_globals):
+        # None for a map qubit that none of the member's gates uses
+        to_merged = [qubit_map.get(glob) for glob in to_global]
+        local_gates.extend(
+            Gate(g.kind, tuple([to_merged[x] for x in g.qubits])) for g in p.subcircuit.gates
+        )
+    return Partition(Circuit(len(qubit_map), local_gates), qubit_map)
 
 
 @dataclass(frozen=True)

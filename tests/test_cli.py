@@ -108,6 +108,15 @@ class TestPartition:
         assert code == 1
         assert "error:" in err
 
+    @pytest.mark.parametrize("imbalance", ["nan", "inf"])
+    def test_non_finite_imbalance_rejected(self, capsys, imbalance):
+        code, out, err = run_cli(
+            capsys, "partition", "--bench", "s", "--k", "2", "--imbalance", imbalance
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: imbalance must be a finite number >= 0\n"
+
 
 class TestCompare:
     def test_exit_zero_and_table(self, capsys):

@@ -11,10 +11,11 @@ import hashlib
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qcpart as q
+from qcpart.metrics import _WAIVE_BELOW
 from qcpart.rng import SplitMix64
 
 PROPERTY_SETTINGS = settings(max_examples=200, deadline=None)
@@ -353,6 +354,38 @@ def test_trim_and_merge_match_reference(case, threshold):
     assert parts_key(merged) == parts_key(reference_merge(parts, threshold))
 
 
+@pytest.fixture(scope="module")
+def dense_merge_inputs():
+    """Many-parts density, beyond the Hypothesis sizes: a 64-qubit,
+    4000-gate circuit cut into 400 gate-order chunks, and its block-baseline
+    parts of 2 qubits (about 2000 parts) and of 8."""
+    circuit = _random_h_cnot_circuit(SplitMix64(9009), 64, 4000)
+    inputs = {"chunks k=400": q.create_trimmed_partitions(circuit, _chunk_labels(circuit, 400))}
+    for b in (2, 8):
+        groups = q.block_partition(circuit, q.BaselineConfig(b))
+        inputs[f"blocks b={b}"] = q.remap_groups(circuit, groups)
+    return inputs
+
+
+@pytest.mark.parametrize("name", ["chunks k=400", "blocks b=2", "blocks b=8"])
+def test_dense_merges_match_reference(dense_merge_inputs, name):
+    parts = dense_merge_inputs[name]
+    for threshold in (1, 2, 3):
+        merged = q.merge_partitions(parts, threshold)
+        assert parts_key(merged) == parts_key(reference_merge(parts, threshold))
+
+
+def test_merge_drops_map_qubits_no_gate_uses():
+    """A merged part's map holds the qubits its gates act on, as the
+    reference's rebuild from global gates does, even where a member's map
+    holds a qubit none of its gates uses."""
+    idle = q.Partition(q.Circuit(3, (q.cnot(0, 2),)), {1: 0, 4: 1, 6: 2})
+    parts = [idle, q.partition_from_global_gates([q.h(1), q.cnot(6, 2)])]
+    merged = q.merge_partitions(parts, 1)
+    assert parts_key(merged) == parts_key(reference_merge(parts, 1))
+    assert merged[0].qubit_map == {1: 0, 2: 1, 6: 2}
+
+
 @PROPERTY_SETTINGS
 @given(
     case=labelled_circuits(),
@@ -386,6 +419,20 @@ def test_waiver_draws_follow_pair_then_qubit_order():
         assert est.waived > 0
         assert swaps_key(est) == swaps_key(ref)
         assert list(est.per_pair.items()) == list(ref.per_pair.items())
+
+
+def test_waiver_threshold_is_the_first_u64_at_or_above_0_6():
+    T = _WAIVE_BELOW
+    assert (T - 1) / 2**64 < 0.6 <= T / 2**64
+
+
+@PROPERTY_SETTINGS
+@given(u=st.integers(min_value=0, max_value=2**64 - 1))
+@example(u=_WAIVE_BELOW - 1)
+@example(u=_WAIVE_BELOW)
+@example(u=_WAIVE_BELOW + 1)
+def test_integer_waiver_draw_matches_float_draw(u):
+    assert (u < _WAIVE_BELOW) == (u / 2**64 < 0.6)
 
 
 def _rebuilt(parts, index, global_gates):

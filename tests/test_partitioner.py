@@ -110,6 +110,11 @@ class TestInternalSolver:
         asg = q.partition(hypergraph_s, q.SolverConfig(k=1))
         assert set(asg.labels) == {0}
 
+    @pytest.mark.parametrize("imbalance", [-0.1, float("nan"), float("inf"), float("-inf")])
+    def test_bad_imbalance_rejected(self, imbalance):
+        with pytest.raises(ValueError, match="imbalance must be a finite number >= 0"):
+            q.SolverConfig(k=2, imbalance=imbalance)
+
     def test_multiway(self):
         c = q.benchmark_circuit("l")
         hg = q.circuit_to_hypergraph(c)
