@@ -102,7 +102,7 @@ def load_fixture(text: str, circuit: Circuit) -> list[list[int]]:
     for group in groups:
         indices = []
         for idx in group:
-            if not isinstance(idx, int):
+            if not isinstance(idx, int) or isinstance(idx, bool):
                 raise FixtureError(f"non-integer gate index {idx!r}")
             if not 0 <= idx < len(circuit.gates):
                 raise FixtureError(f"gate index {idx} out of range")

@@ -92,6 +92,11 @@ class Circuit:
 
     def __post_init__(self):
         object.__setattr__(self, "gates", tuple(self.gates))
+        # serialize_circuit writes the count as is, and parse_circuit reads
+        # back only a non-negative integer
+        n = self.num_qubits
+        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+            raise CircuitError(f"qubit count must be an integer >= 0, got {n!r}")
         for g in self.gates:
             for q in g.qubits:
                 if not 0 <= q < self.num_qubits:

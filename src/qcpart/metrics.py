@@ -14,8 +14,11 @@ it with a per-qubit cursor and keeps only the misaligned (pair, qubit)
 entries, so both costs grow with the number of shared (pair, qubit) entries
 rather than with the square of the partition count. The waiver compares
 raw 64-bit draws with an integer threshold that decides exactly as the
-float test ``draw / 2**64 < 0.6``. Gate validation counts plain (kind
-name, arity, global qubits) keys and builds no ``Gate`` objects.
+float test ``draw / 2**64 < 0.6``, and reads those decisions from
+``SplitMix64.draws_below``, which computes them a block at a time; the
+stream belongs to the call, so drawing up to one block ahead changes no
+output. Gate validation counts plain (kind name, arity, global qubits) keys
+and builds no ``Gate`` objects.
 """
 
 from __future__ import annotations
@@ -114,7 +117,7 @@ def estimate_swaps(
     }
     # per qubit, the position of the current partition in its entries
     cursor = dict.fromkeys(entries, 0)
-    draw = SplitMix64(seed).next_u64
+    waive = SplitMix64(seed).draws_below(_WAIVE_BELOW).__next__
     misalignments = dict.fromkeys(entries, 0)
     per_pair: dict[tuple[int, int], int] = {}
     attribution = [0] * len(parts)
@@ -135,7 +138,7 @@ def estimate_swaps(
             if heuristic_on:
                 for q in qubits:
                     misalignments[q] += 1
-                    if misalignments[q] > 3 and draw() < _WAIVE_BELOW:
+                    if misalignments[q] > 3 and waive():
                         count -= 1
                         waived += 1
             if count:

@@ -2,10 +2,38 @@
 
 Used wherever the partitioner or the SWAP-waiver heuristic needs
 randomness, so results are reproducible across platforms and runs.
+
+splitmix64 is counter-based: draw t depends only on ``state + t * gamma``.
+``draws_below`` uses that to compute a block of up to 2048 draws at once,
+each in its own 128-bit lane of one Python int (SWAR arithmetic). A 64 x
+64-bit product fits its lane, so no lane carries into the next, and the bits
+a right shift brings in from the next lane land above bit 64, where a mask
+of each lane's low 64 bits clears them. The SWAP waiver reads tens of
+thousands of draws per call this way; the solver's few draws per call stay
+on ``next_u64``.
 """
+
+import functools
+from collections.abc import Iterator
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
+# Draws per block: the first block is small, so a short stream stays cheap,
+# and each next one doubles up to the largest.
+_FIRST_LANES = 64
+_LANES = 2048
+
+
+@functools.cache
+def _lane_constants(lanes: int) -> tuple[int, int, int]:
+    """A 1 in every lane, the low 64 bits of every lane, and gamma * (t + 1)
+    in lane t. Built on first use, so runs that never draw a block do not
+    hold them."""
+    ones = int.from_bytes((b"\x01" + bytes(15)) * lanes, "little")
+    steps = int.from_bytes(
+        b"".join((t + 1).to_bytes(16, "little") for t in range(lanes)), "little"
+    )
+    return ones, ones * _MASK64, _GAMMA * steps
 
 
 class SplitMix64:
@@ -30,6 +58,29 @@ class SplitMix64:
     def next_below(self, n: int) -> int:
         """Uniform integer in [0, n) (modulo bias is irrelevant at our sizes)."""
         return self.next_u64() % n
+
+    def draws_below(self, bound: int) -> Iterator[int]:
+        """Endless stream of flags, one per draw: 1 where ``next_u64() < bound``
+        would hold, else 0, for 0 <= bound <= 2**64.
+
+        Draws are taken a block at a time, ``_FIRST_LANES`` first and twice as
+        many each next block up to ``_LANES``, so the state runs up to one
+        block ahead of the flags read; after whole blocks it equals the state
+        of as many ``next_u64`` calls.
+        """
+        lanes = _FIRST_LANES
+        while True:
+            ones, low, gamma_steps = _lane_constants(lanes)
+            # lane value >= 2**64 exactly where the lane's draw is below bound
+            threshold = (bound - 1 + 2**64) * ones
+            z = (self.state * ones + gamma_steps) & low
+            self.state = (self.state + lanes * _GAMMA) & _MASK64
+            z = (((z ^ (z >> 30)) & low) * 0xBF58476D1CE4E5B9) & low
+            z = (((z ^ (z >> 27)) & low) * 0x94D049BB133111EB) & low
+            z = (z ^ (z >> 31)) & low
+            flags = (((threshold - z) >> 64) & ones).to_bytes(16 * lanes, "little")
+            yield from flags[0::16]
+            lanes = min(2 * lanes, _LANES)
 
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates shuffle driven by this generator."""

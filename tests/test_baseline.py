@@ -79,6 +79,11 @@ class TestFixtures:
         with pytest.raises(q.FixtureError):
             q.load_fixture(json.dumps({"partitions": [[1], [1]]}), circuit_s)
 
+    def test_boolean_index_rejected(self, circuit_s):
+        # bool is a subclass of int, so True would pass as gate index 1
+        with pytest.raises(q.FixtureError, match=r"^non-integer gate index True$"):
+            q.load_fixture(json.dumps({"partitions": [[True, False], [2]]}), circuit_s)
+
     def test_bare_list_accepted(self, circuit_s):
         groups = q.load_fixture(json.dumps([[0, 1], [2]]), circuit_s)
         assert groups == [[0, 1], [2]]

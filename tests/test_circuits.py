@@ -32,6 +32,12 @@ class TestCircuit:
         with pytest.raises(q.CircuitError):
             q.Circuit(2, (q.h(2),))
 
+    @pytest.mark.parametrize("count", [-2, -1, 2.5, True, "3"])
+    def test_unreadable_qubit_count_rejected(self, count):
+        # serialize_circuit would write e.g. "qubits -2", which parse_circuit rejects
+        with pytest.raises(q.CircuitError, match=r"^qubit count must be an integer >= 0, got "):
+            q.Circuit(count, ())
+
     def test_len(self, circuit_s):
         assert len(circuit_s) == 22
 

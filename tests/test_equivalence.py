@@ -9,6 +9,7 @@ require identical results on random small inputs.
 
 import hashlib
 from collections import Counter
+from itertools import islice
 
 import pytest
 from hypothesis import example, given, settings
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 import qcpart as q
 from qcpart.metrics import _WAIVE_BELOW
-from qcpart.rng import SplitMix64
+from qcpart.rng import _FIRST_LANES, _LANES, SplitMix64
 
 PROPERTY_SETTINGS = settings(max_examples=200, deadline=None)
 
@@ -433,6 +434,96 @@ def test_waiver_threshold_is_the_first_u64_at_or_above_0_6():
 @example(u=_WAIVE_BELOW + 1)
 def test_integer_waiver_draw_matches_float_draw(u):
     assert (u < _WAIVE_BELOW) == (u / 2**64 < 0.6)
+
+
+@pytest.mark.parametrize("name", ["blocks b=8", "chunks k=400"])
+@pytest.mark.parametrize("seed", [0, 42])
+def test_dense_waiver_matches_reference(dense_merge_inputs, name, seed):
+    """Many-parts waiver streams, about 63k draws on the 438 parts of b=8 and
+    about 186k on the 400 chunks, so most flags come from later blocks."""
+    parts = dense_merge_inputs[name]
+    est = q.estimate_swaps(parts, heuristic_on=True, seed=seed)
+    assert est.waived > 10 * _LANES
+    assert swaps_key(est) == swaps_key(reference_estimate_swaps(parts, True, seed))
+
+
+BLOCK_BOUNDS = (0, 1, 2**63, _WAIVE_BELOW - 1, _WAIVE_BELOW, _WAIVE_BELOW + 1, 2**64)
+
+
+def _block_ends():
+    """The draw count at the end of each of the first blocks: the growing
+    ones, then four of the largest size."""
+    ends, size, largest = [], _FIRST_LANES, 0
+    while largest < 4:
+        ends.append(size + (ends[-1] if ends else 0))
+        largest += size == _LANES
+        size = min(2 * size, _LANES)
+    return ends
+
+
+BLOCK_ENDS = _block_ends()
+
+
+@PROPERTY_SETTINGS
+@given(
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+    crossings=st.integers(min_value=0, max_value=len(BLOCK_ENDS) - 1),
+    data=st.data(),
+    bound=st.sampled_from(BLOCK_BOUNDS),
+)
+def test_block_flags_match_scalar_draws(seed, crossings, data, bound):
+    """A stream that ends inside block ``crossings`` (from 0) crosses that
+    many block boundaries, up to three between blocks of the largest size."""
+    start = BLOCK_ENDS[crossings - 1] if crossings else 0
+    length = data.draw(st.integers(min_value=start + 1, max_value=BLOCK_ENDS[crossings]))
+    flags = list(islice(SplitMix64(seed).draws_below(bound), length))
+    rng = SplitMix64(seed)
+    assert flags == [int(rng.next_u64() < bound) for _ in range(length)]
+
+
+def _unshift(y, s):
+    """Inverse of x -> x ^ (x >> s) on 64-bit words."""
+    x = y
+    for _ in range(64 // s):
+        x = y ^ (x >> s)
+    return x
+
+
+def _seed_drawing(value, t):
+    """The seed whose draw number t (from 0) is ``value``: the splitmix64
+    finalizer is a bijection, so invert it and step the state back."""
+    z = _unshift(value, 31)
+    z = _unshift(z * pow(0x94D049BB133111EB, -1, 2**64) % 2**64, 27)
+    z = _unshift(z * pow(0xBF58476D1CE4E5B9, -1, 2**64) % 2**64, 30)
+    return (z - (t + 1) * 0x9E3779B97F4A7C15) % 2**64
+
+
+@pytest.mark.parametrize(
+    "t", [0, BLOCK_ENDS[0] - 1, BLOCK_ENDS[0], BLOCK_ENDS[-3], BLOCK_ENDS[-1] - 1]
+)
+@pytest.mark.parametrize("bound", BLOCK_BOUNDS)
+def test_block_flags_at_draws_equal_to_the_bound(bound, t):
+    """Random draws almost never land on the bound or just below it; these
+    seeds put draw t exactly there, where ``<`` and ``<=`` differ."""
+    for value in {min(bound, 2**64 - 1), max(bound - 1, 0)}:
+        seed = _seed_drawing(value, t)
+        rng = SplitMix64(seed)
+        scalar = [rng.next_u64() for _ in range(t + 1)]
+        assert scalar[t] == value
+        flags = list(islice(SplitMix64(seed).draws_below(bound), t + 1))
+        assert flags == [int(u < bound) for u in scalar]
+
+
+@pytest.mark.parametrize("end", BLOCK_ENDS)
+@pytest.mark.parametrize("seed", [0, 2**64 - 1, 0x0123456789ABCDEF])
+def test_block_state_after_whole_blocks_matches_scalar(seed, end):
+    rng, scalar = SplitMix64(seed), SplitMix64(seed)
+    for _ in islice(rng.draws_below(_WAIVE_BELOW), end):
+        pass
+    for _ in range(end):
+        scalar.next_u64()
+    assert rng.state == scalar.state
+    assert rng.next_u64() == scalar.next_u64()
 
 
 def _rebuilt(parts, index, global_gates):
