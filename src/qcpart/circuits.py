@@ -60,13 +60,19 @@ class Gate:
     qubits: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "qubits", tuple(self.qubits))
-        if len(self.qubits) != self.kind.arity:
+        qubits = tuple(self.qubits)
+        object.__setattr__(self, "qubits", qubits)
+        # serialize_circuit writes each index as is, and parse_circuit reads
+        # back only integers; `type` is the cheapest test and rejects bools
+        for q in qubits:
+            if type(q) is not int:
+                raise CircuitError(f"qubit index must be an int, got {q!r}")
+        if len(qubits) != self.kind.arity:
             raise CircuitError(
-                f"{self.kind.name} expects {self.kind.arity} qubits, got {self.qubits}"
+                f"{self.kind.name} expects {self.kind.arity} qubits, got {qubits}"
             )
-        if len(set(self.qubits)) != len(self.qubits):
-            raise CircuitError(f"duplicate qubit in gate {self.kind.name}{self.qubits}")
+        if len(set(qubits)) != len(qubits):
+            raise CircuitError(f"duplicate qubit in gate {self.kind.name}{qubits}")
 
 
 def h(q: int) -> Gate:

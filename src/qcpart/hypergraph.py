@@ -16,7 +16,7 @@ other edge of fewer than two pins.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 from .circuits import CNOT, H, Circuit, ErrorModel, GateKind
@@ -146,7 +146,7 @@ def normalize_weights(hg: Hypergraph) -> Hypergraph:
     if max_w <= 0:
         return hg
     scaled = tuple(
-        replace(e, weight=float(max(1, round(e.weight * 1e6 / max_w))))
+        Hyperedge(e.members, float(max(1, round(e.weight * 1e6 / max_w))), e.kind, e.qubit)
         for e in hg.hyperedges
     )
     return Hypergraph(hg.num_nodes, hg.node_weights, scaled)

@@ -8,23 +8,26 @@ when the cluster is visited, and each coarse level keeps only its
 fine-to-coarse map to project a bisection back, not its clusters'
 original nodes. One bisection state per level, `_Bisection`, owns the
 sides, side loads, cut, per-edge pin counts and move gains that
-refinement, repair and candidate selection all read. A move updates each
-affected edge's pin gains in one pass by fixed per-side deltas; an FM pass
-that rolls moves back recounts the state once. Every restart, the flat
-retry on the finest level included, runs through `_uncoarsen`. Two
-prunings skip only work whose outcome is already known: an FM pass stops
-once the weight of edges with locked clusters on both sides (cut for the
-rest of the pass) leaves no later prefix able to beat the best one, and a
-restart whose refined side at some level repeats an earlier restart's is
-dropped, since the rest of a restart is deterministic and draws nothing
-from the RNG. k > 2 is handled by recursive bisection, where a side left
-empty leaves its parts empty. At k = 2 a refined random balanced
-assignment on the top instance replaces the top bisection when its cut is
-lower. An external-solver adapter mirrors the usual Mt-KaHyPar style
-invocation for users who have a binary available; it rejects labels that
-are out of range or break the balance cap, and raises SolverError when the
-binary cannot be started or runs past a fixed time limit, after killing
-the binary's whole process group.
+refinement, repair and candidate selection all read. A move updates only
+the pins whose gain changes, by fixed per-side deltas, and reports the
+highest gain it raised. An FM pass keeps one scalar bound on the unlocked
+clusters' gains, so its selection scan stops at the first movable cluster
+that reaches it; a pass that keeps none of its moves puts back the state
+it saved at its start, and one that keeps some recounts the state once.
+Every restart, the flat retry on the finest level included, runs through
+`_uncoarsen`. Two prunings skip only work whose outcome is already known:
+an FM pass stops once the weight of edges with locked clusters on both
+sides (cut for the rest of the pass) leaves no later prefix able to beat
+the best one, and a restart whose refined side at some level repeats an
+earlier restart's is dropped, since the rest of a restart is deterministic
+and draws nothing from the RNG. k > 2 is handled by recursive bisection,
+where a side left empty leaves its parts empty. At k = 2 a refined random
+balanced assignment on the top instance replaces the top bisection when
+its cut is lower. An external-solver adapter mirrors the usual Mt-KaHyPar
+style invocation for users who have a binary available; it rejects labels
+that are out of range or break the balance cap, and raises SolverError
+when the binary cannot be started or runs past a fixed time limit, after
+killing the binary's whole process group.
 
 All randomness comes from the splitmix64 generator seeded from the config,
 so identical inputs always produce identical labels.
@@ -258,12 +261,17 @@ class _Bisection:
         self.side = side
         self.recount()
 
+    def count_loads(self) -> None:
+        """Derive `loads` from `side`, summed in cluster order."""
+        loads = [0.0, 0.0]
+        for w, s in zip(self.inst.weights, self.side):
+            loads[s] += w
+        self.loads = loads
+
     def recount(self) -> None:
         """Derive loads, cut, counts and gains from `side` alone."""
         inst, side = self.inst, self.side
-        loads = [0.0, 0.0]
-        for v, s in enumerate(side):
-            loads[s] += inst.weights[v]
+        self.count_loads()
         cut = 0.0
         counts = []
         gains = [0.0] * len(side)
@@ -280,25 +288,30 @@ class _Bisection:
             if g0 or g1:
                 for u in members:
                     gains[u] += g1 if side[u] else g0
-        self.loads, self.cut, self.counts, self.gains = loads, cut, counts, gains
+        self.cut, self.counts, self.gains = cut, counts, gains
 
     def feasible(self) -> bool:
         return self.loads[0] <= self.inst.cap0 and self.loads[1] <= self.inst.cap1
 
-    def move(self, v: int) -> None:
-        """Flip cluster v's side and delta-update the state.
+    def move(self, v: int) -> float:
+        """Flip cluster v's side, delta-update the state and return the
+        highest new gain among the other clusters whose gain went up, or
+        -inf when none did.
 
         With cs and cd the edge's pins on the source and target side before
-        the move, each other source pin's gain changes by
-        w * ((cd == 0) + (cs == 2)) and each target pin's by
-        -w * ((cd == 1) + (cs == 1)), so an edge with cd > 1 and cs > 2 only
-        updates its counts. v's own gain simply changes sign.
+        the move, each other source pin's gain rises by
+        w * ((cd == 0) + (cs == 2)) and each target pin's falls by
+        w * ((cd == 1) + (cs == 1)), so only source pins can rise, and an
+        edge with cd > 1 and cs > 2 only updates its counts. v's own gain
+        simply changes sign.
         """
         inst = self.inst
         side, gains, counts, edges = self.side, self.gains, self.counts, inst.edges
         src = side[v]
         dst = 1 - src
         own = gains[v]
+        side[v] = dst  # v is no source pin below; its gain is set last
+        raised = -math.inf
         for ei in inst.incident[v]:
             c = counts[ei]
             cs = c[src]
@@ -308,15 +321,24 @@ class _Bisection:
             if cd > 1 and cs > 2:
                 continue
             w, members = edges[ei]
-            d_src = w * ((cd == 0) + (cs == 2))
-            d_dst = -w * ((cd == 1) + (cs == 1))
-            for u in members:
-                gains[u] += d_src if side[u] == src else d_dst
-        side[v] = dst
+            if cd == 0 or cs == 2:
+                d = w * ((cd == 0) + (cs == 2))
+                for u in members:
+                    if side[u] == src:
+                        g = gains[u] + d
+                        gains[u] = g
+                        if g > raised:
+                            raised = g
+            if cd == 1 or cs == 1:
+                d = w * ((cd == 1) + (cs == 1))
+                for u in members:
+                    if side[u] == dst:
+                        gains[u] -= d
         gains[v] = -own
         self.loads[src] -= inst.weights[v]
         self.loads[dst] += inst.weights[v]
         self.cut -= own
+        return raised
 
 
 def _refine(bis: _Bisection) -> None:
@@ -328,8 +350,19 @@ def _refine(bis: _Bisection) -> None:
     negative. The slack is the heaviest cluster weight, so weight exchanges
     stay reachable, but the pass rolls back to the best prefix whose loads
     satisfy both caps: it flips the rolled-back sides and recounts `bis`
-    once. Passes repeat while they improve the cut, so the result is never
-    worse than the (assumed feasible) input.
+    once. When that prefix is empty, as in every last pass, it puts back the
+    gains, counts and cut saved at the pass's start instead and recounts
+    only the loads, in the order `recount` sums them. Passes repeat while
+    they improve the cut, so the result is never worse than the (assumed
+    feasible) input.
+
+    The scan keeps the selection's result but not always its length. A pass
+    keeps `bound`, never below any unlocked cluster's gain: +inf at first,
+    the highest gain seen by a scan that reaches the end, raised to what
+    each move reports raising. The ascending scan stops at the first
+    movable cluster whose gain reaches `bound`; no cluster has a higher
+    gain and none before it as high a one, so it is the cluster the full
+    scan picks.
 
     A moved cluster stays locked for the rest of the pass, so an edge with
     locked pins on both sides stays cut: with C0 the cut at the start of the
@@ -348,25 +381,35 @@ def _refine(bis: _Bisection) -> None:
 
     improved = True
     while improved:
-        gains, loads, cut = bis.gains, bis.loads, bis.cut  # recount replaces the lists
+        gains, loads, cut = bis.gains, bis.loads, bis.cut  # a rollback replaces the lists
+        saved = (list(gains), [c.copy() for c in bis.counts])
         locked = ([False] * len(edges), [False] * len(edges))  # per side: edge has a locked pin
         locked_cut = 0.0
         unlocked = list(range(n))  # ascending, so the scan keeps the tie-break
         moves: list[int] = []
         running = 0.0
         best_running, best_prefix = 0.0, 0
+        bound = math.inf  # never below an unlocked cluster's gain
         while unlocked and locked_cut < cut - best_running:
-            best_v, best_gain = -1, -math.inf
+            best_v, best_gain, top = -1, -math.inf, -math.inf
             for v in unlocked:
                 gain = gains[v]
                 if gain > best_gain:
+                    if gain > top:
+                        top = gain
                     target = 1 - side[v]
                     if loads[target] + weights[v] <= limits[target]:
                         best_v, best_gain = v, gain
+                        if gain >= bound:
+                            break  # no later cluster can have a higher gain
+            else:
+                bound = top
             if best_v < 0:
                 break
             src = side[best_v]
-            bis.move(best_v)
+            raised = bis.move(best_v)
+            if raised > bound:
+                bound = raised
             on_src, on_dst = locked[src], locked[1 - src]
             for ei in incident[best_v]:
                 if not on_dst[ei]:
@@ -381,7 +424,12 @@ def _refine(bis: _Bisection) -> None:
         if best_prefix < len(moves):
             for v in moves[best_prefix:]:
                 side[v] = 1 - side[v]
-            bis.recount()
+            if best_prefix:
+                bis.recount()
+            else:  # back at the pass's start
+                bis.gains, bis.counts = saved
+                bis.cut = cut
+                bis.count_loads()
         improved = best_running > 0
 
 
@@ -472,7 +520,7 @@ def _solve_bisection(inst: _Instance, rng: SplitMix64) -> _Bisection | None:
         if restart == 0:
             side = _greedy_initial(coarse, rng)
         else:
-            side = [rng.next_below(2) for _ in coarse.weights]
+            side = [u % 2 for u in rng.draws(len(coarse.weights))]
         bis = _uncoarsen(levels, side, seen)
         if bis is not None and (best is None or bis.cut < best.cut):
             best = bis

@@ -4,16 +4,18 @@ Used wherever the partitioner or the SWAP-waiver heuristic needs
 randomness, so results are reproducible across platforms and runs.
 
 splitmix64 is counter-based: draw t depends only on ``state + t * gamma``.
-``draws_below`` uses that to compute a block of up to 2048 draws at once,
-each in its own 128-bit lane of one Python int (SWAR arithmetic). A 64 x
-64-bit product fits its lane, so no lane carries into the next, and the bits
-a right shift brings in from the next lane land above bit 64, where a mask
-of each lane's low 64 bits clears them. The SWAP waiver reads tens of
-thousands of draws per call this way; the solver's few draws per call stay
-on ``next_u64``.
+``draws`` and ``draws_below`` use that to compute a block of up to 2048
+draws at once, each in its own 128-bit lane of one Python int (SWAR
+arithmetic). A 64 x 64-bit product fits its lane, so no lane carries into
+the next, and the bits a right shift brings in from the next lane land
+above bit 64, where a mask of each lane's low 64 bits clears them. The SWAP
+waiver reads tens of thousands of flags per call from ``draws_below``; the
+solver's shuffles and random restart sides read whole runs of draws from
+``draws``, which end in the state as many ``next_u64`` calls would.
 """
 
 import functools
+import struct
 from collections.abc import Iterator
 
 _MASK64 = (1 << 64) - 1
@@ -34,6 +36,16 @@ def _lane_constants(lanes: int) -> tuple[int, int, int]:
         b"".join((t + 1).to_bytes(16, "little") for t in range(lanes)), "little"
     )
     return ones, ones * _MASK64, _GAMMA * steps
+
+
+def _block(state: int, lanes: int) -> int:
+    """The ``lanes`` draws that follow `state`, draw t in the low 64 bits of
+    128-bit lane t; `lanes` is a power of two up to ``_LANES``."""
+    ones, low, gamma_steps = _lane_constants(lanes)
+    z = (state * ones + gamma_steps) & low
+    z = (((z ^ (z >> 30)) & low) * 0xBF58476D1CE4E5B9) & low
+    z = (((z ^ (z >> 27)) & low) * 0x94D049BB133111EB) & low
+    return (z ^ (z >> 31)) & low
 
 
 class SplitMix64:
@@ -70,20 +82,38 @@ class SplitMix64:
         """
         lanes = _FIRST_LANES
         while True:
-            ones, low, gamma_steps = _lane_constants(lanes)
+            ones = _lane_constants(lanes)[0]
             # lane value >= 2**64 exactly where the lane's draw is below bound
             threshold = (bound - 1 + 2**64) * ones
-            z = (self.state * ones + gamma_steps) & low
+            z = _block(self.state, lanes)
             self.state = (self.state + lanes * _GAMMA) & _MASK64
-            z = (((z ^ (z >> 30)) & low) * 0xBF58476D1CE4E5B9) & low
-            z = (((z ^ (z >> 27)) & low) * 0x94D049BB133111EB) & low
-            z = (z ^ (z >> 31)) & low
             flags = (((threshold - z) >> 64) & ones).to_bytes(16 * lanes, "little")
             yield from flags[0::16]
             lanes = min(2 * lanes, _LANES)
 
+    def draws(self, count: int) -> list[int]:
+        """The next `count` values of ``next_u64``, leaving the same state.
+
+        Taken in blocks of up to ``_LANES`` draws, each block in as many
+        lanes as the next power of two, so only those block sizes are ever
+        cached.
+        """
+        out: list[int] = []
+        while count > 0:
+            n = min(count, _LANES)
+            lanes = 1 << (n - 1).bit_length()
+            words = _block(self.state, lanes).to_bytes(16 * lanes, "little")
+            self.state = (self.state + n * _GAMMA) & _MASK64
+            # each lane is a low and a high (zero) 64-bit word
+            out += struct.unpack_from(f"<{2 * n}Q", words)[0::2]
+            count -= n
+        return out
+
     def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates shuffle driven by this generator."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.next_below(i + 1)
+        """In-place Fisher-Yates shuffle driven by this generator: item i,
+        from the last down to the second, swaps with item ``u % (i + 1)``
+        for the next draw u, as ``next_below(i + 1)`` would pick."""
+        n = len(items)
+        for i, u in zip(range(n - 1, 0, -1), self.draws(n - 1)):
+            j = u % (i + 1)
             items[i], items[j] = items[j], items[i]

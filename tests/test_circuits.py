@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qcpart as q
 from qcpart.circuits import CircuitParseError
@@ -18,6 +20,15 @@ class TestGates:
     def test_duplicate_qubits_rejected(self):
         with pytest.raises(q.CircuitError):
             q.cnot(2, 2)
+
+    @pytest.mark.parametrize("index", [True, False, 1.0, 2.5, "1", None])
+    def test_non_integer_qubit_rejected(self, index):
+        # each of these used to construct and serialize to text such as
+        # "h True" or "h 1.0", which parse_circuit rejects
+        with pytest.raises(q.CircuitError, match=r"^qubit index must be an int, got "):
+            q.h(index)
+        with pytest.raises(q.CircuitError, match=r"^qubit index must be an int, got "):
+            q.Gate(q.CNOT, [0, index])
 
     def test_other_kind_respects_builtin_arity(self):
         with pytest.raises(q.CircuitError):
@@ -73,6 +84,33 @@ class TestDepth:
 class TestSerialization:
     def test_round_trip(self, circuit_s):
         assert q.parse_circuit(q.serialize_circuit(circuit_s)) == circuit_s
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        specs=st.lists(
+            st.tuples(
+                st.sampled_from([q.H, q.CNOT, q.SWAP, q.CCX, q.GateKind("RZZ", 2)]),
+                st.lists(
+                    st.one_of(st.integers(0, 5), st.booleans(), st.floats(0, 5)),
+                    min_size=1, max_size=3,
+                ),
+            ),
+            max_size=12,
+        )
+    )
+    def test_every_gate_that_constructs_round_trips(self, specs):
+        # True == 1 and 1.0 == 1, so a gate holding them compares equal to
+        # its integer twin; the round trip only holds if they never construct
+        gates = []
+        for kind, qubits in specs:
+            try:
+                gates.append(q.Gate(kind, qubits))
+            except q.CircuitError:
+                continue
+        circuit = q.Circuit(6, tuple(gates))
+        parsed = q.parse_circuit(q.serialize_circuit(circuit))
+        assert parsed == circuit
+        assert all(type(i) is int for g in circuit.gates for i in g.qubits)
 
     def test_comments_and_blanks(self):
         text = "# header\n\nqubits 2  # two wires\nh 0\ncx 0 1\n"

@@ -506,6 +506,89 @@ class TestCachedGainsMatchReference:
         assert cached == reference
 
 
+class _LoggedBisection(qp._Bisection):
+    """A `_Bisection` that keeps the sides its last move left until its
+    loads are next counted from the sides."""
+
+    __slots__ = ("moved_to",)
+
+    def count_loads(self):
+        self.moved_to = None
+        super().count_loads()
+
+    def move(self, v):
+        raised = super().move(v)
+        self.moved_to = list(self.side)
+        return raised
+
+
+@st.composite
+def fractional_starts(draw):
+    """A small instance with node weights that are not integral (loads then
+    depend on the order they are summed in), sometimes without edges, and a
+    start that may overload a side."""
+    n = draw(st.integers(min_value=1, max_value=25))
+    weights = draw(
+        st.lists(st.sampled_from([1 / 0.003, 1 / 0.05, 0.1, 0.7, 2.5, 1.0, 3.0]),
+                 min_size=n, max_size=n)
+    )
+    edgeless = n < 2 or draw(st.integers(0, 3)) == 0
+    edges = [] if edgeless else _integral_edges(draw, n)
+    side = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    total = sum(weights)
+    caps = [total * draw(st.integers(30, 110)) / 100 for _ in (0, 1)]
+    return qp._Instance(weights, edges, caps[0], caps[1]), side
+
+
+def _assert_state_is_recount(bis):
+    """Every field of `bis` equals a fresh recount of its sides. Loads that
+    moves updated may differ from the ordered sum in their last bits while
+    the sides are as the last move left them; once the sides changed
+    otherwise (a rollback), the loads must be recounted exactly."""
+    fresh = qp._Bisection(bis.inst, list(bis.side))
+    assert bis.cut == fresh.cut
+    assert bis.counts == fresh.counts
+    assert bis.gains == fresh.gains
+    if bis.moved_to == bis.side:
+        assert bis.loads == pytest.approx(fresh.loads, rel=1e-12, abs=1e-9)
+    else:
+        assert bis.loads == fresh.loads
+
+
+class TestBisectionState:
+    """The delta-updated, restored and recounted state all match a recount."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(start=st.one_of(fractional_starts(), bisection_starts()))
+    def test_refine_leaves_a_recounted_state(self, start):
+        inst, side = start
+        bis = _LoggedBisection(inst, side)
+        qp._refine(bis)
+        _assert_state_is_recount(bis)
+
+    @settings(max_examples=200, deadline=None)
+    @given(start=st.one_of(fractional_starts(), bisection_starts()))
+    def test_repair_balance_leaves_a_recounted_state(self, start):
+        inst, side = start
+        bis = _LoggedBisection(inst, side)
+        qp._repair_balance(bis)
+        _assert_state_is_recount(bis)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        start=st.one_of(fractional_starts(), bisection_starts()),
+        moves=st.lists(st.integers(0, 29), max_size=40),
+    )
+    def test_move_returns_the_highest_raised_gain(self, start, moves):
+        inst, side = start
+        bis = qp._Bisection(inst, side)
+        for v in [m % len(side) for m in moves]:
+            before = list(bis.gains)
+            raised = bis.move(v)
+            risen = [g for u, g in enumerate(bis.gains) if u != v and g > before[u]]
+            assert raised == max(risen, default=-math.inf)
+
+
 # Reference multilevel bisection that runs every restart to the end, even
 # one that repeats an earlier restart's side at some level. It refines and
 # repairs with the from-scratch references above and recomputes loads and
