@@ -12,8 +12,8 @@ refinement, repair and candidate selection all read. A move updates only
 the pins whose gain changes, by fixed per-side deltas, and reports the
 highest gain it raised. An FM pass keeps one scalar bound on the unlocked
 clusters' gains, so its selection scan stops at the first movable cluster
-that reaches it; a pass that keeps none of its moves puts back the state
-it saved at its start, and one that keeps some recounts the state once.
+that reaches it; a rolled-back pass puts back its start state and replays
+the moves it keeps, so only a new `_Bisection` recounts from the sides.
 Every restart, the flat retry on the finest level included, runs through
 `_uncoarsen`. Two prunings skip only work whose outcome is already known:
 an FM pass stops once the weight of edges with locked clusters on both
@@ -74,8 +74,10 @@ class SolverConfig:
     backend: str = INTERNAL  # INTERNAL or a path to an external solver binary
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
+        if not isinstance(self.k, int) or isinstance(self.k, bool) or self.k < 1:
+            raise ValueError(f"k must be an integer >= 1, got {self.k!r}")
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if not (math.isfinite(self.imbalance) and self.imbalance >= 0):
             raise ValueError("imbalance must be a finite number >= 0")
 
@@ -349,12 +351,12 @@ def _refine(bis: _Bisection) -> None:
     cap plus slack, the lowest cluster index on ties, even when the gain is
     negative. The slack is the heaviest cluster weight, so weight exchanges
     stay reachable, but the pass rolls back to the best prefix whose loads
-    satisfy both caps: it flips the rolled-back sides and recounts `bis`
-    once. When that prefix is empty, as in every last pass, it puts back the
-    gains, counts and cut saved at the pass's start instead and recounts
-    only the loads, in the order `recount` sums them. Passes repeat while
-    they improve the cut, so the result is never worse than the (assumed
-    feasible) input.
+    satisfy both caps. It flips every move of the pass back, puts back the
+    gains, counts and cut saved at the pass's start, replays the prefix's
+    moves and recounts only the loads, in the order `recount` sums them;
+    the prefix is empty in most passes, every last one included. Passes
+    repeat while they improve the cut, so the result is never worse than
+    the (assumed feasible) input.
 
     The scan keeps the selection's result but not always its length. A pass
     keeps `bound`, never below any unlocked cluster's gain: +inf at first,
@@ -421,15 +423,14 @@ def _refine(bis: _Bisection) -> None:
             running += best_gain
             if bis.feasible() and running > best_running:
                 best_running, best_prefix = running, len(moves)
-        if best_prefix < len(moves):
-            for v in moves[best_prefix:]:
+        if best_prefix < len(moves):  # back to the pass's start, then the kept moves
+            for v in moves:
                 side[v] = 1 - side[v]
-            if best_prefix:
-                bis.recount()
-            else:  # back at the pass's start
-                bis.gains, bis.counts = saved
-                bis.cut = cut
-                bis.count_loads()
+            bis.gains, bis.counts = saved
+            bis.cut = cut
+            for v in moves[:best_prefix]:
+                bis.move(v)
+            bis.count_loads()
         improved = best_running > 0
 
 
@@ -472,7 +473,7 @@ def _uncoarsen(levels: list[_Instance], side: list[int], seen: set) -> _Bisectio
     (level, side) is already in `seen`, and records it there otherwise.
     """
     bis = _Bisection(levels[-1], side)
-    if not bis.feasible() and not _repair_balance(bis):
+    if not _repair_balance(bis):
         return None
     for level in range(len(levels) - 1, -1, -1):
         if level < len(levels) - 1:
@@ -531,8 +532,6 @@ def _partition_internal(hg: Hypergraph, config: SolverConfig) -> PartitionAssign
     k = config.k
     if k > hg.num_nodes:
         raise SolverError(f"k={k} exceeds node count {hg.num_nodes}")
-    if k == 1:
-        return PartitionAssignment(tuple([0] * hg.num_nodes), k)
 
     hg = normalize_weights(hg)
     cap = balance_cap(hg, k, config.imbalance)

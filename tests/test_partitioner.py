@@ -8,7 +8,7 @@ import textwrap
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import qcpart as q
@@ -107,13 +107,31 @@ class TestInternalSolver:
             q.partition(hg, q.SolverConfig(k=3))
 
     def test_k_one(self, hypergraph_s):
-        asg = q.partition(hypergraph_s, q.SolverConfig(k=1))
-        assert set(asg.labels) == {0}
+        # k = 1 runs the recursion's one-part case, which labels every node
+        # 0; the cap (1 + eps) * ceil(total) holds the total even at eps = 0,
+        # and for node weights that are not integral.
+        edgeless = q.Hypergraph(3, (1 / 0.003, 1 / 0.05, 0.1), ())
+        for hg in (hypergraph_s, edgeless):
+            for imbalance in (0.05, 0.0):
+                asg = q.partition(hg, q.SolverConfig(k=1, imbalance=imbalance))
+                assert asg.labels == (0,) * hg.num_nodes
 
     @pytest.mark.parametrize("imbalance", [-0.1, float("nan"), float("inf"), float("-inf")])
     def test_bad_imbalance_rejected(self, imbalance):
         with pytest.raises(ValueError, match="imbalance must be a finite number >= 0"):
             q.SolverConfig(k=2, imbalance=imbalance)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("k", 2.0), ("k", 3.0), ("k", True), ("k", "2"), ("k", 0),
+         ("seed", 1.5), ("seed", False), ("seed", None)],
+    )
+    def test_non_integer_k_or_seed_rejected(self, field, value):
+        # the rule Circuit applies to qubit counts: an int, but not a bool
+        rule = "an integer >= 1" if field == "k" else "an integer"
+        with pytest.raises(ValueError) as excinfo:
+            q.SolverConfig(**{"k": 2, field: value})
+        assert str(excinfo.value) == f"{field} must be {rule}, got {value!r}"
 
     def test_multiway(self):
         c = q.benchmark_circuit("l")
@@ -555,8 +573,33 @@ def _assert_state_is_recount(bis):
         assert bis.loads == fresh.loads
 
 
+class _TracedBisection(_LoggedBisection):
+    """A `_LoggedBisection` that logs each move, each recount, and each count
+    of its loads from the sides together with the sides then."""
+
+    __slots__ = ("log",)
+
+    def __init__(self, inst, side):
+        self.log = []
+        super().__init__(inst, side)
+
+    def recount(self):
+        self.log.append(("recount",))
+        super().recount()
+
+    def count_loads(self):
+        self.log.append(("count", list(self.side)))
+        super().count_loads()
+
+    def move(self, v):
+        self.log.append(("move", v))
+        return super().move(v)
+
+
 class TestBisectionState:
-    """The delta-updated, restored and recounted state all match a recount."""
+    """The delta-updated state, and the state a rolled-back FM pass leaves
+    by putting back its start and replaying the moves it keeps, both match
+    a recount."""
 
     @settings(max_examples=200, deadline=None)
     @given(start=st.one_of(fractional_starts(), bisection_starts()))
@@ -573,6 +616,37 @@ class TestBisectionState:
         bis = _LoggedBisection(inst, side)
         qp._repair_balance(bis)
         _assert_state_is_recount(bis)
+
+    def test_partial_rollback_replays_the_kept_moves(self):
+        # Both edges start cut (cut 3) and each side holds at most 3 of the
+        # 4 clusters. Pass 1 moves 2 (cut 1), then 0 (cut 0, but 4 clusters
+        # on side 0), then 1 (cut 1), and keeps only its first move. Pass 2
+        # moves 0 and 1 and keeps neither, so the refinement ends.
+        inst = qp._Instance([1.0] * 4, [(2.0, (2, 3)), (1.0, (0, 1))], 3.0, 3.0)
+        bis = _TracedBisection(inst, [1, 0, 1, 0])
+        qp._refine(bis)
+        assert bis.side == [1, 0, 0, 0] and bis.cut == 1.0
+        # Within `_refine` only a rolled-back pass counts loads: the
+        # construction's count is followed by one per pass.
+        counts = [i for i, entry in enumerate(bis.log) if entry[0] == "count"]
+        assert len(counts) == 3
+        passes = []
+        for before, after in zip(counts, counts[1:]):
+            moved = {entry[1] for entry in bis.log[before:after] if entry[0] == "move"}
+            old, new = bis.log[before][1], bis.log[after][1]
+            passes.append((moved, {v for v in moved if old[v] != new[v]}))
+        assert passes == [({0, 1, 2}, {2}), ({0, 1}, set())]
+        _assert_state_is_recount(bis)
+        assert bis.log.count(("recount",)) == 1 and bis.log[0] == ("recount",)
+
+    @settings(max_examples=100, deadline=None)
+    @given(start=st.one_of(fractional_starts(), bisection_starts()))
+    def test_repair_balance_of_a_feasible_bisection_moves_nothing(self, start):
+        inst, side = start
+        bis = _TracedBisection(inst, side)
+        assume(bis.feasible())
+        assert qp._repair_balance(bis) is True
+        assert not any(entry[0] == "move" for entry in bis.log)
 
     @settings(max_examples=200, deadline=None)
     @given(
