@@ -19,15 +19,17 @@ Every restart, the flat retry on the finest level included, runs through
 an FM pass stops once the weight of edges with locked clusters on both
 sides (cut for the rest of the pass) leaves no later prefix able to beat
 the best one, and a restart whose refined side at some level repeats an
-earlier restart's is dropped, since the rest of a restart is deterministic
-and draws nothing from the RNG. k > 2 is handled by recursive bisection,
-where a side left empty leaves its parts empty. At k = 2 a refined random
-balanced assignment on the top instance replaces the top bisection when
-its cut is lower. An external-solver adapter mirrors the usual Mt-KaHyPar
-style invocation for users who have a binary available; it rejects labels
-that are out of range or break the balance cap, and raises SolverError
-when the binary cannot be started or runs past a fixed time limit, after
-killing the binary's whole process group.
+earlier restart's, or mirrors it when both sides have the same cap, is
+dropped, since the rest of a restart is deterministic, draws nothing from
+the RNG and treats the two sides alike when their caps are equal. k > 2
+is handled by recursive bisection, where a side left empty leaves its
+parts empty. At k = 2 a refined random balanced assignment on the top
+instance replaces the top bisection when its cut is lower. An
+external-solver adapter mirrors the usual Mt-KaHyPar style invocation for
+users who have a binary available; it rejects labels that are out of
+range or break the balance cap, and raises SolverError when the binary
+cannot be started or runs past a fixed time limit, after killing the
+binary's whole process group.
 
 All randomness comes from the splitmix64 generator seeded from the config,
 so identical inputs always produce identical labels.
@@ -471,7 +473,12 @@ def _uncoarsen(levels: list[_Instance], side: list[int], seen: set) -> _Bisectio
     summed at that level break a cap is repaired and refined once more.
     Returns None when a repair fails, or as soon as the refined
     (level, side) is already in `seen`, and records it there otherwise.
+    With equal caps a side and its mirror (every side flipped) share one
+    key, the orientation with cluster 0 on side 0: repair, refinement and
+    projection from the mirror end on the mirror of the same result, with
+    the same cut and the two loads swapped.
     """
+    mirror = levels[0].cap0 == levels[0].cap1
     bis = _Bisection(levels[-1], side)
     if not _repair_balance(bis):
         return None
@@ -479,7 +486,10 @@ def _uncoarsen(levels: list[_Instance], side: list[int], seen: set) -> _Bisectio
         if level < len(levels) - 1:
             bis = _Bisection(levels[level], _project(levels[level + 1], bis.side))
         _refine(bis)
-        key = (level, tuple(bis.side))
+        key = tuple(bis.side)
+        if mirror and key[0]:
+            key = tuple(1 - s for s in key)
+        key = (level, key)
         if key in seen:
             return None
         seen.add(key)
@@ -495,10 +505,12 @@ def _solve_bisection(inst: _Instance, rng: SplitMix64) -> _Bisection | None:
 
     Keeps the restart with the lowest cut, the earliest on ties. A restart
     whose refined side at some level repeats an earlier restart's side at
-    that level is dropped: the rest of a restart draws nothing from the RNG
-    and is deterministic, so it would end as the earlier one did, with the
-    same cut, which the strict `<` never takes, or with the same failed
-    repair.
+    that level, or mirrors it when cap0 == cap1, is dropped: the rest of a
+    restart draws nothing from the RNG and is deterministic, and with equal
+    caps it treats both sides alike, so it would end as the earlier one did
+    or as its mirror, with the same cut, which the strict `<` never takes,
+    or with the same failed repair. The caps are equal when the parts split
+    evenly, or when both are clipped to the sub-problem's total weight.
     """
     max_cluster = max(inst.cap0, inst.cap1) / 2.0
     levels = [inst]

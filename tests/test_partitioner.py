@@ -443,7 +443,7 @@ def _integral_edges(draw, n, max_weight=50):
 
 
 @st.composite
-def bisection_starts(draw, max_edge_weight=50):
+def bisection_starts(draw, max_edge_weight=50, equal_caps=False):
     """A small instance with integral weights and a start that may overload a side."""
     n = draw(st.integers(min_value=2, max_value=30))
     weights = [float(w) for w in draw(st.lists(st.integers(1, 20), min_size=n, max_size=n))]
@@ -455,6 +455,8 @@ def bisection_starts(draw, max_edge_weight=50):
         caps = [loads[t] + draw(st.integers(0, total)) for t in (0, 1)]
     else:  # caps independent of the start, usually overloading a side
         caps = [float(draw(st.integers(0, total))) for _ in (0, 1)]
+    if equal_caps:  # the larger cap keeps a feasible start feasible
+        caps = [max(caps)] * 2
     inst = qp._Instance(weights, edges, caps[0], caps[1])
     return inst, side
 
@@ -724,7 +726,8 @@ def _solved_side(inst, rng):
 
 @st.composite
 def bisection_instances(draw):
-    """9-40 clusters, so coarsening runs; integral weights; caps from loose to infeasible."""
+    """9-40 clusters, so coarsening runs; integral weights; caps from loose to
+    infeasible, equal in about half the examples (mirrored restarts pruned)."""
     n = draw(st.integers(min_value=9, max_value=40))
     weights = [float(w) for w in draw(st.lists(st.integers(1, 20), min_size=n, max_size=n))]
     edges = _integral_edges(draw, n)
@@ -732,12 +735,55 @@ def bisection_instances(draw):
     # Caps in percent of half the total weight: below 100 nothing fits, just
     # above it random starts usually need repair.
     caps = [float(total * draw(st.integers(90, 200)) // 200) for _ in (0, 1)]
+    if draw(st.booleans()):
+        caps[1] = caps[0]
     inst = qp._Instance(weights, edges, caps[0], caps[1])
     return inst, draw(st.integers(0, 2**64 - 1))
 
 
+def _restart_log(monkeypatch):
+    """Per `_uncoarsen` call, its refined (level instance, side) pairs and
+    the coarse instance of each projection, in the order they happen."""
+    log = []
+    uncoarsen, refine, project = qp._uncoarsen, qp._refine, qp._project
+
+    def logged_uncoarsen(levels, side, seen):
+        log.append([])
+        return uncoarsen(levels, side, seen)
+
+    def logged_refine(bis):
+        refine(bis)
+        log[-1].append(("refine", id(bis.inst), tuple(bis.side)))
+
+    def logged_project(coarse, side):
+        log[-1].append(("project", id(coarse)))
+        return project(coarse, side)
+
+    monkeypatch.setattr(qp, "_uncoarsen", logged_uncoarsen)
+    monkeypatch.setattr(qp, "_refine", logged_refine)
+    monkeypatch.setattr(qp, "_project", logged_project)
+    return log
+
+
+def _mirrored_refines(log):
+    """(restart, events after it) for each refined side that is new at its
+    level but the mirror of an earlier restart's side there."""
+    found, earlier = [], set()
+    for restart, events in enumerate(log):
+        for i, event in enumerate(events):
+            if event[0] != "refine":
+                continue
+            _, level, side = event
+            mirror = (level, tuple(1 - s for s in side))
+            if (level, side) not in earlier and mirror in earlier:
+                found.append((restart, len(events) - i - 1))
+        earlier.update((e[1], e[2]) for e in events if e[0] == "refine")
+    return found
+
+
 class TestPruning:
-    """The locked-cut stop and the repeated-restart skip change no result."""
+    """The locked-cut stop, the repeated-restart skip and its mirror rule
+    change no result."""
 
     @settings(max_examples=200, deadline=None)
     @given(instance=bisection_instances())
@@ -784,6 +830,56 @@ class TestPruning:
         projected.clear()
         assert _solved_side(inst, SplitMix64(0)) == expected
         assert len(projected) < qp._RESTARTS * (levels - 1)
+
+    def test_mirrored_restart_skips_projection(self, monkeypatch):
+        # Equal caps: restarts 1 and 3 refine, at the coarsest level, to the
+        # mirror of restart 0's side and stop there. A skip of exact repeats
+        # alone projects 12 times here.
+        hg = q.normalize_weights(q.circuit_to_hypergraph(q.benchmark_circuit("m")))
+        inst = qp._induce(hg, list(range(hg.num_nodes)), cap0=0.0, cap1=0.0)
+        inst.cap0 = inst.cap1 = qp.balance_cap(hg, 2, 0.1)
+        expected = _reference_solve_bisection(inst, SplitMix64(4))
+        log = _restart_log(monkeypatch)
+        assert _solved_side(inst, SplitMix64(4)) == expected
+        assert _mirrored_refines(log) == [(1, 0), (3, 0)]
+        assert sum(e[0] == "project" for events in log for e in events) == 6
+
+    def test_mirror_with_unequal_caps_is_kept(self, monkeypatch):
+        # Caps 10 | 13: restart 2's coarsest refined side is the mirror of
+        # restart 0's, but its loads swap across unequal caps, so it runs on
+        # and ends with the lowest cut.
+        weights = [3.0, 1.0, 2.0, 2.0, 2.0, 2.0, 1.0, 1.0, 3.0]
+        edges = [
+            (2.0, (2, 8)), (3.0, (2, 5)), (2.0, (4, 8)), (3.0, (0, 2)), (4.0, (2, 4)),
+            (3.0, (0, 3)), (5.0, (6, 7)), (5.0, (6, 7, 8)), (3.0, (0, 6, 7)), (1.0, (4, 7)),
+            (3.0, (0, 5, 8)), (3.0, (2, 8)), (5.0, (1, 6, 8)), (1.0, (3, 7)),
+        ]
+        inst = qp._Instance(weights, edges, 10.0, 13.0)
+        seed = 3953240531
+        expected = _reference_solve_bisection(inst, SplitMix64(seed))
+        log = _restart_log(monkeypatch)
+        assert _solved_side(inst, SplitMix64(seed)) == expected
+        assert _mirrored_refines(log) == [(2, 2)]
+        assert log[2][-1] == ("refine", id(inst), tuple(expected))
+
+    @settings(max_examples=200, deadline=None)
+    @given(start=bisection_starts(equal_caps=True))
+    def test_mirrored_start_ends_mirrored(self, start):
+        # The lemma the mirror rule rests on: with equal caps, repair and
+        # refinement from the flipped sides end on the flipped result.
+        inst, side = start
+        bis = qp._Bisection(inst, list(side))
+        flipped = qp._Bisection(inst, [1 - s for s in side])
+        repaired = qp._repair_balance(bis)
+        assert qp._repair_balance(flipped) == repaired
+        if repaired:
+            qp._refine(bis)
+            qp._refine(flipped)
+        assert flipped.side == [1 - s for s in bis.side]
+        assert flipped.cut == bis.cut
+        assert flipped.loads == bis.loads[::-1]
+        assert flipped.gains == bis.gains
+        assert flipped.counts == [c[::-1] for c in bis.counts]
 
 
 # Reference versions of the contraction and projection that summed ratings
