@@ -16,6 +16,7 @@ other edge of fewer than two pins.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -61,6 +62,15 @@ class Hypergraph:
     def __post_init__(self):
         if len(self.node_weights) != self.num_nodes:
             raise ValueError("one weight per node required")
+        # min and sum run in C; only when they fail is the node looked for
+        # (a sum of finite weights that overflows finds none and passes)
+        weights = self.node_weights
+        if not (min(weights, default=0) >= 0 and math.isfinite(sum(weights))):
+            for v, w in enumerate(weights):
+                if not 0 <= w < math.inf:  # False for NaN too
+                    raise ValueError(
+                        f"node {v} has weight {w!r}; a node weight must be finite and >= 0"
+                    )
         for e in self.hyperedges:
             if not e.members:
                 raise ValueError("empty hyperedge")

@@ -14,6 +14,9 @@ highest gain it raised. An FM pass keeps one scalar bound on the unlocked
 clusters' gains, so its selection scan stops at the first movable cluster
 that reaches it; a rolled-back pass puts back its start state and replays
 the moves it keeps, so only a new `_Bisection` recounts from the sides.
+Node weights and caps are in one unit, 1/u for u the largest power-of-two
+denominator of a node weight, so every load is an exact integer sum,
+whatever order moves, rollbacks and projections add it up in.
 Every restart, the flat retry on the finest level included, runs through
 `_uncoarsen`. Two prunings skip only work whose outcome is already known:
 an FM pass stops once the weight of edges with locked clusters on both
@@ -105,18 +108,19 @@ def km1(hg: Hypergraph, assignment: PartitionAssignment) -> float:
 
 
 def balance_cap(hg: Hypergraph, k: int, imbalance: float) -> float:
-    return (1.0 + imbalance) * math.ceil(sum(hg.node_weights) / k)
+    return (1.0 + imbalance) * math.ceil(math.fsum(hg.node_weights) / k)
 
 
 def _part_loads(hg: Hypergraph, assignment: PartitionAssignment) -> list[float]:
-    loads = [0.0] * assignment.k
+    weights: list[list[float]] = [[] for _ in range(assignment.k)]
     for v, label in enumerate(assignment.labels):
-        loads[label] += hg.node_weights[v]
-    return loads
+        weights[label].append(hg.node_weights[v])
+    return [math.fsum(part) for part in weights]
 
 
 def check_balance(hg: Hypergraph, assignment: PartitionAssignment, imbalance: float) -> bool:
-    """True iff every part's node weight is within (1+imbalance)*ceil(total/k)."""
+    """True iff every part's node weight, summed exactly (`math.fsum`), is
+    within (1+imbalance)*ceil(total/k), whatever order the weights are in."""
     cap = balance_cap(hg, assignment.k, imbalance)
     return all(w <= cap for w in _part_loads(hg, assignment))
 
@@ -214,13 +218,13 @@ def _contract(inst: _Instance, rng: SplitMix64, max_cluster: float) -> _Instance
     # Coarse ids are numbered by each cluster's lowest fine index; a pair's
     # root may be its higher index, so the id is stored at the root first.
     coarse_of = [-1] * n
-    cweights: list[float] = []
+    cweights: list[float] = []  # int 0 starts, so int weights stay int
     for v in range(n):
         root = merged_into[v]
         cid = coarse_of[root]
         if cid < 0:
             cid = coarse_of[root] = len(cweights)
-            cweights.append(0.0)
+            cweights.append(0)
         coarse_of[v] = cid
         cweights[cid] += weights[v]
 
@@ -236,7 +240,7 @@ def _greedy_initial(inst: _Instance, rng: SplitMix64) -> list[int]:
     """Heaviest-first assignment to the side with the most remaining headroom."""
     order = sorted(range(len(inst.weights)), key=lambda v: (-inst.weights[v], v))
     side = [0] * len(inst.weights)
-    loads = [0.0, 0.0]
+    loads = [0, 0]
     caps = (inst.cap0, inst.cap1)
     for v in order:
         head0 = caps[0] - loads[0] - inst.weights[v]
@@ -254,8 +258,10 @@ class _Bisection:
     adds -w to the pin's gain when no pin of e is on the other side (the
     move would cut e) and +w when the pin is e's only one on s (the move
     would uncut e), so a cluster's gain is exactly the drop in cut its move
-    causes. Edge weights are integral floats, so the gains and the cut stay
-    exact under moves and equal a from-scratch `recount`.
+    causes. Edge weights are integral floats and node weights integers in
+    one unit (see `_partition_internal`), so the gains, the cut and the
+    loads stay exact under moves and equal a from-scratch `recount`,
+    whatever order the moves take.
     """
 
     __slots__ = ("inst", "side", "loads", "cut", "counts", "gains")
@@ -265,17 +271,12 @@ class _Bisection:
         self.side = side
         self.recount()
 
-    def count_loads(self) -> None:
-        """Derive `loads` from `side`, summed in cluster order."""
-        loads = [0.0, 0.0]
-        for w, s in zip(self.inst.weights, self.side):
-            loads[s] += w
-        self.loads = loads
-
     def recount(self) -> None:
         """Derive loads, cut, counts and gains from `side` alone."""
         inst, side = self.inst, self.side
-        self.count_loads()
+        loads = [0, 0]
+        for w, s in zip(inst.weights, side):
+            loads[s] += w
         cut = 0.0
         counts = []
         gains = [0.0] * len(side)
@@ -292,7 +293,7 @@ class _Bisection:
             if g0 or g1:
                 for u in members:
                     gains[u] += g1 if side[u] else g0
-        self.cut, self.counts, self.gains = cut, counts, gains
+        self.loads, self.cut, self.counts, self.gains = loads, cut, counts, gains
 
     def feasible(self) -> bool:
         return self.loads[0] <= self.inst.cap0 and self.loads[1] <= self.inst.cap1
@@ -354,11 +355,11 @@ def _refine(bis: _Bisection) -> None:
     negative. The slack is the heaviest cluster weight, so weight exchanges
     stay reachable, but the pass rolls back to the best prefix whose loads
     satisfy both caps. It flips every move of the pass back, puts back the
-    gains, counts and cut saved at the pass's start, replays the prefix's
-    moves and recounts only the loads, in the order `recount` sums them;
-    the prefix is empty in most passes, every last one included. Passes
-    repeat while they improve the cut, so the result is never worse than
-    the (assumed feasible) input.
+    loads, gains, counts and cut saved at the pass's start and replays the
+    prefix's moves; the prefix is empty in most passes, every last one
+    included. Loads are exact integer sums, so the replayed state is the
+    recount of its sides. Passes repeat while they improve the cut, so the
+    result is never worse than the (assumed feasible) input.
 
     The scan keeps the selection's result but not always its length. A pass
     keeps `bound`, never below any unlocked cluster's gain: +inf at first,
@@ -378,18 +379,16 @@ def _refine(bis: _Bisection) -> None:
     """
     inst, side = bis.inst, bis.side
     weights, edges, incident = inst.weights, inst.edges, inst.incident
-    caps = (inst.cap0, inst.cap1)
     slack = max(weights, default=0.0)
-    limits = (caps[0] + slack, caps[1] + slack)
-    n = len(side)
+    limits = (inst.cap0 + slack, inst.cap1 + slack)
 
     improved = True
     while improved:
         gains, loads, cut = bis.gains, bis.loads, bis.cut  # a rollback replaces the lists
-        saved = (list(gains), [c.copy() for c in bis.counts])
+        saved = (list(loads), list(gains), [c.copy() for c in bis.counts], cut)
         locked = ([False] * len(edges), [False] * len(edges))  # per side: edge has a locked pin
         locked_cut = 0.0
-        unlocked = list(range(n))  # ascending, so the scan keeps the tie-break
+        unlocked = list(range(len(side)))  # ascending, so the scan keeps the tie-break
         moves: list[int] = []
         running = 0.0
         best_running, best_prefix = 0.0, 0
@@ -428,11 +427,9 @@ def _refine(bis: _Bisection) -> None:
         if best_prefix < len(moves):  # back to the pass's start, then the kept moves
             for v in moves:
                 side[v] = 1 - side[v]
-            bis.gains, bis.counts = saved
-            bis.cut = cut
+            bis.loads, bis.gains, bis.counts, bis.cut = saved
             for v in moves[:best_prefix]:
                 bis.move(v)
-            bis.count_loads()
         improved = best_running > 0
 
 
@@ -469,9 +466,10 @@ def _uncoarsen(levels: list[_Instance], side: list[int], seen: set) -> _Bisectio
     """Run one restart from `side` at the coarsest level; the finest `_Bisection`.
 
     Repairs the balance at the coarsest level if needed, refines there, then
-    projects and refines down to the finest level, where a split whose loads
-    summed at that level break a cap is repaired and refined once more.
-    Returns None when a repair fails, or as soon as the refined
+    projects and refines down to the finest level. Refinement keeps a
+    feasible split feasible, and a projected split has the same loads, exact
+    sums of the same integers, so every level's split meets the caps.
+    Returns None when the repair fails, or as soon as the refined
     (level, side) is already in `seen`, and records it there otherwise.
     With equal caps a side and its mirror (every side flipped) share one
     key, the orientation with cluster 0 on side 0: repair, refinement and
@@ -493,10 +491,6 @@ def _uncoarsen(levels: list[_Instance], side: list[int], seen: set) -> _Bisectio
         if key in seen:
             return None
         seen.add(key)
-    if not bis.feasible():
-        if not _repair_balance(bis):
-            return None
-        _refine(bis)
     return bis
 
 
@@ -504,13 +498,10 @@ def _solve_bisection(inst: _Instance, rng: SplitMix64) -> _Bisection | None:
     """Multilevel bisection of one instance; None if no balanced split found.
 
     Keeps the restart with the lowest cut, the earliest on ties. A restart
-    whose refined side at some level repeats an earlier restart's side at
-    that level, or mirrors it when cap0 == cap1, is dropped: the rest of a
-    restart draws nothing from the RNG and is deterministic, and with equal
-    caps it treats both sides alike, so it would end as the earlier one did
-    or as its mirror, with the same cut, which the strict `<` never takes,
-    or with the same failed repair. The caps are equal when the parts split
-    evenly, or when both are clipped to the sub-problem's total weight.
+    that `_uncoarsen` drops as a repeat would end as an earlier one or its
+    mirror, with the same cut, which the strict `<` never takes. The caps
+    are equal when the parts split evenly, or when both are clipped to the
+    sub-problem's total weight.
     """
     max_cluster = max(inst.cap0, inst.cap1) / 2.0
     levels = [inst]
@@ -546,7 +537,15 @@ def _partition_internal(hg: Hypergraph, config: SolverConfig) -> PartitionAssign
         raise SolverError(f"k={k} exceeds node count {hg.num_nodes}")
 
     hg = normalize_weights(hg)
-    cap = balance_cap(hg, k, config.imbalance)
+    # Node weights and cap in units of 1/u, u the largest power-of-two
+    # denominator of a weight (1 for integral ones), so every load is an exact
+    # integer sum; they stay floats while the total is below 2**53.
+    unit = max(w.as_integer_ratio()[1] for w in set(hg.node_weights))
+    weights = [w * unit for w in hg.node_weights]  # exact: unit is a power of two
+    if sum(weights) >= 2**53:
+        weights = [int(w) for w in weights]
+    cap = balance_cap(hg, k, config.imbalance) * unit
+    units = Hypergraph(hg.num_nodes, tuple(weights), hg.hyperedges)
     rng = SplitMix64(config.seed)
     labels = [0] * hg.num_nodes
 
@@ -563,8 +562,8 @@ def _partition_internal(hg: Hypergraph, config: SolverConfig) -> PartitionAssign
         k0 = (parts + 1) // 2
         k1 = parts - k0
         # no side can hold more than the sub-problem's whole weight
-        total = sum(hg.node_weights[v] for v in nodes)
-        inst = _induce(hg, nodes, cap0=min(k0 * cap, total), cap1=min(k1 * cap, total))
+        total = sum(weights[v] for v in nodes)
+        inst = _induce(units, nodes, cap0=min(k0 * cap, total), cap1=min(k1 * cap, total))
         bis = _solve_bisection(inst, rng)
         if bis is None:
             raise SolverError("no balanced bisection found at the configured imbalance")

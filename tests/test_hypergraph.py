@@ -58,6 +58,18 @@ class TestConstruction:
         assert hg.num_nodes == 0
         assert hg.num_edges == 0
 
+    # Let through, each fails deep in `partition` in its own way: NaN in
+    # `math.ceil`, infinity with OverflowError, a negative weight as "no
+    # balanced bisection".
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf"), -1.0],
+                             ids=["nan", "infinite", "negative"])
+    def test_bad_node_weight_rejected(self, weight):
+        with pytest.raises(ValueError) as excinfo:
+            q.Hypergraph(3, (1.0, weight, 2.0), (q.Hyperedge((0, 1, 2), 1.0),))
+        assert str(excinfo.value) == (
+            f"node 1 has weight {weight!r}; a node weight must be finite and >= 0"
+        )
+
 
 class TestNormalization:
     def test_scales_to_one_million(self, hypergraph_s):

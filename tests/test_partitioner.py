@@ -1,5 +1,6 @@
 import hashlib
 import math
+from fractions import Fraction
 import os
 import signal
 import stat
@@ -80,6 +81,16 @@ class TestBalance:
         lopsided = q.PartitionAssignment((0, 0, 0, 1), 2)
         assert q.check_balance(hg, even, 0.0) is True
         assert q.check_balance(hg, lopsided, 0.0) is False
+
+    def test_part_weights_are_summed_exactly(self):
+        # Left to right, part 0 sums to 336.23333333333335, one step above the
+        # exact sum's rounding 336.2333333333333, which is the cap here.
+        part = [333.3333333333333, 0.3, 2.5, 0.1]
+        hg = q.Hypergraph(5, (*part, 335.0), ())
+        imbalance = math.fsum(part) / 336 - 1  # ceil(total / 2) is 336
+        assert qp.balance_cap(hg, 2, imbalance) == math.fsum(part) == 336.2333333333333
+        assert sum(part) == 336.23333333333335
+        assert q.check_balance(hg, q.PartitionAssignment((0, 0, 0, 0, 1), 2), imbalance)
 
     def test_random_balanced_assignment_unit_weights(self):
         hg = q.Hypergraph(9, (1.0,) * 9, ())
@@ -311,7 +322,8 @@ class TestCoarseningHierarchy:
 
 
 # From-scratch reference versions of the internal solver's refinement and
-# balance repair: every gain is re-evaluated over the cluster's edges.
+# balance repair: every gain is re-evaluated over the cluster's edges. Loads
+# start from int 0, so int weights sum exactly.
 
 
 def _reference_move_gain(inst, side, incident, v):
@@ -334,7 +346,7 @@ def _reference_move_gain(inst, side, incident, v):
 
 
 def _reference_loads(inst, side):
-    loads = [0.0, 0.0]
+    loads = [0, 0]
     for v, s in enumerate(side):
         loads[s] += inst.weights[v]
     return loads
@@ -365,7 +377,7 @@ def _reference_refine(inst, side):
     improved = True
     while improved:
         improved = False
-        loads = [0.0, 0.0]
+        loads = [0, 0]
         for v, s in enumerate(side):
             loads[s] += inst.weights[v]
         locked = [False] * len(side)
@@ -402,7 +414,7 @@ def _reference_refine(inst, side):
 
 def _reference_repair_balance(inst, side):
     incident = _reference_incidence(inst)
-    loads = [0.0, 0.0]
+    loads = [0, 0]
     for v, s in enumerate(side):
         loads[s] += inst.weights[v]
     caps = (inst.cap0, inst.cap1)
@@ -526,27 +538,26 @@ class TestCachedGainsMatchReference:
         assert cached == reference
 
 
-class _LoggedBisection(qp._Bisection):
-    """A `_Bisection` that keeps the sides its last move left until its
-    loads are next counted from the sides."""
+# Node weights whose float sums depend on the order they are added in.
+FRACTIONAL_WEIGHTS = [i / 3 for i in range(1, 13)] + [1 / 0.003]
 
-    __slots__ = ("moved_to",)
 
-    def count_loads(self):
-        self.moved_to = None
-        super().count_loads()
-
-    def move(self, v):
-        raised = super().move(v)
-        self.moved_to = list(self.side)
-        return raised
+def _in_one_unit(weights, caps):
+    """Weights and caps in units of 1/u, u the largest denominator of a
+    weight (a power of two), as `partition` hands them to the solver:
+    integral floats while their total is below 2**53, ints otherwise."""
+    unit = max(Fraction(w).denominator for w in weights)
+    scaled = [int(Fraction(w) * unit) for w in weights]
+    if sum(scaled) < 2**53:
+        scaled = [float(w) for w in scaled]
+    return scaled, [c * unit for c in caps]
 
 
 @st.composite
 def fractional_starts(draw):
-    """A small instance with node weights that are not integral (loads then
-    depend on the order they are summed in), sometimes without edges, and a
-    start that may overload a side."""
+    """A small instance whose node weights were not integral before they were
+    put in one unit (large ints for most draws), sometimes without edges, and
+    a start that may overload a side."""
     n = draw(st.integers(min_value=1, max_value=25))
     weights = draw(
         st.lists(st.sampled_from([1 / 0.003, 1 / 0.05, 0.1, 0.7, 2.5, 1.0, 3.0]),
@@ -555,29 +566,24 @@ def fractional_starts(draw):
     edgeless = n < 2 or draw(st.integers(0, 3)) == 0
     edges = [] if edgeless else _integral_edges(draw, n)
     side = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
-    total = sum(weights)
-    caps = [total * draw(st.integers(30, 110)) / 100 for _ in (0, 1)]
+    caps = [sum(weights) * draw(st.integers(30, 110)) / 100 for _ in (0, 1)]
+    weights, caps = _in_one_unit(weights, caps)
     return qp._Instance(weights, edges, caps[0], caps[1]), side
 
 
 def _assert_state_is_recount(bis):
-    """Every field of `bis` equals a fresh recount of its sides. Loads that
-    moves updated may differ from the ordered sum in their last bits while
-    the sides are as the last move left them; once the sides changed
-    otherwise (a rollback), the loads must be recounted exactly."""
+    """Every field of `bis`, the loads included, equals a fresh recount of
+    its sides."""
     fresh = qp._Bisection(bis.inst, list(bis.side))
+    assert bis.loads == fresh.loads
     assert bis.cut == fresh.cut
     assert bis.counts == fresh.counts
     assert bis.gains == fresh.gains
-    if bis.moved_to == bis.side:
-        assert bis.loads == pytest.approx(fresh.loads, rel=1e-12, abs=1e-9)
-    else:
-        assert bis.loads == fresh.loads
 
 
-class _TracedBisection(_LoggedBisection):
-    """A `_LoggedBisection` that logs each move, each recount, and each count
-    of its loads from the sides together with the sides then."""
+class _TracedBisection(qp._Bisection):
+    """A `_Bisection` that logs each recount, and each move with the sides
+    it starts from."""
 
     __slots__ = ("log",)
 
@@ -589,25 +595,21 @@ class _TracedBisection(_LoggedBisection):
         self.log.append(("recount",))
         super().recount()
 
-    def count_loads(self):
-        self.log.append(("count", list(self.side)))
-        super().count_loads()
-
     def move(self, v):
-        self.log.append(("move", v))
+        self.log.append(("move", v, list(self.side)))
         return super().move(v)
 
 
 class TestBisectionState:
     """The delta-updated state, and the state a rolled-back FM pass leaves
-    by putting back its start and replaying the moves it keeps, both match
-    a recount."""
+    by putting back its start and replaying the moves it keeps, both equal
+    a recount exactly."""
 
     @settings(max_examples=200, deadline=None)
     @given(start=st.one_of(fractional_starts(), bisection_starts()))
     def test_refine_leaves_a_recounted_state(self, start):
         inst, side = start
-        bis = _LoggedBisection(inst, side)
+        bis = qp._Bisection(inst, side)
         qp._refine(bis)
         _assert_state_is_recount(bis)
 
@@ -615,31 +617,30 @@ class TestBisectionState:
     @given(start=st.one_of(fractional_starts(), bisection_starts()))
     def test_repair_balance_leaves_a_recounted_state(self, start):
         inst, side = start
-        bis = _LoggedBisection(inst, side)
+        bis = qp._Bisection(inst, side)
         qp._repair_balance(bis)
         _assert_state_is_recount(bis)
 
     def test_partial_rollback_replays_the_kept_moves(self):
         # Both edges start cut (cut 3) and each side holds at most 3 of the
         # 4 clusters. Pass 1 moves 2 (cut 1), then 0 (cut 0, but 4 clusters
-        # on side 0), then 1 (cut 1), and keeps only its first move. Pass 2
+        # on side 0), then 1 (cut 1), and keeps only its first move: its
+        # fourth move replays 2 from the sides the pass started from. Pass 2
         # moves 0 and 1 and keeps neither, so the refinement ends.
         inst = qp._Instance([1.0] * 4, [(2.0, (2, 3)), (1.0, (0, 1))], 3.0, 3.0)
         bis = _TracedBisection(inst, [1, 0, 1, 0])
         qp._refine(bis)
         assert bis.side == [1, 0, 0, 0] and bis.cut == 1.0
-        # Within `_refine` only a rolled-back pass counts loads: the
-        # construction's count is followed by one per pass.
-        counts = [i for i, entry in enumerate(bis.log) if entry[0] == "count"]
-        assert len(counts) == 3
-        passes = []
-        for before, after in zip(counts, counts[1:]):
-            moved = {entry[1] for entry in bis.log[before:after] if entry[0] == "move"}
-            old, new = bis.log[before][1], bis.log[after][1]
-            passes.append((moved, {v for v in moved if old[v] != new[v]}))
-        assert passes == [({0, 1, 2}, {2}), ({0, 1}, set())]
+        assert bis.log == [
+            ("recount",),
+            ("move", 2, [1, 0, 1, 0]),
+            ("move", 0, [1, 0, 0, 0]),
+            ("move", 1, [0, 0, 0, 0]),
+            ("move", 2, [1, 0, 1, 0]),
+            ("move", 0, [1, 0, 0, 0]),
+            ("move", 1, [0, 0, 0, 0]),
+        ]
         _assert_state_is_recount(bis)
-        assert bis.log.count(("recount",)) == 1 and bis.log[0] == ("recount",)
 
     @settings(max_examples=100, deadline=None)
     @given(start=st.one_of(fractional_starts(), bisection_starts()))
@@ -725,18 +726,24 @@ def _solved_side(inst, rng):
 
 
 @st.composite
-def bisection_instances(draw):
-    """9-40 clusters, so coarsening runs; integral weights; caps from loose to
+def bisection_instances(draw, fractional=False):
+    """9-40 clusters, so coarsening runs; integral weights, or with
+    `fractional` FRACTIONAL_WEIGHTS put in one unit; caps from loose to
     infeasible, equal in about half the examples (mirrored restarts pruned)."""
     n = draw(st.integers(min_value=9, max_value=40))
-    weights = [float(w) for w in draw(st.lists(st.integers(1, 20), min_size=n, max_size=n))]
+    if fractional:
+        weights = draw(st.lists(st.sampled_from(FRACTIONAL_WEIGHTS), min_size=n, max_size=n))
+    else:
+        weights = [float(w) for w in draw(st.lists(st.integers(1, 20), min_size=n, max_size=n))]
     edges = _integral_edges(draw, n)
-    total = int(sum(weights))
+    total = sum(weights) if fractional else int(sum(weights))
     # Caps in percent of half the total weight: below 100 nothing fits, just
     # above it random starts usually need repair.
     caps = [float(total * draw(st.integers(90, 200)) // 200) for _ in (0, 1)]
     if draw(st.booleans()):
         caps[1] = caps[0]
+    if fractional:
+        weights, caps = _in_one_unit(weights, caps)
     inst = qp._Instance(weights, edges, caps[0], caps[1])
     return inst, draw(st.integers(0, 2**64 - 1))
 
@@ -788,6 +795,16 @@ class TestPruning:
     @settings(max_examples=200, deadline=None)
     @given(instance=bisection_instances())
     def test_solve_bisection_matches_reference(self, instance):
+        inst, seed = instance
+        rng, reference_rng = SplitMix64(seed), SplitMix64(seed)
+        assert _solved_side(inst, rng) == _reference_solve_bisection(inst, reference_rng)
+        assert rng.state == reference_rng.state
+
+    @settings(max_examples=200, deadline=None)
+    @given(instance=bisection_instances(fractional=True))
+    def test_solve_bisection_matches_reference_in_one_unit(self, instance):
+        # Weights like these, summed as floats, put loads on either side of a
+        # cap depending on the order they are added in.
         inst, seed = instance
         rng, reference_rng = SplitMix64(seed), SplitMix64(seed)
         assert _solved_side(inst, rng) == _reference_solve_bisection(inst, reference_rng)
@@ -880,6 +897,64 @@ class TestPruning:
         assert flipped.loads == bis.loads[::-1]
         assert flipped.gains == bis.gains
         assert flipped.counts == [c[::-1] for c in bis.counts]
+
+
+@st.composite
+def fractional_hypergraphs(draw):
+    """9-40 nodes with FRACTIONAL_WEIGHTS; integral edge weights."""
+    n = draw(st.integers(min_value=9, max_value=40))
+    weights = draw(st.lists(st.sampled_from(FRACTIONAL_WEIGHTS), min_size=n, max_size=n))
+    edges = tuple(q.Hyperedge(members, w) for w, members in _integral_edges(draw, n))
+    return q.Hypergraph(n, tuple(weights), edges)
+
+
+class TestExactLoads:
+    """Node weights that are not integral reach the solver in one unit, so
+    its loads are exact and its splits meet the caps exactly."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(hg=fractional_hypergraphs(), k=st.integers(2, 4),
+           imbalance=st.sampled_from([0.0, 0.03, 0.1, 0.5]), seed=st.integers(0, 2**32))
+    def test_uncoarsen_returns_exact_loads(self, hg, k, imbalance, seed):
+        returned = []
+        uncoarsen = qp._uncoarsen
+
+        def logged_uncoarsen(levels, side, seen):
+            bis = uncoarsen(levels, side, seen)
+            if bis is not None:
+                returned.append(bis)
+            return bis
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(qp, "_uncoarsen", logged_uncoarsen)
+            outcome = _outcome(hg, q.SolverConfig(k=k, imbalance=imbalance, seed=seed))
+        for bis in returned:
+            assert bis.feasible()
+            for t in (0, 1):
+                exact = sum(Fraction(w) for w, s in zip(bis.inst.weights, bis.side) if s == t)
+                assert Fraction(bis.loads[t]) == exact
+            assert bis.cut == _reference_cost(bis.inst, bis.side)
+        if not outcome.startswith("SolverError"):
+            labels = tuple(map(int, outcome.split(",")))
+            assert q.check_balance(hg, q.PartitionAssignment(labels, k), imbalance)
+
+    @settings(max_examples=100, deadline=None)
+    @given(num_qubits=st.integers(8, 16), num_gates=st.integers(10, 120),
+           circuit_seed=st.integers(0, 2**64 - 1), k=st.integers(2, 4),
+           imbalance=st.sampled_from([0.03, 0.1, 0.3]), seed=st.integers(0, 2**32))
+    def test_fractional_error_model(self, num_qubits, num_gates, circuit_seed, k, imbalance,
+                                    seed):
+        # Node weights 1/0.003 and 10/0.03, which are not integral and differ
+        # in their last bits.
+        model = q.ErrorModel(eps_cnot=0.03, eps_h=0.003, eps_default_single=0.003)
+        circuit = _random_h_cnot_circuit(SplitMix64(circuit_seed), num_qubits, num_gates)
+        hg = q.circuit_to_hypergraph(circuit, model)
+        config = q.SolverConfig(k=k, imbalance=imbalance, seed=seed)
+        outcome = _outcome(hg, config)
+        assert _outcome(hg, config) == outcome
+        if not outcome.startswith("SolverError"):
+            labels = tuple(map(int, outcome.split(",")))
+            assert q.check_balance(hg, q.PartitionAssignment(labels, k), imbalance)
 
 
 # Reference versions of the contraction and projection that summed ratings
