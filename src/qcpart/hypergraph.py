@@ -10,8 +10,10 @@ Node weights are 10/eps for CNOT and 1/eps otherwise.
 
 A gate-level edge has one pin, so it always spans one part (lambda = 1)
 and adds 0 to km1 under any assignment. It exists only so the paper's hgr
-output carries it; the internal solver's `_induce` drops it with every
-other edge of fewer than two pins.
+output carries it; the internal solver drops it with every other edge of
+fewer than two distinct pins when it builds its top sub-problem, after
+taking the largest edge weight for `scaled_edge_weight` over all edges,
+singletons included.
 """
 
 from __future__ import annotations
@@ -116,22 +118,23 @@ def circuit_to_hypergraph(circuit: Circuit, model: ErrorModel | None = None) -> 
     chain per qubit hosting at least two gates (in qubit order).
     """
     model = model or ErrorModel()
-    node_weights = tuple(node_weight(g.kind, model) for g in circuit.gates)
+    # Weights per kind object, each computed once; equal kinds may be distinct objects.
+    kinds = {id(g.kind): g.kind for g in circuit.gates}
+    node_w = {key: node_weight(kind, model) for key, kind in kinds.items()}
+    gate_w = {
+        key: gate_level_edge_weight(
+            kind.arity, model.eps_cnot if kind == CNOT else model.eps_default_multi)
+        for key, kind in kinds.items() if kind.arity > 1
+    }
 
+    node_weights = []
     edges: list[Hyperedge] = []
-    for idx, gate in enumerate(circuit.gates):
-        if gate.kind.arity > 1:
-            eps = model.eps_cnot if gate.kind == CNOT else model.eps_default_multi
-            edges.append(
-                Hyperedge(
-                    members=(idx,),
-                    weight=gate_level_edge_weight(gate.kind.arity, eps),
-                    kind=GATE_LEVEL,
-                )
-            )
-
     gates_per_qubit: list[list[int]] = [[] for _ in range(circuit.num_qubits)]
     for idx, gate in enumerate(circuit.gates):
+        key = id(gate.kind)
+        node_weights.append(node_w[key])
+        if key in gate_w:
+            edges.append(Hyperedge(members=(idx,), weight=gate_w[key], kind=GATE_LEVEL))
         for q in gate.qubits:
             gates_per_qubit[q].append(idx)
     for q, members in enumerate(gates_per_qubit):
@@ -145,18 +148,24 @@ def circuit_to_hypergraph(circuit: Circuit, model: ErrorModel | None = None) -> 
                 )
             )
 
-    return Hypergraph(len(circuit.gates), node_weights, tuple(edges))
+    return Hypergraph(len(circuit.gates), tuple(node_weights), tuple(edges))
+
+
+def scaled_edge_weight(weight: float, max_weight: float) -> float:
+    """weight * 1e6 / max_weight, rounded, floored at 1; max_weight > 0."""
+    return float(max(1, round(weight * 1e6 / max_weight)))
 
 
 def normalize_weights(hg: Hypergraph) -> Hypergraph:
-    """Scale hyperedge weights to w * 1e6 / max(w), rounded, floored at 1."""
+    """Scale hyperedge weights by `scaled_edge_weight` against the largest;
+    unchanged when no weight is positive."""
     if not hg.hyperedges:
         return hg
     max_w = max(e.weight for e in hg.hyperedges)
     if max_w <= 0:
         return hg
     scaled = tuple(
-        Hyperedge(e.members, float(max(1, round(e.weight * 1e6 / max_w))), e.kind, e.qubit)
+        Hyperedge(e.members, scaled_edge_weight(e.weight, max_w), e.kind, e.qubit)
         for e in hg.hyperedges
     )
     return Hypergraph(hg.num_nodes, hg.node_weights, scaled)

@@ -3,20 +3,27 @@
 The internal solver is a deterministic multilevel bisection scheme:
 heavy-connectivity matching for coarsening, greedy balanced initial
 assignment, then Fiduccia-Mattheyses refinement and balance repair.
-Coarsening rates a cluster's merge partners from its own incidence list
-when the cluster is visited, and each coarse level keeps only its
-fine-to-coarse map to project a bisection back, not its clusters'
-original nodes. One bisection state per level, `_Bisection`, owns the
-sides, side loads, cut, per-edge pin counts and move gains that
-refinement, repair and candidate selection all read. A move updates only
-the pins whose gain changes, by fixed per-side deltas, and reports the
-highest gain it raised. An FM pass keeps one scalar bound on the unlocked
-clusters' gains, so its selection scan stops at the first movable cluster
-that reaches it; a rolled-back pass puts back its start state and replays
-the moves it keeps, so only a new `_Bisection` recounts from the sides.
+The top sub-problem is built once from the hypergraph: node weights in one
+unit, edge weights as `normalize_weights` scales them, and edges with
+fewer than two distinct pins dropped. Each side of a solved bisection that
+splits again gets its parent's sub-problem restricted to it. Coarsening
+rates a cluster's merge partners from its own incidence list when the
+cluster is visited (a cluster with one incident edge takes its first
+unmatched member that fits), fills the coarse incidence lists as it maps
+the edges, and each coarse level keeps only its fine-to-coarse map to
+project a bisection back, not its clusters' original nodes. One bisection
+state per level, `_Bisection`, owns the sides, side loads, cut, per-edge
+pin counts and move gains that refinement, repair and candidate selection
+all read. A move updates only the pins whose gain changes, by fixed
+per-side deltas, and reports the highest gain it raised. An FM pass keeps
+one scalar bound on the unlocked clusters' gains, so its selection scan
+stops at the first movable cluster that reaches it; a rolled-back pass
+puts back its start state and replays the moves it keeps, so only a new
+`_Bisection` recounts from the sides.
 Node weights and caps are in one unit, 1/u for u the largest power-of-two
 denominator of a node weight, so every load is an exact integer sum,
-whatever order moves, rollbacks and projections add it up in.
+whatever order moves, rollbacks and projections add it up in; once their
+total reaches 2**53 they are Python ints, with the cap floored.
 Every restart, the flat retry on the finest level included, runs through
 `_uncoarsen`. Two prunings skip only work whose outcome is already known:
 an FM pass stops once the weight of edges with locked clusters on both
@@ -47,7 +54,7 @@ import subprocess
 import tempfile
 from dataclasses import dataclass, field
 
-from .hypergraph import HgrMode, Hypergraph, normalize_weights, write_hgr
+from .hypergraph import HgrMode, Hypergraph, scaled_edge_weight, write_hgr
 from .rng import SplitMix64
 
 INTERNAL = "internal"
@@ -150,28 +157,57 @@ class _Instance:
     """A bisection sub-problem over contracted clusters of original nodes."""
 
     weights: list[float]
-    edges: list[tuple[float, tuple[int, ...]]]  # weight, cluster indices (>= 2 distinct)
+    edges: list[tuple[float, tuple[int, ...]]]  # weight, ascending cluster ids (>= 2)
     cap0: float
     cap1: float
     # from _contract: this instance's cluster id for each finer-level cluster
     fine_to_coarse: list[int] | None = field(default=None, repr=False)
-    incident: list[list[int]] = field(init=False, repr=False)  # edge ids per cluster
+    # edge ids per cluster, ascending; built from `edges` unless given
+    incident: list[list[int]] | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        self.incident = [[] for _ in self.weights]
-        for ei, (_, members) in enumerate(self.edges):
-            for v in members:
-                self.incident[v].append(ei)
+        if self.incident is None:
+            self.incident = [[] for _ in self.weights]
+            for ei, (_, members) in enumerate(self.edges):
+                for v in members:
+                    self.incident[v].append(ei)
 
 
-def _induce(hg: Hypergraph, nodes: list[int], cap0: float, cap1: float) -> _Instance:
-    index = {v: i for i, v in enumerate(nodes)}
+def _top_edges(hg: Hypergraph) -> list[tuple[float, tuple[int, ...]]]:
+    """hg's hyperedges of two or more distinct pins, members ascending.
+
+    Weights are those `normalize_weights` gives, the largest taken over
+    every hyperedge, the dropped ones included.
+    """
+    if not hg.hyperedges:
+        return []
+    max_w = max(e.weight for e in hg.hyperedges)
     edges = []
     for e in hg.hyperedges:
-        members = tuple(sorted({index[v] for v in e.members if v in index}))
+        if len(e.members) < 2:
+            continue
+        members = tuple(sorted(set(e.members)))
         if len(members) >= 2:
-            edges.append((e.weight, members))
-    return _Instance([hg.node_weights[v] for v in nodes], edges, cap0, cap1)
+            edges.append((e.weight if max_w <= 0 else scaled_edge_weight(e.weight, max_w),
+                          members))
+    return edges
+
+
+def _restrict(inst: _Instance, side: list[int], s: int) -> tuple[list[float], list]:
+    """The weights and edges of `inst`'s clusters on side s, renumbered in
+    order. Members stay ascending; an edge left with fewer than two is dropped."""
+    local = [-1] * len(side)
+    weights = []
+    for v, t in enumerate(side):
+        if t == s:
+            local[v] = len(weights)
+            weights.append(inst.weights[v])
+    edges = []
+    for w, members in inst.edges:
+        kept = [c for c in map(local.__getitem__, members) if c >= 0]
+        if len(kept) >= 2:
+            edges.append((w, tuple(kept)))
+    return weights, edges
 
 
 def _contract(inst: _Instance, rng: SplitMix64, max_cluster: float) -> _Instance | None:
@@ -181,7 +217,9 @@ def _contract(inst: _Instance, rng: SplitMix64, max_cluster: float) -> _Instance
     each unmatched neighbour u by the sum of w / (|e| - 1) over the edges e
     holding both, read from v's incidence list when v is visited, and merges
     with the highest-rated neighbour that fits max_cluster, the lowest index
-    on ties.
+    on ties. With one incident edge every candidate rates its one share, so
+    the first unmatched member that fits wins (members are ascending). The
+    coarse incidence lists are filled as the edges are mapped.
     """
     n = len(inst.weights)
     weights, edges, incident = inst.weights, inst.edges, inst.incident
@@ -193,21 +231,30 @@ def _contract(inst: _Instance, rng: SplitMix64, max_cluster: float) -> _Instance
     for v in order:
         if matched[v]:
             continue
-        rating: dict[int, float] = {}
-        for ei in incident[v]:
-            w, members = edges[ei]
-            share = w / (len(members) - 1)
-            for u in members:
-                if u != v and not matched[u]:
-                    rating[u] = rating.get(u, 0.0) + share
-        best, best_rating = -1, -math.inf
         wv = weights[v]
-        for u, r in rating.items():
-            if r < best_rating or (r == best_rating and u > best):
-                continue
-            if wv + weights[u] > max_cluster:
-                continue
-            best, best_rating = u, r
+        best = -1
+        mine = incident[v]
+        # a share of -inf or NaN rates differently; the dictionary handles it
+        if len(mine) == 1 and edges[mine[0]][0] > -math.inf:
+            for u in edges[mine[0]][1]:
+                if u != v and not matched[u] and wv + weights[u] <= max_cluster:
+                    best = u
+                    break
+        else:
+            rating: dict[int, float] = {}
+            for ei in mine:
+                w, members = edges[ei]
+                share = w / (len(members) - 1)
+                for u in members:
+                    if u != v and not matched[u]:
+                        rating[u] = rating.get(u, 0.0) + share
+            best_rating = -math.inf
+            for u, r in rating.items():
+                if r < best_rating or (r == best_rating and u > best):
+                    continue
+                if wv + weights[u] > max_cluster:
+                    continue
+                best, best_rating = u, r
         if best >= 0:
             matched[v] = matched[best] = True
             merged_into[best] = v
@@ -229,11 +276,14 @@ def _contract(inst: _Instance, rng: SplitMix64, max_cluster: float) -> _Instance
         cweights[cid] += weights[v]
 
     coarse_edges = []
+    coarse_incident: list[list[int]] = [[] for _ in cweights]
     for w, members in edges:
         mapped = tuple(sorted({coarse_of[v] for v in members}))
         if len(mapped) >= 2:
+            for c in mapped:
+                coarse_incident[c].append(len(coarse_edges))
             coarse_edges.append((w, mapped))
-    return _Instance(cweights, coarse_edges, inst.cap0, inst.cap1, coarse_of)
+    return _Instance(cweights, coarse_edges, inst.cap0, inst.cap1, coarse_of, coarse_incident)
 
 
 def _greedy_initial(inst: _Instance, rng: SplitMix64) -> list[int]:
@@ -378,15 +428,18 @@ def _refine(bis: _Bisection) -> None:
     full pass.
     """
     inst, side = bis.inst, bis.side
-    weights, edges, incident = inst.weights, inst.edges, inst.incident
+    weights, incident = inst.weights, inst.incident
+    edge_weights = [w for w, _ in inst.edges]
+    cap0, cap1 = inst.cap0, inst.cap1
     slack = max(weights, default=0.0)
-    limits = (inst.cap0 + slack, inst.cap1 + slack)
+    limits = (cap0 + slack, cap1 + slack)
 
     improved = True
     while improved:
         gains, loads, cut = bis.gains, bis.loads, bis.cut  # a rollback replaces the lists
-        saved = (list(loads), list(gains), [c.copy() for c in bis.counts], cut)
-        locked = ([False] * len(edges), [False] * len(edges))  # per side: edge has a locked pin
+        saved = (loads[:], gains[:], [c[:] for c in bis.counts], cut)
+        # per side: the edge has a locked pin there
+        locked = ([False] * len(edge_weights), [False] * len(edge_weights))
         locked_cut = 0.0
         unlocked = list(range(len(side)))  # ascending, so the scan keeps the tie-break
         moves: list[int] = []
@@ -418,11 +471,11 @@ def _refine(bis: _Bisection) -> None:
                 if not on_dst[ei]:
                     on_dst[ei] = True
                     if on_src[ei]:
-                        locked_cut += edges[ei][0]
+                        locked_cut += edge_weights[ei]
             unlocked.remove(best_v)
             moves.append(best_v)
             running += best_gain
-            if bis.feasible() and running > best_running:
+            if running > best_running and loads[0] <= cap0 and loads[1] <= cap1:
                 best_running, best_prefix = running, len(moves)
         if best_prefix < len(moves):  # back to the pass's start, then the kept moves
             for v in moves:
@@ -503,7 +556,10 @@ def _solve_bisection(inst: _Instance, rng: SplitMix64) -> _Bisection | None:
     are equal when the parts split evenly, or when both are clipped to the
     sub-problem's total weight.
     """
-    max_cluster = max(inst.cap0, inst.cap1) / 2.0
+    top = max(inst.cap0, inst.cap1)
+    # Cluster weights are integers in one unit, so halving an int cap by
+    # floor division decides every `> max_cluster` test as `/ 2` would.
+    max_cluster = top // 2 if isinstance(top, int) else top / 2.0
     levels = [inst]
     while len(levels[-1].weights) > 8:
         coarser = _contract(levels[-1], rng, max_cluster)
@@ -531,30 +587,43 @@ def _solve_bisection(inst: _Instance, rng: SplitMix64) -> _Bisection | None:
     return best
 
 
+def _in_one_unit(hg: Hypergraph, k: int, imbalance: float) -> tuple[list, float | int]:
+    """Node weights and the balance cap in units of 1/u, u the largest
+    power-of-two denominator of a node weight (1 for integral ones), so
+    every load is an exact integer sum.
+
+    The weights stay floats while u fits a float and their total is below
+    2**53, where every sum of them is exact; a cap past the float range is
+    then inf, which every load meets, as it meets the exact cap. Otherwise
+    they are exact ints from `as_integer_ratio` and the cap is floored to an
+    int, which no int load compares differently with than with the exact cap.
+    """
+    ratios = {w: w.as_integer_ratio() for w in set(hg.node_weights)}
+    unit = max(d for _, d in ratios.values())
+    cap = balance_cap(hg, k, imbalance)
+    if unit < 2**1024 and math.fsum(hg.node_weights) * unit < 2**53:
+        return [w * unit for w in hg.node_weights], cap * unit  # exact: unit is a power of two
+    scaled = {w: n * (unit // d) for w, (n, d) in ratios.items()}
+    n, d = cap.as_integer_ratio()
+    return [scaled[w] for w in hg.node_weights], n * unit // d
+
+
 def _partition_internal(hg: Hypergraph, config: SolverConfig) -> PartitionAssignment:
     k = config.k
     if k > hg.num_nodes:
         raise SolverError(f"k={k} exceeds node count {hg.num_nodes}")
 
-    hg = normalize_weights(hg)
-    # Node weights and cap in units of 1/u, u the largest power-of-two
-    # denominator of a weight (1 for integral ones), so every load is an exact
-    # integer sum; they stay floats while the total is below 2**53.
-    unit = max(w.as_integer_ratio()[1] for w in set(hg.node_weights))
-    weights = [w * unit for w in hg.node_weights]  # exact: unit is a power of two
-    if sum(weights) >= 2**53:
-        weights = [int(w) for w in weights]
-    cap = balance_cap(hg, k, config.imbalance) * unit
-    units = Hypergraph(hg.num_nodes, tuple(weights), hg.hyperedges)
+    weights, cap = _in_one_unit(hg, k, config.imbalance)
     rng = SplitMix64(config.seed)
     labels = [0] * hg.num_nodes
 
     # Recursive bisection: split the k target parts into two groups and
     # bound each side by (parts on that side) * final cap. A side left empty
-    # is balanced too; its parts stay empty.
-    stack: list[tuple[list[int], int, int]] = [(list(range(hg.num_nodes)), 0, k)]
+    # is balanced too; its parts stay empty. Each side's sub-problem is its
+    # parent's restricted to it, built only when the side splits again.
+    stack = [(list(range(hg.num_nodes)), weights, _top_edges(hg), 0, k)]
     while stack:
-        nodes, first_label, parts = stack.pop()
+        nodes, weights, edges, first_label, parts = stack.pop()
         if parts == 1 or not nodes:
             for v in nodes:
                 labels[v] = first_label
@@ -562,13 +631,15 @@ def _partition_internal(hg: Hypergraph, config: SolverConfig) -> PartitionAssign
         k0 = (parts + 1) // 2
         k1 = parts - k0
         # no side can hold more than the sub-problem's whole weight
-        total = sum(weights[v] for v in nodes)
-        inst = _induce(units, nodes, cap0=min(k0 * cap, total), cap1=min(k1 * cap, total))
+        total = sum(weights)
+        inst = _Instance(weights, edges, min(k0 * cap, total), min(k1 * cap, total))
         bis = _solve_bisection(inst, rng)
         if bis is None:
             raise SolverError("no balanced bisection found at the configured imbalance")
-        stack.append(([v for v, s in zip(nodes, bis.side) if s == 0], first_label, k0))
-        stack.append(([v for v, s in zip(nodes, bis.side) if s == 1], first_label + k0, k1))
+        for s, first, p in ((0, first_label, k0), (1, first_label + k0, k1)):
+            part = [v for v, t in zip(nodes, bis.side) if t == s]
+            sub = _restrict(inst, bis.side, s) if p > 1 and part else (None, None)
+            stack.append((part, *sub, first, p))
 
     # At k = 2 the one bisection solved is the top one, whose labels are its
     # sides. A refined seeded random assignment on the same instance is one

@@ -53,6 +53,21 @@ class TestConstruction:
         qubits = {e.qubit for e in hg.hyperedges if e.kind == TEMPORAL}
         assert qubits == {0}
 
+    def test_equal_kinds_that_are_distinct_objects(self):
+        # The builder computes each kind object's weights once; equal kinds
+        # built apart, the built-in CNOT's twin included, get the same ones.
+        model = q.ErrorModel(eps_h=0.002, eps_cnot=0.04, eps_default_single=0.004,
+                             eps_default_multi=0.08)
+        kinds = [q.GateKind("CNOT", 2), q.GateKind("CNOT", 2), q.CNOT,
+                 q.GateKind("RZ", 1), q.GateKind("RZ", 1), q.GateKind("CZ", 2), q.H]
+        assert len({id(kind) for kind in kinds}) == len(kinds)
+        gates = [q.Gate(kind, (0, 1, 2)[: kind.arity]) for kind in kinds]
+        hg = q.circuit_to_hypergraph(q.Circuit(3, tuple(gates)), model)
+        assert hg.node_weights == tuple(node_weight(g.kind, model) for g in gates)
+        assert hg.node_weights[:3] == (250.0,) * 3
+        gate_level = [(e.members, e.weight) for e in hg.hyperedges if e.kind == GATE_LEVEL]
+        assert gate_level == [((0,), 5000.0), ((1,), 5000.0), ((2,), 5000.0), ((5,), 2500.0)]
+
     def test_empty_circuit(self):
         hg = q.circuit_to_hypergraph(q.Circuit(2))
         assert hg.num_nodes == 0

@@ -185,10 +185,23 @@ class TestInternalSolver:
         assert q.partition(hg, config).labels == tuple(top.side)
 
 
+def _reference_induce(hg: q.Hypergraph, nodes: list[int], cap0: float, cap1: float):
+    """The sub-problem over `nodes`, in their order, from hg's edges as they
+    are: each edge's members among them, deduplicated and ascending, kept
+    when two or more remain."""
+    index = {v: i for i, v in enumerate(nodes)}
+    edges = []
+    for e in hg.hyperedges:
+        members = tuple(sorted({index[v] for v in e.members if v in index}))
+        if len(members) >= 2:
+            edges.append((e.weight, members))
+    return qp._Instance([hg.node_weights[v] for v in nodes], edges, cap0, cap1)
+
+
 def _k2_candidates(hg: q.Hypergraph, config: q.SolverConfig):
     """The top bisection of a k=2 solve and the sides of its refined random candidate."""
     cap = min(qp.balance_cap(hg, 2, config.imbalance), sum(hg.node_weights))
-    inst = qp._induce(hg, list(range(hg.num_nodes)), cap0=cap, cap1=cap)
+    inst = _reference_induce(hg, list(range(hg.num_nodes)), cap0=cap, cap1=cap)
     top = qp._solve_bisection(inst, SplitMix64(config.seed))
     candidate = list(q.random_balanced_assignment(hg, 2, config.seed).labels)
     _reference_refine(inst, candidate)
@@ -271,7 +284,7 @@ def _hierarchy_lines(label: str, hg: q.Hypergraph, k: int, eps: float, seed: int
     hg = q.normalize_weights(hg)
     cap = qp.balance_cap(hg, k, eps)
     k0 = (k + 1) // 2
-    inst = qp._induce(hg, list(range(hg.num_nodes)), cap0=k0 * cap, cap1=(k - k0) * cap)
+    inst = _reference_induce(hg, list(range(hg.num_nodes)), cap0=k0 * cap, cap1=(k - k0) * cap)
     total = sum(inst.weights)
     inst.cap0, inst.cap1 = min(inst.cap0, total), min(inst.cap1, total)
     max_cluster = max(inst.cap0, inst.cap1) / 2.0
@@ -545,12 +558,14 @@ FRACTIONAL_WEIGHTS = [i / 3 for i in range(1, 13)] + [1 / 0.003]
 def _in_one_unit(weights, caps):
     """Weights and caps in units of 1/u, u the largest denominator of a
     weight (a power of two), as `partition` hands them to the solver:
-    integral floats while their total is below 2**53, ints otherwise."""
+    integral floats while their total is below 2**53 and u fits a float
+    (a cap past the float range is inf), else ints with the caps floored."""
     unit = max(Fraction(w).denominator for w in weights)
     scaled = [int(Fraction(w) * unit) for w in weights]
-    if sum(scaled) < 2**53:
-        scaled = [float(w) for w in scaled]
-    return scaled, [c * unit for c in caps]
+    caps = [Fraction(c) * unit for c in caps]
+    if sum(scaled) < 2**53 and unit < 2**1024:
+        return [float(w) for w in scaled], [math.inf if c >= 2**1024 else float(c) for c in caps]
+    return scaled, [math.floor(c) for c in caps]
 
 
 @st.composite
@@ -673,7 +688,7 @@ class TestBisectionState:
 
 
 def _reference_solve_bisection(inst, rng):
-    max_cluster = max(inst.cap0, inst.cap1) / 2.0
+    max_cluster = Fraction(max(inst.cap0, inst.cap1)) / 2  # exact for int caps too
     levels = [inst]
     while len(levels[-1].weights) > 8:
         coarser = qp._contract(levels[-1], rng, max_cluster)
@@ -835,7 +850,7 @@ class TestPruning:
 
     def test_repeated_restart_skips_projection(self, monkeypatch):
         hg = q.normalize_weights(q.circuit_to_hypergraph(q.benchmark_circuit("m")))
-        inst = qp._induce(hg, list(range(hg.num_nodes)), cap0=0.0, cap1=0.0)
+        inst = _reference_induce(hg, list(range(hg.num_nodes)), cap0=0.0, cap1=0.0)
         inst.cap0 = inst.cap1 = qp.balance_cap(hg, 2, 0.1)
         projected = []  # the coarse instance of each projection
         project = qp._project
@@ -853,7 +868,7 @@ class TestPruning:
         # mirror of restart 0's side and stop there. A skip of exact repeats
         # alone projects 12 times here.
         hg = q.normalize_weights(q.circuit_to_hypergraph(q.benchmark_circuit("m")))
-        inst = qp._induce(hg, list(range(hg.num_nodes)), cap0=0.0, cap1=0.0)
+        inst = _reference_induce(hg, list(range(hg.num_nodes)), cap0=0.0, cap1=0.0)
         inst.cap0 = inst.cap1 = qp.balance_cap(hg, 2, 0.1)
         expected = _reference_solve_bisection(inst, SplitMix64(4))
         log = _restart_log(monkeypatch)
@@ -956,6 +971,71 @@ class TestExactLoads:
             labels = tuple(map(int, outcome.split(",")))
             assert q.check_balance(hg, q.PartitionAssignment(labels, k), imbalance)
 
+    def test_unit_past_the_float_range(self):
+        # u = 2**1074 for the subnormal weight, which no float holds.
+        hg = q.Hypergraph(3, (1e-310, 1.0, 1.0), (q.Hyperedge((0, 1, 2), 1.0),))
+        asg = q.partition(hg, q.SolverConfig(k=2, imbalance=0.5))
+        assert q.check_balance(hg, asg, 0.5)
+
+    def test_scaled_weight_past_the_float_range(self):
+        # 3 * 2**30 in units of 2**-1000 passes the float range; no split of
+        # the two nodes meets the cap of 2.25 * 2**30.
+        hg = q.Hypergraph(2, (2.0**-1000, 3.0 * 2**30), (q.Hyperedge((0, 1), 1.0),))
+        with pytest.raises(q.SolverError, match="no balanced bisection"):
+            q.partition(hg, q.SolverConfig(k=2, imbalance=0.5))
+
+
+@st.composite
+def raw_hypergraphs(draw):
+    """1-10 nodes, with default-model, fractional and float-range-spanning
+    weights; edges of 1-6 pins, repeated and unsorted ones included, with
+    every weight zero in about a quarter of the draws."""
+    n = draw(st.integers(min_value=1, max_value=10))
+    node_weights = [1000.0, 200.0, 0.0, 1e-310, 2.0**-1000, 3.0 * 2**30] + FRACTIONAL_WEIGHTS
+    weights = draw(st.lists(st.sampled_from(node_weights), min_size=n, max_size=n))
+    if draw(st.integers(0, 3)) == 0:
+        edge_weight = st.just(0.0)
+    else:
+        edge_weight = st.floats(min_value=0.0, max_value=1e6)
+    members = st.lists(st.integers(0, n - 1), min_size=1, max_size=6).map(tuple)
+    edges = draw(st.lists(st.builds(q.Hyperedge, members, edge_weight), max_size=2 * n))
+    return q.Hypergraph(n, tuple(weights), tuple(edges))
+
+
+class TestSubProblems:
+    """The solver builds its top sub-problem from the hypergraph and each
+    child by restricting its parent to one side; both equal a fresh
+    induction from the normalized hypergraph."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(hg=raw_hypergraphs(), data=st.data())
+    def test_top_and_child_instances_match_reference(self, hg, data):
+        k = data.draw(st.integers(1, hg.num_nodes))
+        imbalance = data.draw(st.sampled_from([0.0, 0.1, 0.5]))
+        weights, cap = qp._in_one_unit(hg, k, imbalance)
+        expected_weights, expected_caps = _in_one_unit(
+            hg.node_weights, [qp.balance_cap(hg, k, imbalance)])
+        assert [(type(w), w) for w in weights] == [(type(w), w) for w in expected_weights]
+        assert (type(cap), cap) == (type(expected_caps[0]), expected_caps[0])
+
+        norm = q.normalize_weights(hg)
+        nodes = list(range(hg.num_nodes))
+        inst = qp._Instance(weights, qp._top_edges(hg), 0.0, 0.0)
+        for _ in range(3):
+            expected = _reference_induce(norm, nodes, 0.0, 0.0)
+            assert inst.weights == [weights[v] for v in nodes]
+            assert inst.edges == expected.edges
+            assert inst.incident == expected.incident
+            if not nodes:
+                break
+            s = data.draw(st.integers(0, 1))
+            side = data.draw(st.one_of(
+                st.just([1 - s] * len(nodes)),  # nothing on side s
+                st.lists(st.integers(0, 1), min_size=len(nodes), max_size=len(nodes)),
+            ))
+            nodes = [v for v, t in zip(nodes, side) if t == s]
+            inst = qp._Instance(*qp._restrict(inst, side, s), 0.0, 0.0)
+
 
 # Reference versions of the contraction and projection that summed ratings
 # in a dictionary over every pair of every hyperedge's members and projected
@@ -1037,10 +1117,21 @@ def _contents(inst):
 
 @st.composite
 def contraction_inputs(draw):
-    """Integral weights, edges of 2-6 distinct pins, a cluster cap that may block merges."""
+    """Integral weights, edges of 2-6 distinct pins, a cluster cap that may
+    block merges. In half the draws the edges are chain-like, runs of a
+    shuffled cluster order that share at most their end pins, so most
+    clusters have one incident edge."""
     n = draw(st.integers(min_value=2, max_value=30))
     weights = [float(w) for w in draw(st.lists(st.integers(1, 20), min_size=n, max_size=n))]
-    edges = _integral_edges(draw, n)
+    if draw(st.booleans()):
+        edges = _integral_edges(draw, n)
+    else:
+        order = draw(st.permutations(range(n)))
+        edges, start = [], 0
+        while start < n - 1:
+            end = min(n, start + draw(st.integers(2, 6)))
+            edges.append((float(draw(st.integers(1, 50))), tuple(sorted(order[start:end]))))
+            start = end - draw(st.integers(0, 1))  # 1: the next run shares this end pin
     total = sum(weights)
     inst = qp._Instance(weights, edges, total, total)
     max_cluster = float(draw(st.integers(0, 45)))
