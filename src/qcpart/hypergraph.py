@@ -55,6 +55,18 @@ class Hyperedge:
     qubit: int | None = None  # set for temporal chains
 
 
+def _check_weights(weights, what: str) -> None:
+    """Raise ValueError naming the first weight that is negative, NaN or
+    infinite. min and sum run in C; only when they fail is the weight looked
+    for (a sum of finite weights that overflows finds none and passes)."""
+    if not (min(weights, default=0) >= 0 and math.isfinite(sum(weights))):
+        for i, w in enumerate(weights):
+            if not 0 <= w < math.inf:  # False for NaN too
+                raise ValueError(
+                    f"{what} {i} has weight {w!r}; a {what} weight must be finite and >= 0"
+                )
+
+
 @dataclass(frozen=True)
 class Hypergraph:
     num_nodes: int
@@ -64,15 +76,8 @@ class Hypergraph:
     def __post_init__(self):
         if len(self.node_weights) != self.num_nodes:
             raise ValueError("one weight per node required")
-        # min and sum run in C; only when they fail is the node looked for
-        # (a sum of finite weights that overflows finds none and passes)
-        weights = self.node_weights
-        if not (min(weights, default=0) >= 0 and math.isfinite(sum(weights))):
-            for v, w in enumerate(weights):
-                if not 0 <= w < math.inf:  # False for NaN too
-                    raise ValueError(
-                        f"node {v} has weight {w!r}; a node weight must be finite and >= 0"
-                    )
+        _check_weights(self.node_weights, "node")
+        _check_weights([e.weight for e in self.hyperedges], "hyperedge")
         for e in self.hyperedges:
             if not e.members:
                 raise ValueError("empty hyperedge")
@@ -151,9 +156,9 @@ def circuit_to_hypergraph(circuit: Circuit, model: ErrorModel | None = None) -> 
     return Hypergraph(len(circuit.gates), tuple(node_weights), tuple(edges))
 
 
-def scaled_edge_weight(weight: float, max_weight: float) -> float:
+def scaled_edge_weight(weight: float, max_weight: float) -> int:
     """weight * 1e6 / max_weight, rounded, floored at 1; max_weight > 0."""
-    return float(max(1, round(weight * 1e6 / max_weight)))
+    return max(1, round(weight * 1e6 / max_weight))
 
 
 def normalize_weights(hg: Hypergraph) -> Hypergraph:
@@ -165,7 +170,7 @@ def normalize_weights(hg: Hypergraph) -> Hypergraph:
     if max_w <= 0:
         return hg
     scaled = tuple(
-        Hyperedge(e.members, scaled_edge_weight(e.weight, max_w), e.kind, e.qubit)
+        Hyperedge(e.members, float(scaled_edge_weight(e.weight, max_w)), e.kind, e.qubit)
         for e in hg.hyperedges
     )
     return Hypergraph(hg.num_nodes, hg.node_weights, scaled)
@@ -216,6 +221,8 @@ def read_hgr(text: str) -> Hypergraph:
             members = tuple(int(t) - 1 for t in fieldvals[1:])
         except ValueError:
             raise HgrFormatError(f"bad integer in hyperedge line {ln!r}")
+        if weight < 0:
+            raise HgrFormatError(f"negative weight in hyperedge line {ln!r}")
         for v in members:
             if not 0 <= v < num_nodes:
                 raise HgrFormatError(f"node index {v + 1} out of range")

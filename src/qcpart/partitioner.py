@@ -20,10 +20,10 @@ one scalar bound on the unlocked clusters' gains, so its selection scan
 stops at the first movable cluster that reaches it; a rolled-back pass
 puts back its start state and replays the moves it keeps, so only a new
 `_Bisection` recounts from the sides.
-Node weights and caps are in one unit, 1/u for u the largest power-of-two
-denominator of a node weight, so every load is an exact integer sum,
-whatever order moves, rollbacks and projections add it up in; once their
-total reaches 2**53 they are Python ints, with the cap floored.
+Every weight the solver sees is an int: node weights in one unit, 1/u for
+u the largest power-of-two denominator of a node weight, with the cap
+floored in it, and edge weights as `normalize_weights` scales them. Loads,
+the cut and gains are exact, whatever order they are summed in.
 Every restart, the flat retry on the finest level included, runs through
 `_uncoarsen`. Two prunings skip only work whose outcome is already known:
 an FM pass stops once the weight of edges with locked clusters on both
@@ -156,16 +156,19 @@ def random_balanced_assignment(hg: Hypergraph, k: int, seed: int) -> PartitionAs
 class _Instance:
     """A bisection sub-problem over contracted clusters of original nodes."""
 
-    weights: list[float]
-    edges: list[tuple[float, tuple[int, ...]]]  # weight, ascending cluster ids (>= 2)
-    cap0: float
-    cap1: float
+    weights: list[int]
+    edges: list[tuple[int, tuple[int, ...]]]  # weight, ascending cluster ids (>= 2)
+    cap0: int
+    cap1: int
     # from _contract: this instance's cluster id for each finer-level cluster
     fine_to_coarse: list[int] | None = field(default=None, repr=False)
     # edge ids per cluster, ascending; built from `edges` unless given
     incident: list[list[int]] | None = field(default=None, repr=False)
+    # below every move gain: no gain exceeds the total edge weight in size
+    below: int = field(init=False, repr=False)
 
     def __post_init__(self):
+        self.below = -1 - sum(w for w, _ in self.edges)
         if self.incident is None:
             self.incident = [[] for _ in self.weights]
             for ei, (_, members) in enumerate(self.edges):
@@ -173,11 +176,11 @@ class _Instance:
                     self.incident[v].append(ei)
 
 
-def _top_edges(hg: Hypergraph) -> list[tuple[float, tuple[int, ...]]]:
+def _top_edges(hg: Hypergraph) -> list[tuple[int, tuple[int, ...]]]:
     """hg's hyperedges of two or more distinct pins, members ascending.
 
-    Weights are those `normalize_weights` gives, the largest taken over
-    every hyperedge, the dropped ones included.
+    Weights are the ints `normalize_weights` gives, the largest taken over
+    every hyperedge, the dropped ones included, and 0 when every weight is 0.
     """
     if not hg.hyperedges:
         return []
@@ -188,12 +191,11 @@ def _top_edges(hg: Hypergraph) -> list[tuple[float, tuple[int, ...]]]:
             continue
         members = tuple(sorted(set(e.members)))
         if len(members) >= 2:
-            edges.append((e.weight if max_w <= 0 else scaled_edge_weight(e.weight, max_w),
-                          members))
+            edges.append((0 if max_w == 0 else scaled_edge_weight(e.weight, max_w), members))
     return edges
 
 
-def _restrict(inst: _Instance, side: list[int], s: int) -> tuple[list[float], list]:
+def _restrict(inst: _Instance, side: list[int], s: int) -> tuple[list[int], list]:
     """The weights and edges of `inst`'s clusters on side s, renumbered in
     order. Members stay ascending; an edge left with fewer than two is dropped."""
     local = [-1] * len(side)
@@ -210,7 +212,7 @@ def _restrict(inst: _Instance, side: list[int], s: int) -> tuple[list[float], li
     return weights, edges
 
 
-def _contract(inst: _Instance, rng: SplitMix64, max_cluster: float) -> _Instance | None:
+def _contract(inst: _Instance, rng: SplitMix64, max_cluster: int) -> _Instance | None:
     """One round of heavy-connectivity matching; None when nothing matched.
 
     Clusters are visited in a shuffled order. An unmatched cluster v rates
@@ -234,8 +236,7 @@ def _contract(inst: _Instance, rng: SplitMix64, max_cluster: float) -> _Instance
         wv = weights[v]
         best = -1
         mine = incident[v]
-        # a share of -inf or NaN rates differently; the dictionary handles it
-        if len(mine) == 1 and edges[mine[0]][0] > -math.inf:
+        if len(mine) == 1:
             for u in edges[mine[0]][1]:
                 if u != v and not matched[u] and wv + weights[u] <= max_cluster:
                     best = u
@@ -265,7 +266,7 @@ def _contract(inst: _Instance, rng: SplitMix64, max_cluster: float) -> _Instance
     # Coarse ids are numbered by each cluster's lowest fine index; a pair's
     # root may be its higher index, so the id is stored at the root first.
     coarse_of = [-1] * n
-    cweights: list[float] = []  # int 0 starts, so int weights stay int
+    cweights: list[int] = []
     for v in range(n):
         root = merged_into[v]
         cid = coarse_of[root]
@@ -308,10 +309,9 @@ class _Bisection:
     adds -w to the pin's gain when no pin of e is on the other side (the
     move would cut e) and +w when the pin is e's only one on s (the move
     would uncut e), so a cluster's gain is exactly the drop in cut its move
-    causes. Edge weights are integral floats and node weights integers in
-    one unit (see `_partition_internal`), so the gains, the cut and the
-    loads stay exact under moves and equal a from-scratch `recount`,
-    whatever order the moves take.
+    causes. Every weight is an int, so the gains, the cut and the loads
+    stay exact under moves and equal a from-scratch `recount`, whatever
+    order the moves take.
     """
 
     __slots__ = ("inst", "side", "loads", "cut", "counts", "gains")
@@ -327,9 +327,9 @@ class _Bisection:
         loads = [0, 0]
         for w, s in zip(inst.weights, side):
             loads[s] += w
-        cut = 0.0
+        cut = 0
         counts = []
-        gains = [0.0] * len(side)
+        gains = [0] * len(side)
         for w, members in inst.edges:
             c1 = 0
             for u in members:
@@ -338,8 +338,8 @@ class _Bisection:
             counts.append([c0, c1])
             if c0 and c1:
                 cut += w
-            g0 = -w if not c1 else w if c0 == 1 else 0.0  # each side-0 pin's gain
-            g1 = -w if not c0 else w if c1 == 1 else 0.0
+            g0 = -w if not c1 else w if c0 == 1 else 0  # each side-0 pin's gain
+            g1 = -w if not c0 else w if c1 == 1 else 0
             if g0 or g1:
                 for u in members:
                     gains[u] += g1 if side[u] else g0
@@ -348,10 +348,10 @@ class _Bisection:
     def feasible(self) -> bool:
         return self.loads[0] <= self.inst.cap0 and self.loads[1] <= self.inst.cap1
 
-    def move(self, v: int) -> float:
+    def move(self, v: int) -> int:
         """Flip cluster v's side, delta-update the state and return the
         highest new gain among the other clusters whose gain went up, or
-        -inf when none did.
+        `inst.below` when none did.
 
         With cs and cd the edge's pins on the source and target side before
         the move, each other source pin's gain rises by
@@ -366,7 +366,7 @@ class _Bisection:
         dst = 1 - src
         own = gains[v]
         side[v] = dst  # v is no source pin below; its gain is set last
-        raised = -math.inf
+        raised = inst.below
         for ei in inst.incident[v]:
             c = counts[ei]
             cs = c[src]
@@ -412,26 +412,25 @@ def _refine(bis: _Bisection) -> None:
     result is never worse than the (assumed feasible) input.
 
     The scan keeps the selection's result but not always its length. A pass
-    keeps `bound`, never below any unlocked cluster's gain: +inf at first,
-    the highest gain seen by a scan that reaches the end, raised to what
-    each move reports raising. The ascending scan stops at the first
-    movable cluster whose gain reaches `bound`; no cluster has a higher
-    gain and none before it as high a one, so it is the cluster the full
-    scan picks.
+    keeps `bound`, never below any unlocked cluster's gain: -`inst.below`
+    at first, then the highest gain seen by a scan that reaches the end,
+    raised to what each move reports raising. The ascending scan stops at
+    the first movable cluster whose gain reaches `bound`; no cluster has a
+    higher gain and none before it as high a one, so it is the cluster the
+    full scan picks.
 
     A moved cluster stays locked for the rest of the pass, so an edge with
     locked pins on both sides stays cut: with C0 the cut at the start of the
     pass and L the weight of such edges, no later prefix gains more than
     C0 - L. The pass therefore stops once that bound cannot beat the best
-    prefix, and a pass that starts uncut moves nothing. Edge weights are
-    integral floats, so the bound is exact and the labels are those of a
-    full pass.
+    prefix, and a pass that starts uncut moves nothing. The bound is an
+    exact int, so the labels are those of a full pass.
     """
     inst, side = bis.inst, bis.side
     weights, incident = inst.weights, inst.incident
     edge_weights = [w for w, _ in inst.edges]
-    cap0, cap1 = inst.cap0, inst.cap1
-    slack = max(weights, default=0.0)
+    cap0, cap1, below = inst.cap0, inst.cap1, inst.below
+    slack = max(weights, default=0)
     limits = (cap0 + slack, cap1 + slack)
 
     improved = True
@@ -440,14 +439,14 @@ def _refine(bis: _Bisection) -> None:
         saved = (loads[:], gains[:], [c[:] for c in bis.counts], cut)
         # per side: the edge has a locked pin there
         locked = ([False] * len(edge_weights), [False] * len(edge_weights))
-        locked_cut = 0.0
+        locked_cut = 0
         unlocked = list(range(len(side)))  # ascending, so the scan keeps the tie-break
         moves: list[int] = []
-        running = 0.0
-        best_running, best_prefix = 0.0, 0
-        bound = math.inf  # never below an unlocked cluster's gain
+        running = 0
+        best_running, best_prefix = 0, 0
+        bound = -below  # never below an unlocked cluster's gain
         while unlocked and locked_cut < cut - best_running:
-            best_v, best_gain, top = -1, -math.inf, -math.inf
+            best_v, best_gain, top = -1, below, below
             for v in unlocked:
                 gain = gains[v]
                 if gain > best_gain:
@@ -556,10 +555,9 @@ def _solve_bisection(inst: _Instance, rng: SplitMix64) -> _Bisection | None:
     are equal when the parts split evenly, or when both are clipped to the
     sub-problem's total weight.
     """
-    top = max(inst.cap0, inst.cap1)
-    # Cluster weights are integers in one unit, so halving an int cap by
-    # floor division decides every `> max_cluster` test as `/ 2` would.
-    max_cluster = top // 2 if isinstance(top, int) else top / 2.0
+    # Cluster weights are ints, so halving the cap by floor division decides
+    # every `> max_cluster` test as `/ 2` would.
+    max_cluster = max(inst.cap0, inst.cap1) // 2
     levels = [inst]
     while len(levels[-1].weights) > 8:
         coarser = _contract(levels[-1], rng, max_cluster)
@@ -587,25 +585,24 @@ def _solve_bisection(inst: _Instance, rng: SplitMix64) -> _Bisection | None:
     return best
 
 
-def _in_one_unit(hg: Hypergraph, k: int, imbalance: float) -> tuple[list, float | int]:
-    """Node weights and the balance cap in units of 1/u, u the largest
-    power-of-two denominator of a node weight (1 for integral ones), so
-    every load is an exact integer sum.
+def _in_one_unit(hg: Hypergraph, k: int, imbalance: float) -> tuple[list[int], int]:
+    """Node weights and the balance cap as ints in units of 1/u, u the
+    largest power-of-two denominator of a node weight (1 for integral
+    ones), so every load is an exact integer sum.
 
-    The weights stay floats while u fits a float and their total is below
-    2**53, where every sum of them is exact; a cap past the float range is
-    then inf, which every load meets, as it meets the exact cap. Otherwise
-    they are exact ints from `as_integer_ratio` and the cap is floored to an
-    int, which no int load compares differently with than with the exact cap.
+    The weights are exact, from `as_integer_ratio`. The cap is floored,
+    which no int load compares differently with than with the exact cap;
+    an infinite cap, which every load meets, becomes the total weight.
     """
     ratios = {w: w.as_integer_ratio() for w in set(hg.node_weights)}
     unit = max(d for _, d in ratios.values())
-    cap = balance_cap(hg, k, imbalance)
-    if unit < 2**1024 and math.fsum(hg.node_weights) * unit < 2**53:
-        return [w * unit for w in hg.node_weights], cap * unit  # exact: unit is a power of two
     scaled = {w: n * (unit // d) for w, (n, d) in ratios.items()}
+    weights = [scaled[w] for w in hg.node_weights]
+    cap = balance_cap(hg, k, imbalance)
+    if cap == math.inf:
+        return weights, sum(weights)
     n, d = cap.as_integer_ratio()
-    return [scaled[w] for w in hg.node_weights], n * unit // d
+    return weights, n * unit // d
 
 
 def _partition_internal(hg: Hypergraph, config: SolverConfig) -> PartitionAssignment:

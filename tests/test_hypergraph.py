@@ -85,6 +85,23 @@ class TestConstruction:
             f"node 1 has weight {weight!r}; a node weight must be finite and >= 0"
         )
 
+    # Let through, a NaN weight fails in the solver's edge-weight scaling, and
+    # negative ones give a negative km1 (labels (0, 1, 0, 1), km1 -2.0).
+    @pytest.mark.parametrize("weight", [-1.0, float("-inf"), float("nan"), float("inf")],
+                             ids=["negative", "minus-infinite", "nan", "infinite"])
+    def test_bad_hyperedge_weight_rejected(self, weight):
+        edges = (q.Hyperedge((0, 1), 1.0), q.Hyperedge((1, 2), weight))
+        with pytest.raises(ValueError) as excinfo:
+            q.Hypergraph(3, (1.0, 1.0, 2.0), edges)
+        assert str(excinfo.value) == (
+            f"hyperedge 1 has weight {weight!r}; a hyperedge weight must be finite and >= 0"
+        )
+
+    def test_negative_hyperedge_weights_rejected_before_solving(self):
+        edges = (q.Hyperedge((0, 1), -1.0), q.Hyperedge((2, 3), -1.0))
+        with pytest.raises(ValueError, match="hyperedge 0 has weight -1.0"):
+            q.Hypergraph(4, (1.0,) * 4, edges)
+
 
 class TestNormalization:
     def test_scales_to_one_million(self, hypergraph_s):
@@ -144,3 +161,8 @@ class TestSerialization:
     def test_out_of_range_member(self):
         with pytest.raises(q.HgrFormatError):
             q.read_hgr("1 2 1\n5 3\n1\n1\n")
+
+    def test_negative_edge_weight_names_the_line(self):
+        with pytest.raises(q.HgrFormatError) as excinfo:
+            q.read_hgr("2 2 1\n5 1 2\n-3 2 1\n1\n1\n")
+        assert str(excinfo.value) == "negative weight in hyperedge line '-3 2 1'"

@@ -452,9 +452,9 @@ def _reference_repair_balance(inst, side):
 
 
 def _integral_edges(draw, n, max_weight=50):
-    """Up to 3n edges of 2-6 distinct pins over n clusters, integral weights."""
+    """Up to 3n edges of 2-6 distinct pins over n clusters, int weights."""
     return [
-        (float(w), tuple(sorted(members)))
+        (w, tuple(sorted(members)))
         for w, members in draw(
             st.lists(
                 st.tuples(
@@ -469,17 +469,17 @@ def _integral_edges(draw, n, max_weight=50):
 
 @st.composite
 def bisection_starts(draw, max_edge_weight=50, equal_caps=False):
-    """A small instance with integral weights and a start that may overload a side."""
+    """A small instance with int weights and a start that may overload a side."""
     n = draw(st.integers(min_value=2, max_value=30))
-    weights = [float(w) for w in draw(st.lists(st.integers(1, 20), min_size=n, max_size=n))]
+    weights = draw(st.lists(st.integers(1, 20), min_size=n, max_size=n))
     edges = _integral_edges(draw, n, max_edge_weight)
     side = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
     loads = [sum(w for w, s in zip(weights, side) if s == t) for t in (0, 1)]
-    total = int(sum(weights))
+    total = sum(weights)
     if draw(st.booleans()):  # feasible start
         caps = [loads[t] + draw(st.integers(0, total)) for t in (0, 1)]
     else:  # caps independent of the start, usually overloading a side
-        caps = [float(draw(st.integers(0, total))) for _ in (0, 1)]
+        caps = [draw(st.integers(0, total)) for _ in (0, 1)]
     if equal_caps:  # the larger cap keeps a feasible start feasible
         caps = [max(caps)] * 2
     inst = qp._Instance(weights, edges, caps[0], caps[1])
@@ -514,8 +514,8 @@ class TestCachedGainsMatchReference:
         # Moving the four pins of edge 0 one by one from side 0 to side 1
         # meets cd = 0, 1 and cs = 2, 1; the two-pin edges meet cd = 0 with
         # cs = 2 (both pins together) and cd = 1 with cs = 1 (split pins).
-        edges = [(3.0, (0, 1, 2, 3)), (5.0, (0, 4)), (7.0, (1, 5)), (2.0, (2, 3, 4, 5))]
-        inst = qp._Instance([1.0] * 6, edges, 6.0, 6.0)
+        edges = [(3, (0, 1, 2, 3)), (5, (0, 4)), (7, (1, 5)), (2, (2, 3, 4, 5))]
+        inst = qp._Instance([1] * 6, edges, 6, 6)
         side = [0, 0, 0, 0, 0, 1]
         cache = qp._Bisection(inst, side)
         incident = _reference_incidence(inst)
@@ -556,16 +556,12 @@ FRACTIONAL_WEIGHTS = [i / 3 for i in range(1, 13)] + [1 / 0.003]
 
 
 def _in_one_unit(weights, caps):
-    """Weights and caps in units of 1/u, u the largest denominator of a
-    weight (a power of two), as `partition` hands them to the solver:
-    integral floats while their total is below 2**53 and u fits a float
-    (a cap past the float range is inf), else ints with the caps floored."""
+    """Weights and caps as ints in units of 1/u, u the largest denominator
+    of a weight (a power of two), the caps floored, as `partition` hands
+    them to the solver."""
     unit = max(Fraction(w).denominator for w in weights)
-    scaled = [int(Fraction(w) * unit) for w in weights]
-    caps = [Fraction(c) * unit for c in caps]
-    if sum(scaled) < 2**53 and unit < 2**1024:
-        return [float(w) for w in scaled], [math.inf if c >= 2**1024 else float(c) for c in caps]
-    return scaled, [math.floor(c) for c in caps]
+    return ([int(Fraction(w) * unit) for w in weights],
+            [math.floor(Fraction(c) * unit) for c in caps])
 
 
 @st.composite
@@ -642,10 +638,10 @@ class TestBisectionState:
         # on side 0), then 1 (cut 1), and keeps only its first move: its
         # fourth move replays 2 from the sides the pass started from. Pass 2
         # moves 0 and 1 and keeps neither, so the refinement ends.
-        inst = qp._Instance([1.0] * 4, [(2.0, (2, 3)), (1.0, (0, 1))], 3.0, 3.0)
+        inst = qp._Instance([1] * 4, [(2, (2, 3)), (1, (0, 1))], 3, 3)
         bis = _TracedBisection(inst, [1, 0, 1, 0])
         qp._refine(bis)
-        assert bis.side == [1, 0, 0, 0] and bis.cut == 1.0
+        assert bis.side == [1, 0, 0, 0] and bis.cut == 1
         assert bis.log == [
             ("recount",),
             ("move", 2, [1, 0, 1, 0]),
@@ -674,17 +670,31 @@ class TestBisectionState:
     def test_move_returns_the_highest_raised_gain(self, start, moves):
         inst, side = start
         bis = qp._Bisection(inst, side)
+        assert inst.below == -1 - sum(w for w, _ in inst.edges)
         for v in [m % len(side) for m in moves]:
             before = list(bis.gains)
             raised = bis.move(v)
             risen = [g for u, g in enumerate(bis.gains) if u != v and g > before[u]]
-            assert raised == max(risen, default=-math.inf)
+            assert raised == max(risen, default=inst.below)
+            assert inst.below < min(bis.gains) and max(bis.gains) < -inst.below
 
 
 # Reference multilevel bisection that runs every restart to the end, even
 # one that repeats an earlier restart's side at some level. It refines and
 # repairs with the from-scratch references above and recomputes loads and
 # cost from the sides, so it shares no bisection state with the solver.
+
+
+def _reference_greedy_initial(inst):
+    """Heaviest cluster first, the lowest index on ties, each to the side
+    with more room left under its cap, side 0 on ties."""
+    side = [0] * len(inst.weights)
+    room = [inst.cap0, inst.cap1]
+    for v in sorted(range(len(inst.weights)), key=lambda v: (-inst.weights[v], v)):
+        s = 0 if room[0] >= room[1] else 1
+        side[v] = s
+        room[s] -= inst.weights[v]
+    return side
 
 
 def _reference_solve_bisection(inst, rng):
@@ -701,7 +711,7 @@ def _reference_solve_bisection(inst, rng):
     for restart in range(qp._RESTARTS):
         coarse = levels[-1]
         if restart == 0:
-            side = qp._greedy_initial(coarse, rng)
+            side = _reference_greedy_initial(coarse)
         else:
             side = [rng.next_below(2) for _ in coarse.weights]
         if not _reference_feasible(coarse, side):
@@ -749,12 +759,12 @@ def bisection_instances(draw, fractional=False):
     if fractional:
         weights = draw(st.lists(st.sampled_from(FRACTIONAL_WEIGHTS), min_size=n, max_size=n))
     else:
-        weights = [float(w) for w in draw(st.lists(st.integers(1, 20), min_size=n, max_size=n))]
+        weights = draw(st.lists(st.integers(1, 20), min_size=n, max_size=n))
     edges = _integral_edges(draw, n)
-    total = sum(weights) if fractional else int(sum(weights))
+    total = sum(weights)
     # Caps in percent of half the total weight: below 100 nothing fits, just
     # above it random starts usually need repair.
-    caps = [float(total * draw(st.integers(90, 200)) // 200) for _ in (0, 1)]
+    caps = [total * draw(st.integers(90, 200)) // 200 for _ in (0, 1)]
     if draw(st.booleans()):
         caps[1] = caps[0]
     if fractional:
@@ -838,8 +848,8 @@ class TestPruning:
 
     def test_uncut_start_moves_nothing(self, monkeypatch):
         # Two components, each whole on its own side: the cut is already 0.
-        edges = [(4.0, (0, 1, 2)), (3.0, (1, 2)), (5.0, (3, 4, 5)), (2.0, (4, 5))]
-        inst = qp._Instance([1.0] * 6, edges, 3.0, 3.0)
+        edges = [(4, (0, 1, 2)), (3, (1, 2)), (5, (3, 4, 5)), (2, (4, 5))]
+        inst = qp._Instance([1] * 6, edges, 3, 3)
         side = [0, 0, 0, 1, 1, 1]
         moved = []
         move = qp._Bisection.move
@@ -880,13 +890,13 @@ class TestPruning:
         # Caps 10 | 13: restart 2's coarsest refined side is the mirror of
         # restart 0's, but its loads swap across unequal caps, so it runs on
         # and ends with the lowest cut.
-        weights = [3.0, 1.0, 2.0, 2.0, 2.0, 2.0, 1.0, 1.0, 3.0]
+        weights = [3, 1, 2, 2, 2, 2, 1, 1, 3]
         edges = [
-            (2.0, (2, 8)), (3.0, (2, 5)), (2.0, (4, 8)), (3.0, (0, 2)), (4.0, (2, 4)),
-            (3.0, (0, 3)), (5.0, (6, 7)), (5.0, (6, 7, 8)), (3.0, (0, 6, 7)), (1.0, (4, 7)),
-            (3.0, (0, 5, 8)), (3.0, (2, 8)), (5.0, (1, 6, 8)), (1.0, (3, 7)),
+            (2, (2, 8)), (3, (2, 5)), (2, (4, 8)), (3, (0, 2)), (4, (2, 4)),
+            (3, (0, 3)), (5, (6, 7)), (5, (6, 7, 8)), (3, (0, 6, 7)), (1, (4, 7)),
+            (3, (0, 5, 8)), (3, (2, 8)), (5, (1, 6, 8)), (1, (3, 7)),
         ]
-        inst = qp._Instance(weights, edges, 10.0, 13.0)
+        inst = qp._Instance(weights, edges, 10, 13)
         seed = 3953240531
         expected = _reference_solve_bisection(inst, SplitMix64(seed))
         log = _restart_log(monkeypatch)
@@ -977,12 +987,73 @@ class TestExactLoads:
         asg = q.partition(hg, q.SolverConfig(k=2, imbalance=0.5))
         assert q.check_balance(hg, asg, 0.5)
 
+    def test_infinite_cap_is_the_total_weight(self):
+        # (1 + 1e308) * ceil(total / k) overflows to inf, which every load meets.
+        hg = q.circuit_to_hypergraph(q.benchmark_circuit("s"))
+        weights, cap = qp._in_one_unit(hg, 3, 1e308)
+        assert qp.balance_cap(hg, 3, 1e308) == math.inf and cap == sum(weights)
+        asg = q.partition(hg, q.SolverConfig(k=3, imbalance=1e308, seed=1))
+        assert q.km1(hg, asg) == 0.0
+
     def test_scaled_weight_past_the_float_range(self):
         # 3 * 2**30 in units of 2**-1000 passes the float range; no split of
         # the two nodes meets the cap of 2.25 * 2**30.
         hg = q.Hypergraph(2, (2.0**-1000, 3.0 * 2**30), (q.Hyperedge((0, 1), 1.0),))
         with pytest.raises(q.SolverError, match="no balanced bisection"):
             q.partition(hg, q.SolverConfig(k=2, imbalance=0.5))
+
+
+@st.composite
+def odd_k_solves(draw):
+    """9-40 nodes, integral or FRACTIONAL_WEIGHTS, integral edge weights, and
+    an odd k, so the top split has k0 = k1 + 1 parts on side 0; the cap
+    (1 + imbalance) * ceil(total / k) is mostly not an integer in the
+    solver's unit."""
+    n = draw(st.integers(min_value=9, max_value=40))
+    if draw(st.booleans()):
+        weights = draw(st.lists(st.sampled_from(FRACTIONAL_WEIGHTS), min_size=n, max_size=n))
+    else:
+        weights = [float(w) for w in draw(st.lists(st.integers(1, 20), min_size=n, max_size=n))]
+    edges = tuple(q.Hyperedge(members, w) for w, members in _integral_edges(draw, n))
+    hg = q.Hypergraph(n, tuple(weights), edges)
+    k = draw(st.sampled_from([3, 5, 7]))
+    imbalance = draw(st.sampled_from([0.03, 0.05, 0.1, 0.13, 0.3]))
+    return hg, q.SolverConfig(k=k, imbalance=imbalance, seed=draw(st.integers(0, 2**32)))
+
+
+class TestUnequalCaps:
+    """Odd k gives the top split unequal side caps, each k_i times the
+    floored cap and clipped to the total weight; `_greedy_initial`'s
+    headroom choice and the rest of the top bisection match the references
+    on them."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(solve=odd_k_solves())
+    def test_top_bisection_matches_reference(self, solve):
+        hg, config = solve
+        solved = []
+        solve_bisection = qp._solve_bisection
+
+        def logged_solve_bisection(inst, rng):
+            bis = solve_bisection(inst, rng)
+            solved.append((inst, bis))
+            return bis
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(qp, "_solve_bisection", logged_solve_bisection)
+            _outcome(hg, config)
+        inst, bis = solved[0]
+
+        weights, (cap,) = _in_one_unit(
+            hg.node_weights, [Fraction(qp.balance_cap(hg, config.k, config.imbalance))])
+        k0 = (config.k + 1) // 2
+        caps = [min(parts * cap, sum(weights)) for parts in (k0, config.k - k0)]
+        assert [inst.cap0, inst.cap1] == caps
+        assert inst.weights == weights
+
+        reference = qp._Instance(weights, qp._top_edges(hg), *caps)
+        expected = _reference_solve_bisection(reference, SplitMix64(config.seed))
+        assert (bis.side if bis else None) == expected
 
 
 @st.composite
@@ -1015,14 +1086,15 @@ class TestSubProblems:
         weights, cap = qp._in_one_unit(hg, k, imbalance)
         expected_weights, expected_caps = _in_one_unit(
             hg.node_weights, [qp.balance_cap(hg, k, imbalance)])
-        assert [(type(w), w) for w in weights] == [(type(w), w) for w in expected_weights]
-        assert (type(cap), cap) == (type(expected_caps[0]), expected_caps[0])
+        assert [(type(w), w) for w in weights] == [(int, w) for w in expected_weights]
+        assert (type(cap), cap) == (int, expected_caps[0])
 
         norm = q.normalize_weights(hg)
         nodes = list(range(hg.num_nodes))
-        inst = qp._Instance(weights, qp._top_edges(hg), 0.0, 0.0)
+        inst = qp._Instance(weights, qp._top_edges(hg), 0, 0)
+        assert all(type(w) is int for w, _ in inst.edges)
         for _ in range(3):
-            expected = _reference_induce(norm, nodes, 0.0, 0.0)
+            expected = _reference_induce(norm, nodes, 0, 0)
             assert inst.weights == [weights[v] for v in nodes]
             assert inst.edges == expected.edges
             assert inst.incident == expected.incident
@@ -1034,7 +1106,7 @@ class TestSubProblems:
                 st.lists(st.integers(0, 1), min_size=len(nodes), max_size=len(nodes)),
             ))
             nodes = [v for v, t in zip(nodes, side) if t == s]
-            inst = qp._Instance(*qp._restrict(inst, side, s), 0.0, 0.0)
+            inst = qp._Instance(*qp._restrict(inst, side, s), 0, 0)
 
 
 # Reference versions of the contraction and projection that summed ratings
@@ -1122,7 +1194,7 @@ def contraction_inputs(draw):
     shuffled cluster order that share at most their end pins, so most
     clusters have one incident edge."""
     n = draw(st.integers(min_value=2, max_value=30))
-    weights = [float(w) for w in draw(st.lists(st.integers(1, 20), min_size=n, max_size=n))]
+    weights = draw(st.lists(st.integers(1, 20), min_size=n, max_size=n))
     if draw(st.booleans()):
         edges = _integral_edges(draw, n)
     else:
@@ -1130,11 +1202,11 @@ def contraction_inputs(draw):
         edges, start = [], 0
         while start < n - 1:
             end = min(n, start + draw(st.integers(2, 6)))
-            edges.append((float(draw(st.integers(1, 50))), tuple(sorted(order[start:end]))))
+            edges.append((draw(st.integers(1, 50)), tuple(sorted(order[start:end]))))
             start = end - draw(st.integers(0, 1))  # 1: the next run shares this end pin
     total = sum(weights)
     inst = qp._Instance(weights, edges, total, total)
-    max_cluster = float(draw(st.integers(0, 45)))
+    max_cluster = draw(st.integers(0, 45))
     return inst, max_cluster, draw(st.integers(0, 2**64 - 1))
 
 

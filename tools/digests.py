@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
 """Digest the benchmark's outputs, for this checkout or against a parent.
 
-    python3 tools/digests.py [--parent REV] [--workload NAME ...] [--seed S] [--size full|tiny]
+    python3 tools/digests.py [--parent REV] [--workload NAME ...] [--seed S ...] [--size full|tiny]
 
-For each workload (all of them by default) it builds the benchmark's own
-instances for seed S (default 7), runs each once through
-`perfbench/workloads.run_instance`, as a benchmark run does, and prints one
-line: the instance count, how many raised SolverError, and the SHA-256 over
+For each seed S (default 7; `--seed` may be given more than once) and each
+workload (all of them by default) it builds the benchmark's own instances
+for S, runs each once through `perfbench/workloads.run_instance`, as a
+benchmark run does, and prints one line: the workload and seed, the
+instance count, how many raised SolverError, and the SHA-256 over
 the instances' `perfbench/checks.digest` values, which hash every label,
 part, DAG edge and report figure. Full size takes the first 810 paper-grid
 instances (the ones every benchmark run completes) and every synth-solve
@@ -43,8 +44,8 @@ def combine(digests: list[str]) -> str:
     return hashlib.sha256("\n".join(digests).encode()).hexdigest()
 
 
-def line(workload: str, instances: int, errors: int, sha: str) -> str:
-    return f"{workload}: {instances} instances, {errors} SolverError, sha256 {sha}"
+def line(workload: str, seed: int, instances: int, errors: int, sha: str) -> str:
+    return f"{workload} seed {seed}: {instances} instances, {errors} SolverError, sha256 {sha}"
 
 
 def compare(parent: list[str], change: list[str]) -> tuple[list[str], bool]:
@@ -61,8 +62,8 @@ def compare(parent: list[str], change: list[str]) -> tuple[list[str], bool]:
     return out, same
 
 
-def measure(root: Path, workloads: list[str], seed: int, size: str) -> list[str]:
-    """One line per workload, from root's src/ and perfbench/, in this process."""
+def measure(root: Path, workloads: list[str], seeds: list[int], size: str) -> list[str]:
+    """One line per seed and workload, from root's src/ and perfbench/, in this process."""
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     q = importlib.import_module("qcpart")
     if Path(q.__file__).resolve().parent != (root / "src" / "qcpart").resolve():
@@ -71,22 +72,25 @@ def measure(root: Path, workloads: list[str], seed: int, size: str) -> list[str]
     bench = importlib.import_module("workloads")
     solver = str(root / "perfbench" / "standin_solver.py")
     lines = []
-    for name in workloads:
-        instances = bench.WORKLOADS[name].build(q, q.SplitMix64(seed), size)
-        if size == "full":
-            instances = instances[:FULL_COUNT.get(name)]
-        digests, errors = [], 0
-        for inst in instances:
-            outcome = bench.run_instance(q, inst, solver)
-            errors += outcome.error is not None and not outcome.unexpected
-            digests.append(checks.digest(outcome))
-        lines.append(line(name, len(instances), errors, combine(digests)))
+    for seed in seeds:
+        for name in workloads:
+            instances = bench.WORKLOADS[name].build(q, q.SplitMix64(seed), size)
+            if size == "full":
+                instances = instances[:FULL_COUNT.get(name)]
+            digests, errors = [], 0
+            for inst in instances:
+                outcome = bench.run_instance(q, inst, solver)
+                errors += outcome.error is not None and not outcome.unexpected
+                digests.append(checks.digest(outcome))
+            lines.append(line(name, seed, len(instances), errors, combine(digests)))
     return lines
 
 
-def run_side(root: Path, workloads: list[str], seed: int, size: str) -> list[str]:
+def run_side(root: Path, workloads: list[str], seeds: list[int], size: str) -> list[str]:
     """`measure` for root, in a subprocess of its own; its output lines."""
-    cmd = [sys.executable, __file__, "--root", str(root), "--seed", str(seed), "--size", size]
+    cmd = [sys.executable, __file__, "--root", str(root), "--size", size]
+    for seed in seeds:
+        cmd += ["--seed", str(seed)]
     for name in workloads:
         cmd += ["--workload", name]
     proc = subprocess.run(cmd, capture_output=True, text=True)
@@ -99,23 +103,24 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", help="the revision to compare against")
     parser.add_argument("--workload", action="append", choices=WORKLOADS)
-    parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--seed", type=int, action="append", help="default: 7")
     parser.add_argument("--size", choices=("full", "tiny"), default="full")
     parser.add_argument("--root", type=Path, default=REPO,
                         help="the checkout whose src/ and perfbench/ run (default: this one)")
     args = parser.parse_args(argv)
     workloads = args.workload or WORKLOADS
+    seeds = args.seed or [7]
 
     if args.parent is None:
-        print("\n".join(measure(args.root, workloads, args.seed, args.size)))
+        print("\n".join(measure(args.root, workloads, seeds, args.size)))
         return 0
     with tempfile.TemporaryDirectory(prefix="digests-") as tmp:
         parent_root = Path(tmp) / "parent"
         commit = export(args.parent, parent_root)
-        parent = run_side(parent_root, workloads, args.seed, args.size)
-        change = run_side(args.root, workloads, args.seed, args.size)
+        parent = run_side(parent_root, workloads, seeds, args.size)
+        change = run_side(args.root, workloads, seeds, args.size)
     lines, same = compare(parent, change)
-    print(f"parent {commit}, seed {args.seed}, size {args.size}")
+    print(f"parent {commit}, seed {', '.join(map(str, seeds))}, size {args.size}")
     print("\n".join(lines))
     return 0 if same else 1
 
