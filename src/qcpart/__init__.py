@@ -2,8 +2,8 @@
 
 The pipeline converts a circuit into a weighted hypergraph (one node per
 gate, gate-level and temporal hyperedges), partitions it under the km1
-objective with a balance constraint, trims each part to a local-indexed
-subcircuit, optionally merges heavily entangled parts, and derives an
+objective with a balance constraint, trims each part to its gates and a
+local qubit map, optionally merges heavily entangled parts, and derives an
 execution-order DAG. Metrics compare the result against a block-based
 baseline on qubit cuts, SWAP overhead, fidelity and depth.
 """

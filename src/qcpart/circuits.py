@@ -6,6 +6,7 @@ significant everywhere in the pipeline; all types are immutable.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 
@@ -137,13 +138,24 @@ def depth(circuit: Circuit) -> int:
     A gate is scheduled one layer after the most recent prior gate sharing
     any of its qubits. Empty circuit has depth 0.
     """
-    last_layer = [0] * circuit.num_qubits
+    return gate_depth(circuit.gates, range(circuit.num_qubits))
+
+
+def gate_depth(gates: Iterable[Gate], qubits: Iterable[int]) -> int:
+    """``depth`` of gates over ``qubits``, which hold every qubit they act on;
+    re-indexing the qubits one to one keeps it."""
+    last_layer = dict.fromkeys(qubits, 0)
     result = 0
-    for g in circuit.gates:
-        layer = 1 + max(last_layer[q] for q in g.qubits)
+    for g in gates:
+        layer = 0
+        for q in g.qubits:
+            if last_layer[q] > layer:
+                layer = last_layer[q]
+        layer += 1
         for q in g.qubits:
             last_layer[q] = layer
-        result = max(result, layer)
+        if layer > result:
+            result = layer
     return result
 
 

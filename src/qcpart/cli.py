@@ -44,14 +44,13 @@ def _emit(text: str, out_path: str | None) -> None:
 def _format_partitions(parts: list[Partition]) -> str:
     lines = []
     for idx, part in enumerate(parts):
-        inv = part.inverse_map
         lines.append(f"Partition {idx}:")
         lines.append(f"- Qubit Map: {dict(sorted(part.qubit_map.items()))}")
-        lines.append(f"- Number of Gates: {len(part.subcircuit.gates)}")
+        lines.append(f"- Number of Gates: {len(part.gates)}")
         lines.append("- Gates:")
-        for n, gate in enumerate(part.subcircuit.gates, start=1):
-            local = ", ".join(str(q) for q in gate.qubits)
-            global_ = ", ".join(str(inv[q]) for q in gate.qubits)
+        for n, gate in enumerate(part.gates, start=1):
+            local = ", ".join(str(part.qubit_map[q]) for q in gate.qubits)
+            global_ = ", ".join(str(q) for q in gate.qubits)
             lines.append(f"  {n}. {gate.kind.name}@(local: {local}; global: {global_})")
         lines.append("")
     return "\n".join(lines)

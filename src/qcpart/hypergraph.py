@@ -19,6 +19,7 @@ singletons included.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -56,15 +57,22 @@ class Hyperedge:
 
 
 def _check_weights(weights, what: str) -> None:
-    """Raise ValueError naming the first weight that is negative, NaN or
-    infinite. min and sum run in C; only when they fail is the weight looked
-    for (a sum of finite weights that overflows finds none and passes)."""
-    if not (min(weights, default=0) >= 0 and math.isfinite(sum(weights))):
+    """Raise ValueError naming the first weight that is negative, NaN,
+    infinite or an int past the float range. min and sum run in C; only when
+    they fail is the weight looked for (a sum of finite weights that
+    overflows finds none and passes)."""
+    try:
+        ok = min(weights, default=0) >= 0 and math.isfinite(sum(weights))
+    except OverflowError:  # an int past the float range
+        ok = False
+    if not ok:
         for i, w in enumerate(weights):
             if not 0 <= w < math.inf:  # False for NaN too
                 raise ValueError(
                     f"{what} {i} has weight {w!r}; a {what} weight must be finite and >= 0"
                 )
+            if w > sys.float_info.max:
+                raise ValueError(f"{what} {i} has a weight past the float range")
 
 
 @dataclass(frozen=True)
@@ -157,8 +165,15 @@ def circuit_to_hypergraph(circuit: Circuit, model: ErrorModel | None = None) -> 
 
 
 def scaled_edge_weight(weight: float, max_weight: float) -> int:
-    """weight * 1e6 / max_weight, rounded, floored at 1; max_weight > 0."""
-    return max(1, round(weight * 1e6 / max_weight))
+    """weight * 1e6 / max_weight, rounded, floored at 1; max_weight > 0.
+
+    Where the product overflows (weight above about 1.8e302), both weights
+    are first scaled by 2**-64, which is exact, so the result is the value
+    the formula gives without overflow."""
+    scaled = weight * 1e6
+    if scaled == math.inf:
+        return scaled_edge_weight(math.ldexp(weight, -64), math.ldexp(max_weight, -64))
+    return max(1, round(scaled / max_weight))
 
 
 def normalize_weights(hg: Hypergraph) -> Hypergraph:

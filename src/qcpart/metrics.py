@@ -17,8 +17,8 @@ raw 64-bit draws with an integer threshold that decides exactly as the
 float test ``draw / 2**64 < 0.6``, and reads those decisions from
 ``SplitMix64.draws_below``, which computes them a block at a time; the
 stream belongs to the call, so drawing up to one block ahead changes no
-output. Gate validation counts plain (kind name, arity, global qubits) keys
-and builds no ``Gate`` objects.
+output. Counts, depth and gate validation read each partition's global
+gates, whose (kind name, arity, global qubits) keys validation counts.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from collections import Counter, defaultdict
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
-from .circuits import CCX, CNOT, H, SWAP, Circuit, ErrorModel, GateKind, depth
+from .circuits import CCX, CNOT, H, SWAP, Circuit, ErrorModel, GateKind, gate_depth
 from .pipeline import Partition, _qubit_holders, overlapping_pairs
 from .rng import SplitMix64
 
@@ -196,12 +196,12 @@ def total_fidelity(per_partition: Sequence[float]) -> float:
 def partition_metrics(
     part: Partition, swap_attributed: int, model: ErrorModel | None = None
 ) -> PartitionMetrics:
-    kinds = Counter(g.kind for g in part.subcircuit.gates)
+    kinds = Counter(g.kind for g in part.gates)
     h_count = kinds.pop(H, 0)
     cnot_count = kinds.pop(CNOT, 0)
     return PartitionMetrics(
-        gate_count=len(part.subcircuit.gates),
-        depth=depth(part.subcircuit),
+        gate_count=len(part.gates),
+        depth=gate_depth(part.gates, part.qubit_map),
         h_count=h_count,
         cnot_count=cnot_count,
         swap_attributed=swap_attributed,
@@ -218,14 +218,9 @@ def validate_gate_counts(original: Circuit, parts: Sequence[Partition]) -> bool:
     """
     swap = (SWAP.name, SWAP.arity)
     expected = Counter((g.kind.name, g.kind.arity, g.qubits) for g in original.gates)
-    partitioned = Counter()
-    for p in parts:
-        # sorted-contiguous maps: the local index is the position in sorted globals
-        to_global = sorted(p.qubit_map)
-        partitioned.update(
-            (g.kind.name, g.kind.arity, tuple([to_global[x] for x in g.qubits]))
-            for g in p.subcircuit.gates
-        )
+    partitioned = Counter(
+        (g.kind.name, g.kind.arity, g.qubits) for p in parts for g in p.gates
+    )
     for counts in (expected, partitioned):
         for key in [key for key in counts if key[:2] == swap]:
             del counts[key]

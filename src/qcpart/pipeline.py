@@ -1,5 +1,8 @@
 """Labeled circuit -> trimmed partitions -> optional merge -> dependency DAG.
 
+A partition holds the source circuit's own ``Gate`` objects and a qubit
+map; trimming, re-mapping and merging regroup gates and copy none.
+
 Work over many partitions goes through a qubit -> holders index (the
 ascending indices of the partitions whose qubit maps hold each global
 qubit), so nothing scans every partition pair:
@@ -9,9 +12,8 @@ qubit), so nothing scans every partition pair:
   every later one in a single ``Counter`` over the later holders of its
   qubits, O(sum over qubits of holders^2) instead of O(P^2) set
   intersections, and picks its partner in one loop over those counts;
-- merged partitions are built once, after the last pass: each member's
-  local gates map straight to the merged contiguous map, one ``Gate`` per
-  gate;
+- merged partitions are built once, after the last pass, from their
+  members' gates in order;
 - ``overlapping_pairs`` yields every intersecting pair with its shared
   qubits at a cost that grows with the number of shared (pair, qubit)
   entries, not with P^2. The dependency DAG and, in ``metrics``, the
@@ -38,34 +40,30 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class Partition:
-    """A trimmed subcircuit plus its {global qubit -> local index} map.
-
-    Locals are always the sorted-contiguous re-mapping of the active
-    globals: sorting the globals ascending yields locals 0, 1, 2, ...
+    """Global-indexed gates, in circuit order, plus a {global qubit -> local
+    index} map that holds every gate qubit. Locals are the sorted-contiguous
+    re-mapping of the map's globals: sorted ascending, they get 0, 1, 2, ...
     """
 
-    subcircuit: Circuit
+    gates: tuple[Gate, ...]
     qubit_map: Mapping[int, int]
 
     def __post_init__(self):
+        object.__setattr__(self, "gates", tuple(self.gates))
         object.__setattr__(self, "qubit_map", dict(self.qubit_map))
         locals_ = [self.qubit_map[g] for g in sorted(self.qubit_map)]
         if locals_ != list(range(len(locals_))):
             raise ValueError(f"qubit map is not sorted-contiguous: {self.qubit_map}")
-        if self.subcircuit.num_qubits != len(self.qubit_map):
-            raise ValueError("subcircuit qubit count does not match qubit map size")
+        for g in self.gates:
+            for q in g.qubits:
+                if q not in self.qubit_map:
+                    raise ValueError(f"gate qubit {q} is not in the qubit map {self.qubit_map}")
 
     @property
-    def inverse_map(self) -> dict[int, int]:
-        return {local: glob for glob, local in self.qubit_map.items()}
-
-    def global_gates(self) -> list[Gate]:
-        """The partition's gates translated back to global qubit indices."""
-        inv = self.inverse_map
-        return [
-            Gate(g.kind, tuple(inv[q] for q in g.qubits))
-            for g in self.subcircuit.gates
-        ]
+    def subcircuit(self) -> Circuit:
+        """The gates on local qubit indices, built anew on each read."""
+        m = self.qubit_map
+        return Circuit(len(m), [Gate(g.kind, tuple([m[q] for q in g.qubits])) for g in self.gates])
 
 
 @dataclass(frozen=True)
@@ -87,15 +85,11 @@ class DependencyDag:
         return len(self.edges)
 
 
-def _contiguous_map(active_globals: set[int]) -> dict[int, int]:
-    return {g: i for i, g in enumerate(sorted(active_globals))}
-
-
 def partition_from_global_gates(gates: Sequence[Gate]) -> Partition:
-    """Build a Partition (map + local-indexed subcircuit) from global-indexed gates."""
-    qubit_map = _contiguous_map(set(chain.from_iterable([g.qubits for g in gates])))
-    local_gates = [Gate(g.kind, tuple([qubit_map[q] for q in g.qubits])) for g in gates]
-    return Partition(Circuit(len(qubit_map), local_gates), qubit_map)
+    """A Partition holding these global-indexed gates over the contiguous map
+    of the qubits they act on."""
+    active = sorted({q for g in gates for q in g.qubits})
+    return Partition(gates, {g: i for i, g in enumerate(active)})
 
 
 def create_trimmed_partitions(
@@ -192,32 +186,10 @@ def merge_partitions(parts: Sequence[Partition], threshold: int) -> list[Partiti
                 next_qubits.append(qubits[i])
         members, qubits = next_members, next_qubits
     return [
-        parts[group[0]] if len(group) == 1 else _merged([parts[idx] for idx in group])
+        parts[group[0]] if len(group) == 1
+        else partition_from_global_gates([g for idx in group for g in parts[idx].gates])
         for group in members
     ]
-
-
-def _merged(members: Sequence[Partition]) -> Partition:
-    """One partition holding the members' gates in order, over the contiguous
-    map of the global qubits those gates act on.
-
-    Each member's local gates map straight to the merged locals through its
-    sorted globals (its maps are sorted-contiguous), one ``Gate`` per gate.
-    """
-    to_globals = [sorted(p.qubit_map) for p in members]
-    active: set[int] = set()
-    for p, to_global in zip(members, to_globals):
-        used = set(chain.from_iterable([g.qubits for g in p.subcircuit.gates]))
-        active.update(to_global[x] for x in used)
-    qubit_map = _contiguous_map(active)
-    local_gates = []
-    for p, to_global in zip(members, to_globals):
-        # None for a map qubit that none of the member's gates uses
-        to_merged = [qubit_map.get(glob) for glob in to_global]
-        local_gates.extend(
-            Gate(g.kind, tuple([to_merged[x] for x in g.qubits])) for g in p.subcircuit.gates
-        )
-    return Partition(Circuit(len(qubit_map), local_gates), qubit_map)
 
 
 @dataclass(frozen=True)

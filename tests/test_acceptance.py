@@ -75,7 +75,7 @@ def test_criterion_5_trimming(circuit_s, reference_partitions):
     ok = ok and len(p0.subcircuit.gates) == 11 and len(p1.subcircuit.gates) == 11
     expected0 = [g for g, l in zip(circuit_s.gates, REFERENCE_LABELS) if l == 0]
     expected1 = [g for g, l in zip(circuit_s.gates, REFERENCE_LABELS) if l == 1]
-    ok = ok and p0.global_gates() == expected0 and p1.global_gates() == expected1
+    ok = ok and list(p0.gates) == expected0 and list(p1.gates) == expected1
     verdict(5, ok)
 
 

@@ -4,12 +4,15 @@ against references.
 Golden SHA-256 digests pin the outputs of the earlier quadratic versions on
 SplitMix64 circuits with many small parts; the from-scratch quadratic
 versions are kept below as references for the Hypothesis tests, which
-require identical results on random small inputs.
+require identical results on random small inputs. The references hold a
+partition as the eager code built it: a local-indexed subcircuit of new
+``Gate`` objects plus its qubit map.
 """
 
 import hashlib
 from collections import Counter
-from itertools import islice
+from itertools import chain, islice
+from typing import NamedTuple
 
 import pytest
 from hypothesis import example, given, settings
@@ -53,14 +56,40 @@ def reference_block_partition(circuit, config):
     return [block["gates"] for block in blocks]
 
 
+class RefPart(NamedTuple):
+    """A partition as the eager code held it."""
+
+    subcircuit: q.Circuit
+    qubit_map: dict
+
+
+def _reference_partition(gates, idle=()):
+    """The eager build from global gates: the contiguous map of the qubits
+    the gates act on (and of ``idle`` ones), and one local ``Gate`` per gate."""
+    active = set(chain.from_iterable([g.qubits for g in gates])) | set(idle)
+    qubit_map = {g: i for i, g in enumerate(sorted(active))}
+    local_gates = [q.Gate(g.kind, tuple([qubit_map[x] for x in g.qubits])) for g in gates]
+    return RefPart(q.Circuit(len(qubit_map), local_gates), qubit_map)
+
+
+def _reference_global_gates(part):
+    """A partition's local gates translated back to global qubit indices."""
+    inv = {local: glob for glob, local in part.qubit_map.items()}
+    return [q.Gate(g.kind, tuple(inv[x] for x in g.qubits)) for g in part.subcircuit.gates]
+
+
 def reference_trim(circuit, labels):
     label_seq = tuple(labels)
     return [
-        q.partition_from_global_gates(
+        _reference_partition(
             [g for g, label in zip(circuit.gates, label_seq) if label == part_id]
         )
         for part_id in sorted(set(label_seq))
     ]
+
+
+def reference_remap(circuit, groups):
+    return [_reference_partition([circuit.gates[idx] for idx in group]) for group in groups]
 
 
 def reference_merge(parts, threshold):
@@ -83,8 +112,8 @@ def reference_merge(parts, threshold):
                     best_j = j
             if best_j >= 0:
                 next_round.append(
-                    q.partition_from_global_gates(
-                        p1.global_gates() + current[best_j].global_gates()
+                    _reference_partition(
+                        _reference_global_gates(p1) + _reference_global_gates(current[best_j])
                     )
                 )
                 consumed.add(i)
@@ -139,7 +168,7 @@ def reference_validate_gate_counts(original, parts):
 
     partitioned = Counter()
     for p in parts:
-        partitioned.update(core(p.global_gates()))
+        partitioned.update(core(_reference_global_gates(p)))
     return core(original.gates) == partitioned
 
 
@@ -380,11 +409,98 @@ def test_merge_drops_map_qubits_no_gate_uses():
     """A merged part's map holds the qubits its gates act on, as the
     reference's rebuild from global gates does, even where a member's map
     holds a qubit none of its gates uses."""
-    idle = q.Partition(q.Circuit(3, (q.cnot(0, 2),)), {1: 0, 4: 1, 6: 2})
+    idle = q.Partition((q.cnot(1, 6),), {1: 0, 4: 1, 6: 2})
     parts = [idle, q.partition_from_global_gates([q.h(1), q.cnot(6, 2)])]
     merged = q.merge_partitions(parts, 1)
     assert parts_key(merged) == parts_key(reference_merge(parts, 1))
     assert merged[0].qubit_map == {1: 0, 2: 1, 6: 2}
+
+
+def _reference_depth(circuit):
+    """Longest chain of gates that each share a qubit with the one before."""
+    layers = []
+    for n, g in enumerate(circuit.gates):
+        earlier = [layers[m] for m in range(n) if set(circuit.gates[m].qubits) & set(g.qubits)]
+        layers.append(1 + max(earlier, default=0))
+    return max(layers, default=0)
+
+
+def reference_partition_metrics(part, swap_attributed):
+    """Per-partition counts, depth and fidelity read from the subcircuit."""
+    kinds = Counter(g.kind for g in part.subcircuit.gates)
+    h_count = kinds.pop(q.H, 0)
+    cnot_count = kinds.pop(q.CNOT, 0)
+    return q.PartitionMetrics(
+        gate_count=len(part.subcircuit.gates),
+        depth=_reference_depth(part.subcircuit),
+        h_count=h_count,
+        cnot_count=cnot_count,
+        swap_attributed=swap_attributed,
+        fidelity=q.fidelity(h_count, cnot_count, swap_attributed, kinds),
+    )
+
+
+def _with_idle(part, idle):
+    """The partition over the contiguous map of its own and ``idle`` qubits."""
+    widened = sorted(set(part.qubit_map) | set(idle))
+    return q.Partition(part.gates, {g: i for i, g in enumerate(widened)})
+
+
+@PROPERTY_SETTINGS
+@given(
+    case=labelled_circuits(),
+    block_size=st.integers(min_value=3, max_value=5),
+    threshold=st.integers(min_value=1, max_value=4),
+    idle=st.lists(st.integers(min_value=0, max_value=11), max_size=3),
+    swaps=st.integers(min_value=0, max_value=5),
+)
+def test_partitions_match_eager_reference(case, block_size, threshold, idle, swaps):
+    """Trimmed, remapped and merged parts read as the eager ones: the same
+    subcircuit and map, and the same metrics and validation, also over maps
+    widened by qubits no gate uses."""
+    circuit, labels = case
+    groups = q.block_partition(circuit, q.BaselineConfig(block_size))
+    trimmed = q.create_trimmed_partitions(circuit, labels)
+    ref_trimmed = reference_trim(circuit, labels)
+    for parts, refs in (
+        (trimmed, ref_trimmed),
+        (q.remap_groups(circuit, groups), reference_remap(circuit, groups)),
+        (q.merge_partitions(trimmed, threshold), reference_merge(ref_trimmed, threshold)),
+    ):
+        widened = [_with_idle(p, idle) for p in parts]
+        ref_widened = [_reference_partition(_reference_global_gates(r), idle) for r in refs]
+        for ps, rs in ((parts, refs), (widened, ref_widened)):
+            assert len(ps) == len(rs)
+            for p, r in zip(ps, rs):
+                assert p.subcircuit == r.subcircuit
+                assert p.qubit_map == r.qubit_map
+                assert q.partition_metrics(p, swaps) == reference_partition_metrics(r, swaps)
+            for drop in (0, 1):  # all parts, then all but the first
+                expected = reference_validate_gate_counts(circuit, rs[drop:])
+                assert q.validate_gate_counts(circuit, ps[drop:]) is expected
+
+
+@PROPERTY_SETTINGS
+@given(
+    case=labelled_circuits(),
+    block_size=st.integers(min_value=3, max_value=5),
+    threshold=st.integers(min_value=1, max_value=4),
+)
+def test_partitions_share_the_circuits_gates(case, block_size, threshold):
+    """Every gate of a trimmed, remapped or merged part is the circuit's own
+    ``Gate`` object, and each circuit gate is in exactly one part."""
+    circuit, labels = case
+    own = sorted(map(id, circuit.gates))
+    trimmed = q.create_trimmed_partitions(circuit, labels)
+    for part, part_id in zip(trimmed, sorted(set(labels))):
+        at = [g for g, label in zip(circuit.gates, labels) if label == part_id]
+        assert len(part.gates) == len(at) and all(a is b for a, b in zip(part.gates, at))
+    groups = q.block_partition(circuit, q.BaselineConfig(block_size))
+    for part, group in zip(q.remap_groups(circuit, groups), groups):
+        assert len(part.gates) == len(group)
+        assert all(g is circuit.gates[idx] for g, idx in zip(part.gates, group))
+    merged = q.merge_partitions(trimmed, threshold)
+    assert sorted(id(g) for p in merged for g in p.gates) == own
 
 
 @PROPERTY_SETTINGS
@@ -542,21 +658,19 @@ CORRUPTIONS = ("none", "drop", "copy", "move", "retype", "swap")
 
 def _corrupt(parts, circuit, how, data):
     """(corrupted parts, the validation result they must give)."""
-    gated = [i for i, p in enumerate(parts) if p.subcircuit.gates]
+    gated = [i for i, p in enumerate(parts) if p.gates]
     if how == "none" or not gated:
         return list(parts), True
     i = data.draw(st.sampled_from(gated))
     part = parts[i]
-    gates = part.global_gates()
+    gates = list(part.gates)
     pos = data.draw(st.integers(min_value=0, max_value=len(gates) - 1))
     if how == "drop":  # the map keeps the dropped gate's qubits
-        local = list(part.subcircuit.gates)
-        del local[pos]
-        dropped = q.Partition(q.Circuit(part.subcircuit.num_qubits, local), part.qubit_map)
+        dropped = q.Partition(gates[:pos] + gates[pos + 1 :], part.qubit_map)
         return parts[:i] + [dropped] + list(parts[i + 1 :]), False
     if how == "copy":
         j = data.draw(st.integers(min_value=0, max_value=len(parts)).filter(lambda j: j != i))
-        target = parts[j].global_gates() if j < len(parts) else []
+        target = list(parts[j].gates) if j < len(parts) else []
         return _rebuilt(parts, j, target + [gates[pos]]), False
     if how == "move":
         gate = gates[pos]
@@ -620,7 +734,7 @@ def test_validate_gate_counts_compares_custom_kinds_by_value(case):
     assert reference_validate_gate_counts(original, parts) is True
     # a kind of the same name at another arity is another kind
     for i, part in enumerate(parts):
-        gates = part.global_gates()
+        gates = list(part.gates)
         for n, g in enumerate(gates):
             if g.kind == other:
                 gates[n] = q.Gate(q.GateKind("U3", 2), g.qubits[:2])

@@ -1,4 +1,9 @@
+import math
+import sys
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qcpart as q
 from qcpart.hypergraph import (
@@ -6,6 +11,7 @@ from qcpart.hypergraph import (
     TEMPORAL,
     gate_level_edge_weight,
     node_weight,
+    scaled_edge_weight,
     temporal_edge_weight,
 )
 
@@ -102,6 +108,23 @@ class TestConstruction:
         with pytest.raises(ValueError, match="hyperedge 0 has weight -1.0"):
             q.Hypergraph(4, (1.0,) * 4, edges)
 
+    # An int past the float range overflows the C-speed sum check itself.
+    def test_int_node_weight_past_the_float_range_rejected(self):
+        with pytest.raises(ValueError, match="node 0 has a weight past the float range"):
+            q.Hypergraph(1, (10**400,), ())
+        with pytest.raises(ValueError, match="node 1 has a weight past the float range"):
+            q.Hypergraph(2, (1.0, 10**400), ())
+
+    def test_int_hyperedge_weight_past_the_float_range_rejected(self):
+        edges = (q.Hyperedge((0, 1), 2), q.Hyperedge((0, 1), 10**400))
+        with pytest.raises(ValueError, match="hyperedge 1 has a weight past the float range"):
+            q.Hypergraph(2, (1.0, 1.0), edges)
+
+    def test_largest_float_weights_accepted(self):
+        top = int(sys.float_info.max)
+        hg = q.Hypergraph(2, (top, top), (q.Hyperedge((0, 1), top),))
+        assert hg.node_weights == (top, top)
+
 
 class TestNormalization:
     def test_scales_to_one_million(self, hypergraph_s):
@@ -125,6 +148,45 @@ class TestNormalization:
         )
         norm = q.normalize_weights(hg)
         assert norm.hyperedges[1].weight == 1.0
+
+    # weight * 1e6 overflows to inf for a weight above about 1.8e302.
+    @pytest.mark.parametrize("weight", [1e305, 1.7e308])
+    def test_weight_whose_product_overflows(self, weight):
+        hg = q.Hypergraph(2, (1.0, 1.0), (q.Hyperedge((0, 1), weight),))
+        assert q.normalize_weights(hg).hyperedges[0].weight == 1_000_000
+        asg = q.partition(hg, q.SolverConfig(k=2, imbalance=0.05, seed=1))
+        assert sorted(asg.labels) == [0, 1]
+
+    def test_overflowing_and_finite_products_side_by_side(self):
+        edges = (q.Hyperedge((0, 1), 1e305), q.Hyperedge((0, 1), 1.7e308))
+        norm = q.normalize_weights(q.Hypergraph(2, (1.0, 1.0), edges))
+        assert [e.weight for e in norm.hyperedges] == [588.0, 1_000_000.0]  # 1e311 / 1.7e308
+
+
+_FINITE = st.floats(min_value=0.0, max_value=sys.float_info.max, allow_nan=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(weight=_FINITE, max_weight=_FINITE)
+def test_finite_products_scale_as_the_plain_formula(weight, max_weight):
+    weight, max_weight = sorted((weight, max_weight))
+    if max_weight == 0 or math.isinf(weight * 1e6):
+        return
+    assert scaled_edge_weight(weight, max_weight) == max(1, round(weight * 1e6 / max_weight))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    weight=st.floats(min_value=sys.float_info.max / 1e6, max_value=sys.float_info.max),
+    max_weight=st.floats(min_value=sys.float_info.max / 1e6, max_value=sys.float_info.max),
+)
+def test_overflowing_products_scale_as_without_overflow(weight, max_weight):
+    """Halving both weights 600 times is exact and brings the product in
+    range, so the plain formula there gives the value without overflow."""
+    weight, max_weight = sorted((weight, max_weight))
+    small, small_max = math.ldexp(weight, -600), math.ldexp(max_weight, -600)
+    expected = max(1, round(small * 1e6 / small_max))
+    assert scaled_edge_weight(weight, max_weight) == expected
 
 
 class TestSerialization:

@@ -83,11 +83,8 @@ class TestSwapEstimation:
         # One partition holds global qubit 5 at local 0; five others hold it
         # at local 1: five misalignments of the same qubit, in pair order
         # (0,1), (0,2), ..., (0,5).
-        first = q.Partition(q.Circuit(1, (q.h(0),)), {5: 0})
-        others = [
-            q.Partition(q.Circuit(2, (q.cnot(0, 1),)), {0: 0, 5: 1})
-            for _ in range(5)
-        ]
+        first = q.Partition((q.h(5),), {5: 0})
+        others = [q.Partition((q.cnot(0, 5),), {0: 0, 5: 1}) for _ in range(5)]
         return [first] + others
 
     def test_waiver_applies_after_three_misalignments(self):

@@ -7,21 +7,24 @@ import qcpart as q
 
 class TestPartitionDataclass:
     def test_map_must_be_sorted_contiguous(self):
-        sub = q.Circuit(2, (q.cnot(0, 1),))
-        with pytest.raises(ValueError):
-            q.Partition(sub, {0: 1, 5: 0})
-        q.Partition(sub, {0: 0, 5: 1})  # ok
+        gates = (q.cnot(0, 5),)
+        with pytest.raises(ValueError, match="not sorted-contiguous"):
+            q.Partition(gates, {0: 1, 5: 0})
+        q.Partition(gates, {0: 0, 5: 1})  # ok
 
-    def test_map_size_must_match_subcircuit(self):
-        sub = q.Circuit(2, (q.cnot(0, 1),))
-        with pytest.raises(ValueError):
-            q.Partition(sub, {0: 0, 3: 1, 5: 2})
+    def test_map_must_hold_every_gate_qubit(self):
+        gates = (q.cnot(0, 5), q.h(3))
+        with pytest.raises(ValueError, match="gate qubit 3 is not in the qubit map"):
+            q.Partition(gates, {0: 0, 5: 1})
+        q.Partition(gates, {0: 0, 3: 1, 5: 2, 7: 3})  # ok: qubit 7 idles
 
-    def test_global_gates_round_trip(self):
-        p = q.partition_from_global_gates([q.cnot(4, 2), q.h(7)])
+    def test_subcircuit_is_the_local_view(self):
+        gates = [q.cnot(4, 2), q.h(7)]
+        p = q.partition_from_global_gates(gates)
         assert p.qubit_map == {2: 0, 4: 1, 7: 2}
-        assert p.subcircuit.gates == (q.cnot(1, 0), q.h(2))
-        assert p.global_gates() == [q.cnot(4, 2), q.h(7)]
+        assert p.subcircuit == q.Circuit(3, (q.cnot(1, 0), q.h(2)))
+        assert p.gates == tuple(gates)
+        assert all(a is b for a, b in zip(p.gates, gates))
 
 
 class TestTrimming:
@@ -29,8 +32,8 @@ class TestTrimming:
         p0, p1 = reference_partitions
         assert p0.qubit_map == {0: 0, 1: 1, 2: 2, 3: 3}
         assert p1.qubit_map == {0: 0, 1: 1, 4: 2, 5: 3}
-        assert len(p0.subcircuit.gates) == 11
-        assert len(p1.subcircuit.gates) == 11
+        assert len(p0.gates) == 11
+        assert len(p1.gates) == 11
 
     def test_reference_subcircuits(self, circuit_s, reference_partitions):
         from conftest import REFERENCE_LABELS
@@ -39,11 +42,11 @@ class TestTrimming:
         expected0 = [
             g for g, l in zip(circuit_s.gates, REFERENCE_LABELS) if l == 0
         ]
-        assert p0.global_gates() == expected0
+        assert list(p0.gates) == expected0
         expected1 = [
             g for g, l in zip(circuit_s.gates, REFERENCE_LABELS) if l == 1
         ]
-        assert p1.global_gates() == expected1
+        assert list(p1.gates) == expected1
 
     def test_label_count_mismatch(self, circuit_s):
         with pytest.raises(ValueError):
@@ -63,7 +66,7 @@ class TestMerging:
         merged = q.merge_partitions(reference_partitions, threshold=2)
         assert len(merged) == 1
         assert merged[0].qubit_map == {i: i for i in range(6)}
-        assert len(merged[0].subcircuit.gates) == 22
+        assert len(merged[0].gates) == 22
 
     def test_threshold_blocks_merge(self, reference_partitions):
         merged = q.merge_partitions(reference_partitions, threshold=3)
@@ -95,7 +98,7 @@ class TestMerging:
         a = q.partition_from_global_gates([q.h(0), q.cnot(0, 2)])
         b = q.partition_from_global_gates([q.h(2)])
         [merged] = q.merge_partitions([a, b], threshold=1)
-        assert merged.global_gates() == [q.h(0), q.cnot(0, 2), q.h(2)]
+        assert merged.gates == (q.h(0), q.cnot(0, 2), q.h(2))
 
 
 class TestDependencyDag:
@@ -126,10 +129,10 @@ class TestRunPipeline:
         res = q.run_hypergraph_pipeline(circuit_s, k=2, seed=42)
         assert isinstance(res, q.PipelineResult)
         assert res.assignment.k == 2
-        assert sum(len(p.subcircuit.gates) for p in res.partitions) == 22
+        assert sum(len(p.gates) for p in res.partitions) == 22
         assert res.dag.num_partitions == len(res.partitions)
 
     def test_merge_threshold_applied(self, circuit_s):
         res = q.run_hypergraph_pipeline(circuit_s, k=2, seed=42, merge_threshold=1)
         assert len(res.partitions) == 1
-        assert len(res.partitions[0].subcircuit.gates) == 22
+        assert len(res.partitions[0].gates) == 22

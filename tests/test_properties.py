@@ -53,7 +53,7 @@ def test_trim_conserves_gates(circuit, data):
     parts = q.create_trimmed_partitions(circuit, labels)
     recovered = Counter()
     for p in parts:
-        recovered.update(gate_multiset(p.global_gates()))
+        recovered.update(gate_multiset(p.gates))
     assert recovered == gate_multiset(circuit.gates)
     assert q.validate_gate_counts(circuit, parts)
 
@@ -65,7 +65,7 @@ def test_block_partition_conserves_gates(circuit, block_size):
     parts = q.remap_groups(circuit, groups)
     recovered = Counter()
     for p in parts:
-        recovered.update(gate_multiset(p.global_gates()))
+        recovered.update(gate_multiset(p.gates))
     assert recovered == gate_multiset(circuit.gates)
     assert q.validate_gate_counts(circuit, parts)
 
