@@ -3,9 +3,10 @@
 The pipeline converts a circuit into a weighted hypergraph (one node per
 gate, gate-level and temporal hyperedges), partitions it under the km1
 objective with a balance constraint, trims each part to its gates and a
-local qubit map, optionally merges heavily entangled parts, and derives an
-execution-order DAG. Metrics compare the result against a block-based
-baseline on qubit cuts, SWAP overhead, fidelity and depth.
+local qubit map, optionally merges heavily entangled parts, and derives a
+DAG over the parts in index order (an edge per pair sharing a qubit).
+Metrics compare the result against a block-based baseline on qubit cuts,
+SWAP overhead, fidelity and depth.
 """
 
 from .baseline import BaselineConfig, FixtureError, block_partition, builtin_fixture_text, load_fixture, remap_groups
@@ -75,7 +76,6 @@ from .pipeline import (
     build_dependency_graph,
     create_trimmed_partitions,
     merge_partitions,
-    partition_from_global_gates,
     run_hypergraph_pipeline,
 )
 from .rng import SplitMix64

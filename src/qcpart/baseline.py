@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .circuits import Circuit
-from .pipeline import Partition, partition_from_global_gates
+from .pipeline import Partition
 
 
 class FixtureError(ValueError):
@@ -82,10 +82,7 @@ def remap_groups(circuit: Circuit, groups: list[list[int]]) -> list[Partition]:
             if idx in seen:
                 raise FixtureError(f"gate index {idx} appears in more than one group")
             seen.add(idx)
-    return [
-        partition_from_global_gates([circuit.gates[idx] for idx in group])
-        for group in groups
-    ]
+    return [Partition([circuit.gates[idx] for idx in group]) for group in groups]
 
 
 def load_fixture(text: str, circuit: Circuit) -> list[list[int]]:

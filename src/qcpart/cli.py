@@ -45,7 +45,7 @@ def _format_partitions(parts: list[Partition]) -> str:
     lines = []
     for idx, part in enumerate(parts):
         lines.append(f"Partition {idx}:")
-        lines.append(f"- Qubit Map: {dict(sorted(part.qubit_map.items()))}")
+        lines.append(f"- Qubit Map: {part.qubit_map}")
         lines.append(f"- Number of Gates: {len(part.gates)}")
         lines.append("- Gates:")
         for n, gate in enumerate(part.gates, start=1):
@@ -75,13 +75,6 @@ def cmd_convert(args) -> int:
     return 0
 
 
-def _merge_threshold(args) -> int | None:
-    """An explicit --merge-threshold enables merging; --merge alone merges at 2."""
-    if getattr(args, "merge_threshold", None) is not None:
-        return args.merge_threshold
-    return 2 if getattr(args, "merge", False) else None
-
-
 def _pipeline_from_args(args, circuit: Circuit):
     backend = args.solver_binary or os.environ.get(SOLVER_ENV_VAR) or INTERNAL
     return run_hypergraph_pipeline(
@@ -90,7 +83,7 @@ def _pipeline_from_args(args, circuit: Circuit):
         imbalance=args.imbalance,
         seed=args.seed,
         backend=backend,
-        merge_threshold=_merge_threshold(args),
+        merge_threshold=getattr(args, "merge_threshold", None),
     )
 
 
@@ -104,7 +97,7 @@ def cmd_partition(args) -> int:
             "labels": list(result.assignment.labels),
             "partitions": [
                 {
-                    "qubit_map": {str(g): l for g, l in sorted(p.qubit_map.items())},
+                    "qubit_map": {str(g): l for g, l in p.qubit_map.items()},
                     "gates": [
                         [g.kind.name, list(g.qubits)] for g in p.subcircuit.gates
                     ],
@@ -202,7 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_partition)
     _add_solver_options(p_partition)
     p_partition.add_argument("--k", type=int, help="explicit part count")
-    p_partition.add_argument("--merge", action="store_true", help="merge parts sharing 2+ qubits")
     p_partition.add_argument("--merge-threshold", type=int, help="merge parts sharing N+ qubits")
     p_partition.set_defaults(func=cmd_partition)
 

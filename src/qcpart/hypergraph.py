@@ -218,6 +218,8 @@ def read_hgr(text: str) -> Hypergraph:
         num_edges, num_nodes = int(header[0]), int(header[1])
     except ValueError:
         raise HgrFormatError(f"malformed header {lines[0]!r}")
+    if num_edges < 0 or num_nodes < 0:
+        raise HgrFormatError(f"malformed header {lines[0]!r}")
     fmt = header[2] if len(header) == 3 else "0"
     if fmt not in ("1", "11"):
         raise HgrFormatError(f"unsupported fmt code {fmt!r}")

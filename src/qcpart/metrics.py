@@ -125,8 +125,7 @@ def estimate_swaps(
     for i, map_i in enumerate(maps):
         # later partition j -> the qubits it shares with i at another local index
         misaligned: defaultdict[int, list[int]] = defaultdict(list)
-        # sorted-contiguous maps: the local index is the position in sorted globals
-        for local, q in enumerate(sorted(map_i)):
+        for q, local in map_i.items():
             pos = cursor[q] + 1
             cursor[q] = pos
             for j, other in entries[q][pos:]:
@@ -159,14 +158,24 @@ def fidelity(
     other_gates: Mapping[GateKind, int] | None = None,
     model: ErrorModel | None = None,
 ) -> float:
-    """Product-of-errors fidelity for one partition (computed in log space)."""
+    """Product-of-errors fidelity for one partition (computed in log space).
+
+    H and CNOT entries of ``other_gates`` add to ``h_count`` and
+    ``cnot_count``; every other kind is charged as the module docstring says.
+    """
     model = model or ErrorModel()
+    if min(h_count, cnot_count, swap_count) < 0:
+        raise ValueError("gate counts must be >= 0")
     cnot_equivalents = cnot_count + 3 * swap_count
     single_count = 0
     for kind, count in (other_gates or {}).items():
         if count < 0:
             raise ValueError("gate counts must be >= 0")
-        if kind == CCX:
+        if kind == H:
+            h_count += count
+        elif kind == CNOT:
+            cnot_equivalents += count
+        elif kind == CCX:
             cnot_equivalents += model.ccx_cnot_equivalents * count
         elif kind == SWAP:
             cnot_equivalents += 3 * count
@@ -174,8 +183,6 @@ def fidelity(
             single_count += count
         else:
             cnot_equivalents += (kind.arity - 1) * count
-    if min(h_count, cnot_count, swap_count) < 0:
-        raise ValueError("gate counts must be >= 0")
     log_f = (
         h_count * math.log1p(-model.eps_h)
         + cnot_equivalents * math.log1p(-model.eps_cnot)

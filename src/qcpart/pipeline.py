@@ -1,7 +1,9 @@
 """Labeled circuit -> trimmed partitions -> optional merge -> dependency DAG.
 
-A partition holds the source circuit's own ``Gate`` objects and a qubit
-map; trimming, re-mapping and merging regroup gates and copy none.
+A partition is the source circuit's own ``Gate`` objects; it derives its
+qubit map from them. Trimming, re-mapping and merging regroup gates and
+copy none. The dependency DAG follows partition index order: an edge
+i -> j for each pair i < j that shares a qubit, not gate causality.
 
 Work over many partitions goes through a qubit -> holders index (the
 ascending indices of the partitions whose qubit maps hold each global
@@ -27,8 +29,8 @@ from __future__ import annotations
 import logging
 from bisect import bisect_right
 from collections import Counter
-from collections.abc import Iterable, Iterator, Mapping, Sequence
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator, Sequence
+from dataclasses import dataclass, field
 from itertools import chain
 
 from .circuits import Circuit, ErrorModel, Gate
@@ -40,24 +42,18 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class Partition:
-    """Global-indexed gates, in circuit order, plus a {global qubit -> local
-    index} map that holds every gate qubit. Locals are the sorted-contiguous
-    re-mapping of the map's globals: sorted ascending, they get 0, 1, 2, ...
+    """Global-indexed gates, in circuit order, and the sorted-contiguous
+    {global qubit -> local index} map of the qubits they act on: the map
+    iterates its globals ascending, and they get 0, 1, 2, ...
     """
 
     gates: tuple[Gate, ...]
-    qubit_map: Mapping[int, int]
+    qubit_map: dict[int, int] = field(init=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "gates", tuple(self.gates))
-        object.__setattr__(self, "qubit_map", dict(self.qubit_map))
-        locals_ = [self.qubit_map[g] for g in sorted(self.qubit_map)]
-        if locals_ != list(range(len(locals_))):
-            raise ValueError(f"qubit map is not sorted-contiguous: {self.qubit_map}")
-        for g in self.gates:
-            for q in g.qubits:
-                if q not in self.qubit_map:
-                    raise ValueError(f"gate qubit {q} is not in the qubit map {self.qubit_map}")
+        active = sorted({q for g in self.gates for q in g.qubits})
+        object.__setattr__(self, "qubit_map", {q: i for i, q in enumerate(active)})
 
     @property
     def subcircuit(self) -> Circuit:
@@ -68,7 +64,8 @@ class Partition:
 
 @dataclass(frozen=True)
 class DependencyDag:
-    """Execution-order DAG: edge i -> j (i < j) per shared-qubit partition pair."""
+    """Edge i -> j (i < j) per pair of partitions that share a qubit: edges
+    follow partition index order, not the order the gates run in."""
 
     num_partitions: int
     edges: tuple[tuple[int, int, frozenset[int]], ...]
@@ -83,13 +80,6 @@ class DependencyDag:
     @property
     def num_edges(self) -> int:
         return len(self.edges)
-
-
-def partition_from_global_gates(gates: Sequence[Gate]) -> Partition:
-    """A Partition holding these global-indexed gates over the contiguous map
-    of the qubits they act on."""
-    active = sorted({q for g in gates for q in g.qubits})
-    return Partition(gates, {g: i for i, g in enumerate(active)})
 
 
 def create_trimmed_partitions(
@@ -114,7 +104,7 @@ def create_trimmed_partitions(
     buckets: dict[int, list[Gate]] = {}
     for gate, label in zip(circuit.gates, label_seq):
         buckets.setdefault(label, []).append(gate)
-    return [partition_from_global_gates(buckets[part_id]) for part_id in sorted(buckets)]
+    return [Partition(buckets[part_id]) for part_id in sorted(buckets)]
 
 
 def _qubit_holders(qubit_sets: Iterable[Iterable[int]]) -> dict[int, list[int]]:
@@ -132,7 +122,7 @@ def overlapping_pairs(parts: Sequence[Partition]) -> Iterator[tuple[int, int, li
     holders = _qubit_holders(p.qubit_map for p in parts)
     for i, part in enumerate(parts):
         shared: dict[int, list[int]] = {}
-        for q in sorted(part.qubit_map):
+        for q in part.qubit_map:
             held = holders[q]
             for j in held[bisect_right(held, i) :]:
                 shared.setdefault(j, []).append(q)
@@ -187,7 +177,7 @@ def merge_partitions(parts: Sequence[Partition], threshold: int) -> list[Partiti
         members, qubits = next_members, next_qubits
     return [
         parts[group[0]] if len(group) == 1
-        else partition_from_global_gates([g for idx in group for g in parts[idx].gates])
+        else Partition([g for idx in group for g in parts[idx].gates])
         for group in members
     ]
 

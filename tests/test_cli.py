@@ -85,15 +85,6 @@ class TestPartition:
         assert code == 0
         assert json.loads(out)["num_partitions"] == 2
 
-    def test_merge_flag(self, capsys):
-        code, out, _ = run_cli(
-            capsys,
-            "partition", "--bench", "s", "--k", "2",
-            "--merge", "--merge-threshold", "1", "--format", "json",
-        )
-        assert code == 0
-        assert json.loads(out)["num_partitions"] == 1
-
     def test_merge_threshold_alone_enables_merging(self, capsys):
         code, out, _ = run_cli(
             capsys,

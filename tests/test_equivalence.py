@@ -63,10 +63,10 @@ class RefPart(NamedTuple):
     qubit_map: dict
 
 
-def _reference_partition(gates, idle=()):
+def _reference_partition(gates):
     """The eager build from global gates: the contiguous map of the qubits
-    the gates act on (and of ``idle`` ones), and one local ``Gate`` per gate."""
-    active = set(chain.from_iterable([g.qubits for g in gates])) | set(idle)
+    the gates act on, and one local ``Gate`` per gate."""
+    active = set(chain.from_iterable([g.qubits for g in gates]))
     qubit_map = {g: i for i, g in enumerate(sorted(active))}
     local_gates = [q.Gate(g.kind, tuple([qubit_map[x] for x in g.qubits])) for g in gates]
     return RefPart(q.Circuit(len(qubit_map), local_gates), qubit_map)
@@ -405,17 +405,6 @@ def test_dense_merges_match_reference(dense_merge_inputs, name):
         assert parts_key(merged) == parts_key(reference_merge(parts, threshold))
 
 
-def test_merge_drops_map_qubits_no_gate_uses():
-    """A merged part's map holds the qubits its gates act on, as the
-    reference's rebuild from global gates does, even where a member's map
-    holds a qubit none of its gates uses."""
-    idle = q.Partition((q.cnot(1, 6),), {1: 0, 4: 1, 6: 2})
-    parts = [idle, q.partition_from_global_gates([q.h(1), q.cnot(6, 2)])]
-    merged = q.merge_partitions(parts, 1)
-    assert parts_key(merged) == parts_key(reference_merge(parts, 1))
-    assert merged[0].qubit_map == {1: 0, 2: 1, 6: 2}
-
-
 def _reference_depth(circuit):
     """Longest chain of gates that each share a qubit with the one before."""
     layers = []
@@ -440,24 +429,17 @@ def reference_partition_metrics(part, swap_attributed):
     )
 
 
-def _with_idle(part, idle):
-    """The partition over the contiguous map of its own and ``idle`` qubits."""
-    widened = sorted(set(part.qubit_map) | set(idle))
-    return q.Partition(part.gates, {g: i for i, g in enumerate(widened)})
-
-
 @PROPERTY_SETTINGS
 @given(
     case=labelled_circuits(),
     block_size=st.integers(min_value=3, max_value=5),
     threshold=st.integers(min_value=1, max_value=4),
-    idle=st.lists(st.integers(min_value=0, max_value=11), max_size=3),
     swaps=st.integers(min_value=0, max_value=5),
 )
-def test_partitions_match_eager_reference(case, block_size, threshold, idle, swaps):
+def test_partitions_match_eager_reference(case, block_size, threshold, swaps):
     """Trimmed, remapped and merged parts read as the eager ones: the same
-    subcircuit and map, and the same metrics and validation, also over maps
-    widened by qubits no gate uses."""
+    subcircuit and map, and the same metrics and validation. Each map holds
+    exactly its gates' qubits, in ascending order, at locals 0..n-1."""
     circuit, labels = case
     groups = q.block_partition(circuit, q.BaselineConfig(block_size))
     trimmed = q.create_trimmed_partitions(circuit, labels)
@@ -467,17 +449,18 @@ def test_partitions_match_eager_reference(case, block_size, threshold, idle, swa
         (q.remap_groups(circuit, groups), reference_remap(circuit, groups)),
         (q.merge_partitions(trimmed, threshold), reference_merge(ref_trimmed, threshold)),
     ):
-        widened = [_with_idle(p, idle) for p in parts]
-        ref_widened = [_reference_partition(_reference_global_gates(r), idle) for r in refs]
-        for ps, rs in ((parts, refs), (widened, ref_widened)):
-            assert len(ps) == len(rs)
-            for p, r in zip(ps, rs):
-                assert p.subcircuit == r.subcircuit
-                assert p.qubit_map == r.qubit_map
-                assert q.partition_metrics(p, swaps) == reference_partition_metrics(r, swaps)
-            for drop in (0, 1):  # all parts, then all but the first
-                expected = reference_validate_gate_counts(circuit, rs[drop:])
-                assert q.validate_gate_counts(circuit, ps[drop:]) is expected
+        assert len(parts) == len(refs)
+        for p, r in zip(parts, refs):
+            globals_ = list(p.qubit_map)
+            assert set(globals_) == {x for g in p.gates for x in g.qubits}
+            assert globals_ == sorted(globals_)
+            assert list(p.qubit_map.values()) == list(range(len(globals_)))
+            assert p.subcircuit == r.subcircuit
+            assert p.qubit_map == r.qubit_map
+            assert q.partition_metrics(p, swaps) == reference_partition_metrics(r, swaps)
+        for drop in (0, 1):  # all parts, then all but the first
+            expected = reference_validate_gate_counts(circuit, refs[drop:])
+            assert q.validate_gate_counts(circuit, parts[drop:]) is expected
 
 
 @PROPERTY_SETTINGS
@@ -528,7 +511,7 @@ def test_waiver_draws_follow_pair_then_qubit_order():
     instead waives other costs."""
     shapes = ((5, 6, 7), (0, 5, 6, 7), (0, 1, 5, 6, 7))  # locals of 5-7 differ
     parts = [
-        q.partition_from_global_gates([q.h(g) for g in shapes[n % 3]]) for n in range(12)
+        q.Partition([q.h(g) for g in shapes[n % 3]]) for n in range(12)
     ]
     for seed in range(10):
         est = q.estimate_swaps(parts, heuristic_on=True, seed=seed)
@@ -645,7 +628,7 @@ def test_block_state_after_whole_blocks_matches_scalar(seed, end):
 def _rebuilt(parts, index, global_gates):
     """parts with part ``index`` rebuilt from global gates (appended if new)."""
     parts = list(parts)
-    rebuilt = q.partition_from_global_gates(global_gates)
+    rebuilt = q.Partition(global_gates)
     if index == len(parts):
         parts.append(rebuilt)
     else:
@@ -665,9 +648,9 @@ def _corrupt(parts, circuit, how, data):
     part = parts[i]
     gates = list(part.gates)
     pos = data.draw(st.integers(min_value=0, max_value=len(gates) - 1))
-    if how == "drop":  # the map keeps the dropped gate's qubits
-        dropped = q.Partition(gates[:pos] + gates[pos + 1 :], part.qubit_map)
-        return parts[:i] + [dropped] + list(parts[i + 1 :]), False
+    if how == "drop":
+        del gates[pos]
+        return _rebuilt(parts, i, gates), False
     if how == "copy":
         j = data.draw(st.integers(min_value=0, max_value=len(parts)).filter(lambda j: j != i))
         target = list(parts[j].gates) if j < len(parts) else []

@@ -228,3 +228,8 @@ class TestSerialization:
         with pytest.raises(q.HgrFormatError) as excinfo:
             q.read_hgr("2 2 1\n5 1 2\n-3 2 1\n1\n1\n")
         assert str(excinfo.value) == "negative weight in hyperedge line '-3 2 1'"
+        # a negative count in the header is a malformed header
+        for text, header in (("0 -1 1\n", "0 -1 1"), ("-1 3 1\n1\n1\n1\n", "-1 3 1")):
+            with pytest.raises(q.HgrFormatError) as excinfo:
+                q.read_hgr(text)
+            assert str(excinfo.value) == f"malformed header {header!r}"

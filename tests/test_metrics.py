@@ -45,6 +45,12 @@ class TestFidelity:
         g4 = q.other_kind("G4", 4)
         assert q.fidelity(0, 0, 0, {g4: 1}) == pytest.approx(0.95**3, rel=1e-12)
 
+    def test_h_and_cnot_kinds_count_as_their_own_counts(self):
+        m = q.ErrorModel(eps_h=0.01, eps_cnot=0.02)
+        assert q.fidelity(0, 0, 0, {q.H: 1}, m) == pytest.approx(0.99, rel=1e-12)
+        assert q.fidelity(0, 0, 0, {q.H: 2, q.CNOT: 3}, m) == q.fidelity(2, 3, 0, None, m)
+        assert q.fidelity(1, 1, 1, {q.H: 1, q.CNOT: 1}, m) == q.fidelity(2, 2, 1, None, m)
+
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):
             q.fidelity(-1, 0, 0)
@@ -83,8 +89,8 @@ class TestSwapEstimation:
         # One partition holds global qubit 5 at local 0; five others hold it
         # at local 1: five misalignments of the same qubit, in pair order
         # (0,1), (0,2), ..., (0,5).
-        first = q.Partition((q.h(5),), {5: 0})
-        others = [q.Partition((q.cnot(0, 5),), {0: 0, 5: 1}) for _ in range(5)]
+        first = q.Partition((q.h(5),))
+        others = [q.Partition((q.cnot(0, 5),)) for _ in range(5)]
         return [first] + others
 
     def test_waiver_applies_after_three_misalignments(self):
@@ -145,7 +151,7 @@ class TestValidation:
     def test_swap_gates_ignored(self):
         c = q.Circuit(2, (q.cnot(0, 1),))
         with_comm_swaps = [
-            q.partition_from_global_gates([q.cnot(0, 1), q.swap(0, 1)])
+            q.Partition([q.cnot(0, 1), q.swap(0, 1)])
         ]
         assert q.validate_gate_counts(c, with_comm_swaps) is True
 

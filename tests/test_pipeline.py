@@ -6,21 +6,9 @@ import qcpart as q
 
 
 class TestPartitionDataclass:
-    def test_map_must_be_sorted_contiguous(self):
-        gates = (q.cnot(0, 5),)
-        with pytest.raises(ValueError, match="not sorted-contiguous"):
-            q.Partition(gates, {0: 1, 5: 0})
-        q.Partition(gates, {0: 0, 5: 1})  # ok
-
-    def test_map_must_hold_every_gate_qubit(self):
-        gates = (q.cnot(0, 5), q.h(3))
-        with pytest.raises(ValueError, match="gate qubit 3 is not in the qubit map"):
-            q.Partition(gates, {0: 0, 5: 1})
-        q.Partition(gates, {0: 0, 3: 1, 5: 2, 7: 3})  # ok: qubit 7 idles
-
     def test_subcircuit_is_the_local_view(self):
         gates = [q.cnot(4, 2), q.h(7)]
-        p = q.partition_from_global_gates(gates)
+        p = q.Partition(gates)
         assert p.qubit_map == {2: 0, 4: 1, 7: 2}
         assert p.subcircuit == q.Circuit(3, (q.cnot(1, 0), q.h(2)))
         assert p.gates == tuple(gates)
@@ -74,9 +62,9 @@ class TestMerging:
 
     def test_best_partner_wins(self):
         # p0 shares 1 qubit with p1 but 2 with p2: p2 is preferred.
-        p0 = q.partition_from_global_gates([q.cnot(0, 1)])
-        p1 = q.partition_from_global_gates([q.cnot(1, 5)])
-        p2 = q.partition_from_global_gates([q.cnot(0, 1), q.h(7)])
+        p0 = q.Partition([q.cnot(0, 1)])
+        p1 = q.Partition([q.cnot(1, 5)])
+        p2 = q.Partition([q.cnot(0, 1), q.h(7)])
         merged = q.merge_partitions([p0, p1, p2], threshold=1)
         # pass 1: p0+p2 merge (2 shared beats 1), p1 left; pass 2 merges the rest
         assert len(merged) == 1
@@ -84,9 +72,9 @@ class TestMerging:
 
     def test_multi_pass_cascade(self):
         # Disjoint at first sight: a+b merge enables merging with c next pass.
-        a = q.partition_from_global_gates([q.cnot(0, 1)])
-        b = q.partition_from_global_gates([q.cnot(2, 3)])
-        c = q.partition_from_global_gates([q.cnot(1, 2)])
+        a = q.Partition([q.cnot(0, 1)])
+        b = q.Partition([q.cnot(2, 3)])
+        c = q.Partition([q.cnot(1, 2)])
         merged = q.merge_partitions([a, c, b], threshold=1)
         assert len(merged) == 1
 
@@ -95,8 +83,8 @@ class TestMerging:
             q.merge_partitions(reference_partitions, threshold=0)
 
     def test_gate_order_preserved(self):
-        a = q.partition_from_global_gates([q.h(0), q.cnot(0, 2)])
-        b = q.partition_from_global_gates([q.h(2)])
+        a = q.Partition([q.h(0), q.cnot(0, 2)])
+        b = q.Partition([q.h(2)])
         [merged] = q.merge_partitions([a, b], threshold=1)
         assert merged.gates == (q.h(0), q.cnot(0, 2), q.h(2))
 
@@ -110,15 +98,15 @@ class TestDependencyDag:
         assert shared == frozenset({0, 1})
 
     def test_disjoint_partitions(self):
-        a = q.partition_from_global_gates([q.h(0)])
-        b = q.partition_from_global_gates([q.h(1)])
+        a = q.Partition([q.h(0)])
+        b = q.Partition([q.h(1)])
         assert q.build_dependency_graph([a, b]).num_edges == 0
 
     def test_edges_are_forward_only(self):
         parts = [
-            q.partition_from_global_gates([q.cnot(0, 1)]),
-            q.partition_from_global_gates([q.cnot(1, 2)]),
-            q.partition_from_global_gates([q.cnot(2, 0)]),
+            q.Partition([q.cnot(0, 1)]),
+            q.Partition([q.cnot(1, 2)]),
+            q.Partition([q.cnot(2, 0)]),
         ]
         dag = q.build_dependency_graph(parts)
         assert [(i, j) for i, j, _ in dag.edges] == [(0, 1), (0, 2), (1, 2)]

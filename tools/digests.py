@@ -44,6 +44,13 @@ def combine(digests: list[str]) -> str:
     return hashlib.sha256("\n".join(digests).encode()).hexdigest()
 
 
+def workload_instances(bench, q, name: str, seed: int, size: str) -> list:
+    """The workload's instances for seed; full size keeps the first
+    FULL_COUNT[name] of them, where a count is set."""
+    built = bench.WORKLOADS[name].build(q, q.SplitMix64(seed), size)
+    return built[:FULL_COUNT.get(name)] if size == "full" else built
+
+
 def line(workload: str, seed: int, instances: int, errors: int, sha: str) -> str:
     return f"{workload} seed {seed}: {instances} instances, {errors} SolverError, sha256 {sha}"
 
@@ -74,9 +81,7 @@ def measure(root: Path, workloads: list[str], seeds: list[int], size: str) -> li
     lines = []
     for seed in seeds:
         for name in workloads:
-            instances = bench.WORKLOADS[name].build(q, q.SplitMix64(seed), size)
-            if size == "full":
-                instances = instances[:FULL_COUNT.get(name)]
+            instances = workload_instances(bench, q, name, seed, size)
             digests, errors = [], 0
             for inst in instances:
                 outcome = bench.run_instance(q, inst, solver)

@@ -34,7 +34,7 @@ from time import perf_counter
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from bench_pairs import REPO, export  # noqa: E402
-from digests import FULL_COUNT, WORKLOADS  # noqa: E402
+from digests import WORKLOADS, workload_instances  # noqa: E402
 
 SIDES = ("parent", "change")
 
@@ -86,9 +86,7 @@ def measure(packages: dict, workload: str, rounds: int, seed: int, size: str) ->
     bench = importlib.import_module("workloads")
     solver = str(REPO / "perfbench" / "standin_solver.py")
     spec = bench.WORKLOADS[workload]
-    instances = spec.build(packages["change"], packages["change"].SplitMix64(seed), size)
-    if size == "full":
-        instances = instances[:FULL_COUNT.get(workload)]
+    instances = workload_instances(bench, packages["change"], workload, seed, size)
     for q in packages.values():  # every code path once before timing
         for inst in bench.warmup_instances(q, spec):
             bench.run_instance(q, inst, solver)
