@@ -1,11 +1,14 @@
 """Partition quality metrics and the two-method comparison report.
 
 Fidelity uses the product-of-errors model
-    F_p = (1 - eps_h)^H * (1 - eps_cnot)^(CNOT + 3*SWAP + equivalents)
-with each SWAP counted as three CNOTs and other gates folded in as CNOT
-equivalents (CCX: a configurable decomposition size) or as default
-single-qubit errors. Estimated SWAPs are logical realignments: one per
-shared global qubit whose local indices differ between two partitions.
+    F_p = (1 - eps_h)^H * (1 - eps_cnot)^(CNOT + 3*SWAP + c*CCX)
+          * (1 - eps_default_single)^S1 * (1 - eps_default_multi)^M
+with each SWAP counted as three CNOTs and each CCX as c (a configurable
+decomposition size); S1 counts other single-qubit gates and M adds
+arity - 1 for each other multi-qubit gate, charged at the rate
+``circuit_to_hypergraph`` weights that gate's hyperedge with. Estimated
+SWAPs are logical realignments: one per shared global qubit whose local
+indices differ between two partitions.
 
 Nothing here scans every partition pair. Pairwise cuts read pairs from
 ``pipeline.overlapping_pairs``; the SWAP estimate turns the same qubit ->
@@ -167,7 +170,7 @@ def fidelity(
     if min(h_count, cnot_count, swap_count) < 0:
         raise ValueError("gate counts must be >= 0")
     cnot_equivalents = cnot_count + 3 * swap_count
-    single_count = 0
+    single_count = multi_equivalents = 0
     for kind, count in (other_gates or {}).items():
         if count < 0:
             raise ValueError("gate counts must be >= 0")
@@ -182,11 +185,12 @@ def fidelity(
         elif kind.arity == 1:
             single_count += count
         else:
-            cnot_equivalents += (kind.arity - 1) * count
+            multi_equivalents += (kind.arity - 1) * count
     log_f = (
         h_count * math.log1p(-model.eps_h)
         + cnot_equivalents * math.log1p(-model.eps_cnot)
         + single_count * math.log1p(-model.eps_default_single)
+        + multi_equivalents * math.log1p(-model.eps_default_multi)
     )
     return math.exp(log_f)
 

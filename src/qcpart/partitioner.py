@@ -33,8 +33,13 @@ earlier restart's, or mirrors it when both sides have the same cap, is
 dropped, since the rest of a restart is deterministic, draws nothing from
 the RNG and treats the two sides alike when their caps are equal. k > 2
 is handled by recursive bisection, where a side left empty leaves its
-parts empty. At k = 2 a refined random balanced assignment on the top
-instance replaces the top bisection when its cut is lower. An
+parts empty. A solve stops early, with the error it would end in anyway,
+when the top instance (k > 1) or a side with two or more parts provably
+has no packing into its parts under the cap (`_unpackable`): a solve that
+completes leaves every part within the cap, so such a solve could only
+fail, and a solve that succeeds never meets the check. At k = 2 a refined
+random balanced assignment on the top instance replaces the top bisection
+when its cut is lower. An
 external-solver adapter mirrors the usual Mt-KaHyPar style invocation for
 users who have a binary available; it rejects labels that are out of
 range or break the balance cap, and raises SolverError when the binary
@@ -48,10 +53,12 @@ so identical inputs always produce identical labels.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import signal
 import subprocess
 import tempfile
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .hypergraph import HgrMode, Hypergraph, scaled_edge_weight, write_hgr
@@ -60,6 +67,7 @@ from .rng import SplitMix64
 INTERNAL = "internal"
 _RESTARTS = 4
 _EXTERNAL_TIMEOUT_S = 600.0  # wall-clock limit for one external solver run
+_NO_BISECTION = "no balanced bisection found at the configured imbalance"
 
 
 class SolverError(RuntimeError):
@@ -90,7 +98,9 @@ class SolverConfig:
             raise ValueError(f"k must be an integer >= 1, got {self.k!r}")
         if not isinstance(self.seed, int) or isinstance(self.seed, bool):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
-        if not (math.isfinite(self.imbalance) and self.imbalance >= 0):
+        imbalance = self.imbalance
+        if (isinstance(imbalance, bool) or not isinstance(imbalance, numbers.Real)
+                or not (math.isfinite(imbalance) and imbalance >= 0)):
             raise ValueError("imbalance must be a finite number >= 0")
 
 
@@ -605,12 +615,37 @@ def _in_one_unit(hg: Hypergraph, k: int, imbalance: float) -> tuple[list[int], i
     return weights, n * unit // d
 
 
+def _unpackable(weights: list[int], parts: int, cap: int) -> bool:
+    """True when the int `weights` provably fit no `parts` bins of `cap`.
+
+    Either more than `parts * (cap // w)` nodes weigh w or more, for some
+    distinct positive weight w, since no bin holds more of them, or the
+    total passes `parts * g * (cap // g)`, g > 0 the weights' gcd, since
+    every bin's load is a multiple of g. With two positive weights, the
+    heavier a multiple of the lighter, these are exact: the heavy nodes
+    fit by count and the rest is whole light units.
+    """
+    ordered = sorted(weights)
+    distinct = set(ordered)
+    for w in distinct:
+        if w > 0 and len(ordered) - bisect_left(ordered, w) > parts * (cap // w):
+            return True
+    g = math.gcd(*distinct)
+    return g > 0 and sum(ordered) > parts * g * (cap // g)
+
+
 def _partition_internal(hg: Hypergraph, config: SolverConfig) -> PartitionAssignment:
     k = config.k
     if k > hg.num_nodes:
         raise SolverError(f"k={k} exceeds node count {hg.num_nodes}")
 
     weights, cap = _in_one_unit(hg, k, config.imbalance)
+    # A solve at k > 1 that completes leaves every part within the cap, so
+    # an instance, or a side below, that its parts cannot hold would end in
+    # this error anyway, only later. k = 1 is left to `check_balance`, whose
+    # float sums can meet a cap that the int total passes.
+    if k > 1 and _unpackable(weights, k, cap):
+        raise SolverError(_NO_BISECTION)
     rng = SplitMix64(config.seed)
     labels = [0] * hg.num_nodes
 
@@ -632,8 +667,12 @@ def _partition_internal(hg: Hypergraph, config: SolverConfig) -> PartitionAssign
         inst = _Instance(weights, edges, min(k0 * cap, total), min(k1 * cap, total))
         bis = _solve_bisection(inst, rng)
         if bis is None:
-            raise SolverError("no balanced bisection found at the configured imbalance")
-        for s, first, p in ((0, first_label, k0), (1, first_label + k0, k1)):
+            raise SolverError(_NO_BISECTION)
+        halves = ((0, first_label, k0), (1, first_label + k0, k1))
+        for s, _, p in halves:
+            if p > 1 and _unpackable([w for w, t in zip(weights, bis.side) if t == s], p, cap):
+                raise SolverError(_NO_BISECTION)
+        for s, first, p in halves:
             part = [v for v, t in zip(nodes, bis.side) if t == s]
             sub = _restrict(inst, bis.side, s) if p > 1 and part else (None, None)
             stack.append((part, *sub, first, p))

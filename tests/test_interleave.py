@@ -40,6 +40,24 @@ def test_report_names_the_ratio_and_both_medians():
         "(quartiles 0.900-0.900); median instance parent 10.000 ms, change 9.000 ms")
 
 
+def test_runs_split_by_the_parents_outcome():
+    times = {"parent": [0.010, 0.020, 0.040, 0.010], "change": [0.010, 0.010, 0.040, 0.005]}
+    split = interleave.by_outcome(times, [False, True, False, True])
+    assert split == {"solved": {"parent": [0.010, 0.040], "change": [0.010, 0.040]},
+                     "SolverError": {"parent": [0.020, 0.010], "change": [0.010, 0.005]}}
+    assert interleave.summarize(split["solved"])["ratio_median"] == 1.0
+    assert interleave.summarize(split["SolverError"])["ratio_median"] == 0.5
+    assert interleave.report("paper-grid SolverError", interleave.summarize(
+        split["SolverError"])).startswith("paper-grid SolverError: 2 runs per side, "
+                                          "time ratio change/parent median 0.500")
+
+
+def test_an_outcome_without_runs_is_left_out():
+    times = {"parent": [0.010, 0.020], "change": [0.009, 0.018]}
+    assert list(interleave.by_outcome(times, [False, False])) == ["solved"]
+    assert list(interleave.by_outcome(times, [True, True])) == ["SolverError"]
+
+
 def test_the_side_that_runs_first_alternates():
     assert [interleave.order(i, 0)[0] for i in range(4)] == ["parent", "change"] * 2
     assert [interleave.order(i, 1)[0] for i in range(4)] == ["change", "parent"] * 2

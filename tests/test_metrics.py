@@ -45,6 +45,14 @@ class TestFidelity:
         g4 = q.other_kind("G4", 4)
         assert q.fidelity(0, 0, 0, {g4: 1}) == pytest.approx(0.95**3, rel=1e-12)
 
+    def test_unknown_multi_qubit_gate_charged_at_its_own_rate(self):
+        # circuit_to_hypergraph weights this gate's hyperedge with
+        # eps_default_multi, so its fidelity charge uses the same rate.
+        g4 = q.other_kind("G4", 4)
+        model = q.ErrorModel(eps_default_multi=0.2)
+        assert q.fidelity(0, 0, 0, {g4: 1}, model) == pytest.approx(0.8**3, rel=1e-12)
+        assert q.fidelity(0, 2, 0, {g4: 2}, model) == pytest.approx(0.95**2 * 0.8**6, rel=1e-12)
+
     def test_h_and_cnot_kinds_count_as_their_own_counts(self):
         m = q.ErrorModel(eps_h=0.01, eps_cnot=0.02)
         assert q.fidelity(0, 0, 0, {q.H: 1}, m) == pytest.approx(0.99, rel=1e-12)

@@ -127,7 +127,8 @@ class TestInternalSolver:
                 asg = q.partition(hg, q.SolverConfig(k=1, imbalance=imbalance))
                 assert asg.labels == (0,) * hg.num_nodes
 
-    @pytest.mark.parametrize("imbalance", [-0.1, float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("imbalance", [-0.1, float("nan"), float("inf"), float("-inf"),
+                                           True, False, "0.1", None])
     def test_bad_imbalance_rejected(self, imbalance):
         with pytest.raises(ValueError, match="imbalance must be a finite number >= 0"):
             q.SolverConfig(k=2, imbalance=imbalance)
@@ -1042,6 +1043,9 @@ class TestUnequalCaps:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(qp, "_solve_bisection", logged_solve_bisection)
             _outcome(hg, config)
+            if not solved:  # the packing check raised before the top bisection
+                mp.setattr(qp, "_unpackable", lambda weights, parts, cap: False)
+                _outcome(hg, config)
         inst, bis = solved[0]
 
         weights, (cap,) = _in_one_unit(
@@ -1112,6 +1116,115 @@ class TestSubProblems:
 # Reference versions of the contraction and projection that summed ratings
 # in a dictionary over every pair of every hyperedge's members and projected
 # through a dictionary over original nodes.
+
+
+def _packs(weights, parts, cap) -> bool:
+    """Brute force: some assignment of the weights to `parts` bins keeps
+    every bin's load within cap."""
+    loads = [0] * parts
+
+    def place(i):
+        if i == len(weights):
+            return True
+        for b in range(parts):
+            if loads[b] + weights[i] <= cap:
+                loads[b] += weights[i]
+                if place(i + 1):
+                    return True
+                loads[b] -= weights[i]
+        return False
+
+    return place(0)
+
+
+def _counted_bisections(monkeypatch) -> list:
+    """Patch `_solve_bisection` to log each instance it is called on."""
+    calls = []
+    solve_bisection = qp._solve_bisection
+
+    def counted(inst, rng):
+        calls.append(inst)
+        return solve_bisection(inst, rng)
+
+    monkeypatch.setattr(qp, "_solve_bisection", counted)
+    return calls
+
+
+class TestPackingCheck:
+    """`_unpackable` fires only when no packing under the cap exists, so the
+    solver raises where it stops early exactly what it raised before, and
+    only sooner."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(weights=st.lists(st.integers(0, 30), min_size=0, max_size=8),
+           parts=st.integers(1, 4), cap=st.integers(0, 60))
+    def test_fires_only_when_nothing_packs(self, weights, parts, cap):
+        if qp._unpackable(weights, parts, cap):
+            assert not _packs(weights, parts, cap)
+
+    @settings(max_examples=300, deadline=None)
+    @given(weights=st.lists(st.sampled_from([1000, 200]), min_size=0, max_size=8),
+           parts=st.integers(1, 4), cap=st.integers(0, 5000))
+    def test_exact_for_the_default_weights(self, weights, parts, cap):
+        assert qp._unpackable(weights, parts, cap) == (not _packs(weights, parts, cap))
+
+    def test_each_test_fires_alone(self):
+        # pigeonhole alone: the total 10 fits two bins of 5, and the gcd is
+        # 1, but no bin holds two of the three 3s
+        assert qp._unpackable([3, 3, 3, 1], 2, 5)
+        # granularity alone: two bins take the 4 and the 2s by count, but
+        # with gcd 2 a bin of 5 holds at most 4, and the total 10 passes 2 * 4
+        assert qp._unpackable([2, 2, 2, 4], 2, 5)
+        assert not qp._unpackable([2, 2, 4], 2, 5)
+        assert not qp._unpackable([], 3, 0)
+        assert not qp._unpackable([0, 0], 1, 0)
+
+    @staticmethod
+    def _assert_outcome_unchanged_without_the_check(hg, config):
+        outcome = _outcome(hg, config)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(qp, "_unpackable", lambda weights, parts, cap: False)
+            assert _outcome(hg, config) == outcome
+
+    @settings(max_examples=300, deadline=None)
+    @given(hg=raw_hypergraphs(), data=st.data())
+    def test_outcome_unchanged_without_the_check(self, hg, data):
+        k = data.draw(st.integers(1, hg.num_nodes))
+        config = q.SolverConfig(k=k, imbalance=data.draw(st.sampled_from([0.0, 0.03, 0.1, 0.5])),
+                                seed=data.draw(st.integers(0, 2**32)))
+        self._assert_outcome_unchanged_without_the_check(hg, config)
+
+    @settings(max_examples=100, deadline=None)
+    @given(solve=odd_k_solves())
+    def test_odd_k_outcome_unchanged_without_the_check(self, solve):
+        # 9-40 nodes, so the sides checked come from multilevel bisections
+        self._assert_outcome_unchanged_without_the_check(*solve)
+
+    def test_k_one_is_left_to_check_balance(self):
+        # In units of 2**-60 the total passes the floored cap by one, but
+        # `check_balance` sums to 1.0 and meets the cap 1.0, so k = 1 solves.
+        hg = q.Hypergraph(2, (1.0, 2.0**-60), ())
+        weights, cap = qp._in_one_unit(hg, 1, 0.0)
+        assert qp._unpackable(weights, 1, cap)
+        assert q.partition(hg, q.SolverConfig(k=1, imbalance=0.0)).labels == (0, 0)
+
+    def test_top_check_runs_no_bisection(self, monkeypatch):
+        # 12 nodes of weight 1000 and a cap of 1802: a part holds one of
+        # them, so 8 parts are too few
+        hg = q.circuit_to_hypergraph(q.benchmark_circuit("s"))
+        calls = _counted_bisections(monkeypatch)
+        with pytest.raises(q.SolverError,
+                           match="^no balanced bisection found at the configured imbalance$"):
+            q.partition(hg, q.SolverConfig(k=8, imbalance=0.03))
+        assert calls == []
+
+    def test_side_check_stops_after_the_top_bisection(self, monkeypatch):
+        hg = q.circuit_to_hypergraph(q.benchmark_circuit("l"))
+        calls = _counted_bisections(monkeypatch)
+        with pytest.raises(q.SolverError,
+                           match="^no balanced bisection found at the configured imbalance$"):
+            q.partition(hg, q.SolverConfig(k=4, imbalance=0.05, seed=2))
+        assert len(calls) == 1
 
 
 def _reference_contract(inst, inst_clusters, rng, max_cluster):

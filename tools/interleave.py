@@ -15,10 +15,13 @@ takes.
 
 It prints the median of the per-instance time ratios change/parent with
 their quartiles, over every instance and round, and each side's median
-instance time. Timing both sides on the same instances in the same process
-cancels most of the drift that separate benchmark runs see, so a change of
-a few percent shows in a few rounds; a claimed gain still needs
-tools/bench_pairs.py.
+instance time; then the same for the instances the parent solved and for
+those it raised SolverError on, each line left out when it has no runs. A
+change that stops failing solves sooner shows there as a ratio near 1 on
+the solved ones and a lower one on the failing ones. Timing both sides on
+the same instances in the same process cancels most of the drift that
+separate benchmark runs see, so a change of a few percent shows in a few
+rounds; a claimed gain still needs tools/bench_pairs.py.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from bench_pairs import REPO, export  # noqa: E402
 from digests import WORKLOADS, workload_instances  # noqa: E402
 
 SIDES = ("parent", "change")
+OUTCOMES = ("solved", "SolverError")  # the parent's outcome of a run
 
 
 def load_package(root: Path, name: str):
@@ -73,6 +77,15 @@ def summarize(times: dict[str, list[float]]) -> dict:
     }
 
 
+def by_outcome(times: dict[str, list[float]], raised: list[bool]) -> dict:
+    """`times` split by the parent's outcome of each run, `raised[i]` True
+    where run i raised SolverError there: OUTCOMES to each side's times, a
+    class with no runs left out."""
+    return {outcome: {side: [t for t, r in zip(times[side], raised) if r == failed]
+                      for side in SIDES}
+            for outcome, failed in zip(OUTCOMES, (False, True)) if failed in raised}
+
+
 def report(workload: str, summary: dict) -> str:
     return (f"{workload}: {summary['runs']} runs per side, time ratio change/parent "
             f"median {summary['ratio_median']:.3f} (quartiles {summary['ratio_q1']:.3f}"
@@ -80,8 +93,10 @@ def report(workload: str, summary: dict) -> str:
             f"{summary['parent_median_ms']:.3f} ms, change {summary['change_median_ms']:.3f} ms")
 
 
-def measure(packages: dict, workload: str, rounds: int, seed: int, size: str) -> dict:
-    """Each side's time per instance run, in matching order."""
+def measure(packages: dict, workload: str, rounds: int, seed: int,
+            size: str) -> tuple[dict, list[bool]]:
+    """Each side's time per instance run, in matching order, and per run
+    whether the parent's run raised SolverError."""
     sys.path.insert(0, str(REPO / "perfbench"))
     bench = importlib.import_module("workloads")
     solver = str(REPO / "perfbench" / "standin_solver.py")
@@ -91,13 +106,16 @@ def measure(packages: dict, workload: str, rounds: int, seed: int, size: str) ->
         for inst in bench.warmup_instances(q, spec):
             bench.run_instance(q, inst, solver)
     times: dict[str, list[float]] = {side: [] for side in SIDES}
+    raised = []
     for round_ in range(rounds):
         for i, inst in enumerate(instances):
             for side in order(i, round_):
                 start = perf_counter()
-                bench.run_instance(packages[side], inst, solver)
+                outcome = bench.run_instance(packages[side], inst, solver)
                 times[side].append(perf_counter() - start)
-    return times
+                if side == "parent":
+                    raised.append(outcome.error is not None and not outcome.unexpected)
+    return times, raised
 
 
 def main(argv=None) -> int:
@@ -116,9 +134,11 @@ def main(argv=None) -> int:
         commit = export(args.parent, parent_root)
         packages = {"parent": load_package(parent_root, "qcpart_parent"),
                     "change": load_package(REPO, "qcpart_change")}
-        times = measure(packages, args.workload, args.rounds, args.seed, args.size)
+        times, raised = measure(packages, args.workload, args.rounds, args.seed, args.size)
     print(f"parent {commit}, seed {args.seed}, size {args.size}, {args.rounds} rounds")
     print(report(args.workload, summarize(times)))
+    for outcome, part in by_outcome(times, raised).items():
+        print(report(f"{args.workload} {outcome}", summarize(part)))
     return 0
 
 
