@@ -70,8 +70,8 @@ def block_partition(circuit: Circuit, config: BaselineConfig) -> list[list[int]]
     return blocks
 
 
-def remap_groups(circuit: Circuit, groups: list[list[int]]) -> list[Partition]:
-    """Apply the sorted-contiguous local re-mapping to each gate-index group."""
+def _check_groups(circuit: Circuit, groups: list[list[int]]) -> None:
+    """Raise FixtureError for a gate index out of range or in two groups."""
     seen: set[int] = set()
     for group in groups:
         for idx in group:
@@ -82,6 +82,11 @@ def remap_groups(circuit: Circuit, groups: list[list[int]]) -> list[Partition]:
             if idx in seen:
                 raise FixtureError(f"gate index {idx} appears in more than one group")
             seen.add(idx)
+
+
+def remap_groups(circuit: Circuit, groups: list[list[int]]) -> list[Partition]:
+    """Apply the sorted-contiguous local re-mapping to each gate-index group."""
+    _check_groups(circuit, groups)
     return [Partition([circuit.gates[idx] for idx in group]) for group in groups]
 
 
@@ -94,21 +99,12 @@ def load_fixture(text: str, circuit: Circuit) -> list[list[int]]:
     groups = doc.get("partitions") if isinstance(doc, dict) else doc
     if not isinstance(groups, list) or not all(isinstance(g, list) for g in groups):
         raise FixtureError("fixture must hold a list of gate-index lists")
-    seen: set[int] = set()
-    result: list[list[int]] = []
     for group in groups:
-        indices = []
         for idx in group:
             if not isinstance(idx, int) or isinstance(idx, bool):
                 raise FixtureError(f"non-integer gate index {idx!r}")
-            if not 0 <= idx < len(circuit.gates):
-                raise FixtureError(f"gate index {idx} out of range")
-            if idx in seen:
-                raise FixtureError(f"duplicate gate index {idx}")
-            seen.add(idx)
-            indices.append(idx)
-        result.append(indices)
-    return result
+    _check_groups(circuit, groups)
+    return groups
 
 
 def builtin_fixture_text(name: str) -> str:

@@ -204,10 +204,6 @@ def parse_circuit(text: str) -> Circuit:
             raise CircuitParseError(str(exc), lineno) from None
         except ValueError:
             raise CircuitParseError(f"bad integer in {line!r}", lineno)
-        if len(qubits) != kind.arity:
-            raise CircuitParseError(
-                f"{kind.name} expects {kind.arity} qubits, got {len(qubits)}", lineno
-            )
         for q in qubits:
             if not 0 <= q < num_qubits:
                 raise CircuitParseError(f"qubit {q} out of range", lineno)

@@ -3,6 +3,8 @@
 One node per gate. Two hyperedge families:
   - gate-level: a singleton {gate} per multi-qubit gate, weight
     100 * arity / eps(gate), penalizing cuts through entangling operations;
+    eps is eps_cnot for CNOT, SWAP and CCX, which the fidelity estimate
+    charges as CNOTs, and eps_default_multi for any other kind;
   - temporal chain: all gates on one qubit (when >= 2), weight
     max(1, 100 * (m // 2) / eps_h), preserving per-qubit execution order.
 
@@ -23,7 +25,7 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 
-from .circuits import CNOT, H, Circuit, ErrorModel, GateKind
+from .circuits import CCX, CNOT, H, SWAP, Circuit, ErrorModel, GateKind
 
 GATE_LEVEL = "gate-level"
 TEMPORAL = "temporal"
@@ -136,7 +138,8 @@ def circuit_to_hypergraph(circuit: Circuit, model: ErrorModel | None = None) -> 
     node_w = {key: node_weight(kind, model) for key, kind in kinds.items()}
     gate_w = {
         key: gate_level_edge_weight(
-            kind.arity, model.eps_cnot if kind == CNOT else model.eps_default_multi)
+            kind.arity,
+            model.eps_cnot if kind in (CNOT, SWAP, CCX) else model.eps_default_multi)
         for key, kind in kinds.items() if kind.arity > 1
     }
 

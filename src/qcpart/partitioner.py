@@ -3,23 +3,21 @@
 The internal solver is a deterministic multilevel bisection scheme:
 heavy-connectivity matching for coarsening, greedy balanced initial
 assignment, then Fiduccia-Mattheyses refinement and balance repair.
-The top sub-problem is built once from the hypergraph: node weights in one
-unit, edge weights as `normalize_weights` scales them, and edges with
-fewer than two distinct pins dropped. Each side of a solved bisection that
-splits again gets its parent's sub-problem restricted to it. Coarsening
-rates a cluster's merge partners from its own incidence list when the
-cluster is visited (a cluster with one incident edge takes its first
-unmatched member that fits), fills the coarse incidence lists as it maps
-the edges, and each coarse level keeps only its fine-to-coarse map to
-project a bisection back, not its clusters' original nodes. One bisection
-state per level, `_Bisection`, owns the sides, side loads, cut, per-edge
-pin counts and move gains that refinement, repair and candidate selection
-all read. A move updates only the pins whose gain changes, by fixed
-per-side deltas, and reports the highest gain it raised. An FM pass keeps
-one scalar bound on the unlocked clusters' gains, so its selection scan
-stops at the first movable cluster that reaches it; a rolled-back pass
-puts back its start state and replays the moves it keeps, so only a new
-`_Bisection` recounts from the sides.
+Every sub-problem comes from one cluster mapping, `_mapped`: the top one
+maps the hypergraph by the identity, a side that splits again maps its
+parent's by its own numbering, and a coarse level maps the finer one by
+its matching. Coarsening rates a cluster's merge partners from its own
+incidence list when the cluster is visited (a cluster with one incident
+edge takes its first unmatched member that fits), and each coarse level
+keeps only its fine-to-coarse map to project a bisection back, not its
+clusters' original nodes. One bisection state per level, `_Bisection`,
+owns the sides, side loads, cut, per-edge pin counts and move gains that
+refinement, repair and candidate selection all read. A move updates only
+the pins whose gain changes, by fixed per-side deltas, and reports the
+highest gain it raised. An FM pass keeps one scalar bound on the unlocked
+clusters' gains, so its selection scan stops at the first movable cluster
+that reaches it; a rolled-back pass puts back its start state and replays
+the moves it keeps, so only a new `_Bisection` recounts from the sides.
 Every weight the solver sees is an int: node weights in one unit, 1/u for
 u the largest power-of-two denominator of a node weight, with the cap
 floored in it, and edge weights as `normalize_weights` scales them. Loads,
@@ -172,54 +170,51 @@ class _Instance:
     cap1: int
     # from _contract: this instance's cluster id for each finer-level cluster
     fine_to_coarse: list[int] | None = field(default=None, repr=False)
-    # edge ids per cluster, ascending; built from `edges` unless given
-    incident: list[list[int]] | None = field(default=None, repr=False)
+    # edge ids per cluster, ascending
+    incident: list[list[int]] = field(init=False, repr=False)
     # below every move gain: no gain exceeds the total edge weight in size
     below: int = field(init=False, repr=False)
 
     def __post_init__(self):
         self.below = -1 - sum(w for w, _ in self.edges)
-        if self.incident is None:
-            self.incident = [[] for _ in self.weights]
-            for ei, (_, members) in enumerate(self.edges):
-                for v in members:
-                    self.incident[v].append(ei)
+        self.incident = incident = [[] for _ in self.weights]
+        for ei, (_, members) in enumerate(self.edges):
+            for v in members:
+                incident[v].append(ei)
 
 
-def _top_edges(hg: Hypergraph) -> list[tuple[int, tuple[int, ...]]]:
-    """hg's hyperedges of two or more distinct pins, members ascending.
+def _mapped(weights: list[int], edges: list[tuple[int, tuple[int, ...]]], to: list[int],
+            size: int) -> tuple[list[int], list[tuple[int, tuple[int, ...]]]]:
+    """The weights and edges of `size` clusters, cluster v sent to `to[v]`,
+    or dropped where `to[v]` is -1.
 
-    Weights are the ints `normalize_weights` gives, the largest taken over
-    every hyperedge, the dropped ones included, and 0 when every weight is 0.
+    A new cluster weighs the sum of its members. An edge keeps its mapped
+    pins, deduplicated and ascending, when two or more remain.
     """
-    if not hg.hyperedges:
-        return []
-    max_w = max(e.weight for e in hg.hyperedges)
-    edges = []
-    for e in hg.hyperedges:
-        if len(e.members) < 2:
+    mapped_weights = [0] * size
+    for c, w in zip(to, weights):
+        if c >= 0:
+            mapped_weights[c] += w
+    mapped_edges = []
+    for w, members in edges:
+        if len(members) < 2:  # no mapping gives it two pins
             continue
-        members = tuple(sorted(set(e.members)))
-        if len(members) >= 2:
-            edges.append((0 if max_w == 0 else scaled_edge_weight(e.weight, max_w), members))
-    return edges
+        pins = {to[v] for v in members}
+        pins.discard(-1)
+        if len(pins) >= 2:
+            mapped_edges.append((w, tuple(sorted(pins))))
+    return mapped_weights, mapped_edges
 
 
-def _restrict(inst: _Instance, side: list[int], s: int) -> tuple[list[int], list]:
-    """The weights and edges of `inst`'s clusters on side s, renumbered in
-    order. Members stay ascending; an edge left with fewer than two is dropped."""
-    local = [-1] * len(side)
-    weights = []
-    for v, t in enumerate(side):
-        if t == s:
-            local[v] = len(weights)
-            weights.append(inst.weights[v])
-    edges = []
-    for w, members in inst.edges:
-        kept = [c for c in map(local.__getitem__, members) if c >= 0]
-        if len(kept) >= 2:
-            edges.append((w, tuple(kept)))
-    return weights, edges
+def _scaled_edges(hg: Hypergraph) -> list[tuple[int, tuple[int, ...]]]:
+    """hg's hyperedges as (weight, members), weights the ints
+    `normalize_weights` gives, the largest taken over every hyperedge, and
+    0 when every weight is 0."""
+    weights = [e.weight for e in hg.hyperedges]
+    max_w = max(weights, default=0)
+    # few distinct weights in a circuit's hypergraph: scale each once
+    scaled = {w: scaled_edge_weight(w, max_w) if max_w else 0 for w in set(weights)}
+    return [(scaled[e.weight], e.members) for e in hg.hyperedges]
 
 
 def _contract(inst: _Instance, rng: SplitMix64, max_cluster: int) -> _Instance | None:
@@ -230,8 +225,7 @@ def _contract(inst: _Instance, rng: SplitMix64, max_cluster: int) -> _Instance |
     holding both, read from v's incidence list when v is visited, and merges
     with the highest-rated neighbour that fits max_cluster, the lowest index
     on ties. With one incident edge every candidate rates its one share, so
-    the first unmatched member that fits wins (members are ascending). The
-    coarse incidence lists are filled as the edges are mapped.
+    the first unmatched member that fits wins (members are ascending).
     """
     n = len(inst.weights)
     weights, edges, incident = inst.weights, inst.edges, inst.incident
@@ -276,28 +270,17 @@ def _contract(inst: _Instance, rng: SplitMix64, max_cluster: int) -> _Instance |
     # Coarse ids are numbered by each cluster's lowest fine index; a pair's
     # root may be its higher index, so the id is stored at the root first.
     coarse_of = [-1] * n
-    cweights: list[int] = []
+    size = 0
     for v in range(n):
         root = merged_into[v]
-        cid = coarse_of[root]
-        if cid < 0:
-            cid = coarse_of[root] = len(cweights)
-            cweights.append(0)
-        coarse_of[v] = cid
-        cweights[cid] += weights[v]
-
-    coarse_edges = []
-    coarse_incident: list[list[int]] = [[] for _ in cweights]
-    for w, members in edges:
-        mapped = tuple(sorted({coarse_of[v] for v in members}))
-        if len(mapped) >= 2:
-            for c in mapped:
-                coarse_incident[c].append(len(coarse_edges))
-            coarse_edges.append((w, mapped))
-    return _Instance(cweights, coarse_edges, inst.cap0, inst.cap1, coarse_of, coarse_incident)
+        if coarse_of[root] < 0:
+            coarse_of[root] = size
+            size += 1
+        coarse_of[v] = coarse_of[root]
+    return _Instance(*_mapped(weights, edges, coarse_of, size), inst.cap0, inst.cap1, coarse_of)
 
 
-def _greedy_initial(inst: _Instance, rng: SplitMix64) -> list[int]:
+def _greedy_initial(inst: _Instance) -> list[int]:
     """Heaviest-first assignment to the side with the most remaining headroom."""
     order = sorted(range(len(inst.weights)), key=lambda v: (-inst.weights[v], v))
     side = [0] * len(inst.weights)
@@ -586,7 +569,7 @@ def _solve_bisection(inst: _Instance, rng: SplitMix64) -> _Bisection | None:
             levels, seen = [inst], set()
         coarse = levels[-1]
         if restart == 0:
-            side = _greedy_initial(coarse, rng)
+            side = _greedy_initial(coarse)
         else:
             side = [u % 2 for u in rng.draws(len(coarse.weights))]
         bis = _uncoarsen(levels, side, seen)
@@ -651,9 +634,11 @@ def _partition_internal(hg: Hypergraph, config: SolverConfig) -> PartitionAssign
 
     # Recursive bisection: split the k target parts into two groups and
     # bound each side by (parts on that side) * final cap. A side left empty
-    # is balanced too; its parts stay empty. Each side's sub-problem is its
-    # parent's restricted to it, built only when the side splits again.
-    stack = [(list(range(hg.num_nodes)), weights, _top_edges(hg), 0, k)]
+    # is balanced too; its parts stay empty. The top sub-problem maps the
+    # hypergraph by the identity, and a side that splits again maps its
+    # parent's by its own numbering.
+    nodes = list(range(hg.num_nodes))
+    stack = [(nodes, *_mapped(weights, _scaled_edges(hg), nodes, len(nodes)), 0, k)]
     while stack:
         nodes, weights, edges, first_label, parts = stack.pop()
         if parts == 1 or not nodes:
@@ -668,13 +653,19 @@ def _partition_internal(hg: Hypergraph, config: SolverConfig) -> PartitionAssign
         bis = _solve_bisection(inst, rng)
         if bis is None:
             raise SolverError(_NO_BISECTION)
+        # both sides are checked before either is built, so a failing solve
+        # maps neither
         halves = ((0, first_label, k0), (1, first_label + k0, k1))
         for s, _, p in halves:
             if p > 1 and _unpackable([w for w, t in zip(weights, bis.side) if t == s], p, cap):
                 raise SolverError(_NO_BISECTION)
         for s, first, p in halves:
-            part = [v for v, t in zip(nodes, bis.side) if t == s]
-            sub = _restrict(inst, bis.side, s) if p > 1 and part else (None, None)
+            to, part = [-1] * len(nodes), []
+            for i, (v, t) in enumerate(zip(nodes, bis.side)):
+                if t == s:
+                    to[i] = len(part)
+                    part.append(v)
+            sub = _mapped(weights, edges, to, len(part)) if p > 1 and part else (None, None)
             stack.append((part, *sub, first, p))
 
     # At k = 2 the one bisection solved is the top one, whose labels are its

@@ -84,6 +84,11 @@ class TestFixtures:
         with pytest.raises(q.FixtureError, match=r"^non-integer gate index True$"):
             q.load_fixture(json.dumps({"partitions": [[True, False], [2]]}), circuit_s)
 
+    @pytest.mark.parametrize("doc", [{"partitions": 3}, [[0, 1], 2], "[[0]]"])
+    def test_not_a_list_of_lists_rejected(self, circuit_s, doc):
+        with pytest.raises(q.FixtureError, match=r"^fixture must hold a list of gate-index lists$"):
+            q.load_fixture(json.dumps(doc), circuit_s)
+
     def test_bare_list_accepted(self, circuit_s):
         groups = q.load_fixture(json.dumps([[0, 1], [2]]), circuit_s)
         assert groups == [[0, 1], [2]]

@@ -146,6 +146,28 @@ class TestSerialization:
         with pytest.raises(CircuitParseError):
             q.parse_circuit("qubits 2\ncx 0 5\n")
 
+    @pytest.mark.parametrize("gate, message", [
+        ("cx 0", "CNOT expects 2 qubits, got (0,)"),
+        ("cx 0 0", "duplicate qubit in gate CNOT(0, 0)"),
+    ])
+    def test_bad_gate_names_its_line(self, gate, message):
+        with pytest.raises(CircuitParseError) as excinfo:
+            q.parse_circuit(f"qubits 2\nh 1\n{gate}\n")
+        assert (excinfo.value.line, str(excinfo.value)) == (3, f"line 3: {message}")
+
+    @pytest.mark.parametrize("text, message", [
+        ("qubits x\n", "line 1: bad qubit count 'x'"),
+        ("qubits -1\n", "line 1: qubit count must be >= 0"),
+        ("qubits 2\ng foo\n", "line 2: expected 'g <name> <arity> q...'"),
+        ("qubits 2\nh x\n", "line 2: bad integer in 'h x'"),
+        ("# no header\n\n", "line 1: missing 'qubits N' header"),
+    ], ids=["non-integer-count", "negative-count", "short-g-line", "non-integer-qubit",
+            "missing-header"])
+    def test_malformed_text_rejected(self, text, message):
+        with pytest.raises(CircuitParseError) as excinfo:
+            q.parse_circuit(text)
+        assert str(excinfo.value) == message
+
     def test_zero_arity_gate_kind(self):
         with pytest.raises(CircuitParseError, match=r"^line 2: gate arity must be >= 1, got 0$"):
             q.parse_circuit("qubits 2\ng foo 0\n")

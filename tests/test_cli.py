@@ -166,6 +166,21 @@ class TestCompare:
         assert code == 0
         assert json.loads(out)["labels"] == [i % 2 for i in range(22)]
 
+    def test_block_size_required(self, capsys):
+        code, out, err = run_cli(capsys, "compare", "--bench", "s", "--k", "2")
+        assert (code, out, err) == (1, "", "error: --block-size is required for compare\n")
+
+    def test_fixture_leaving_a_gate_out_exits_two(self, capsys, tmp_path):
+        fixture = tmp_path / "fixture.json"
+        fixture.write_text(json.dumps([list(range(21))]))  # gate 21 of 22 left out
+        code, out, _ = run_cli(
+            capsys,
+            "compare", "--bench", "s", "--block-size", "4", "--k", "2",
+            "--baseline-fixture", str(fixture),
+        )
+        assert code == 2
+        assert out.splitlines()[-1] == "WARNING: gate count validation failed for block-baseline"
+
     def test_heuristic_flag_accepted(self, capsys):
         code, _, _ = run_cli(
             capsys,

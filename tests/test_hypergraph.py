@@ -29,6 +29,15 @@ class TestWeights:
         with pytest.raises(ValueError):
             gate_level_edge_weight(1, 0.05)
 
+    def test_swap_and_ccx_edges_weighted_at_the_cnot_rate(self):
+        # metrics.fidelity charges SWAP and CCX as CNOTs at eps_cnot (0.05);
+        # another multi-qubit kind keeps eps_default_multi
+        model = q.ErrorModel(eps_default_multi=0.2)
+        gates = (q.swap(0, 1), q.ccx(0, 1, 2), q.Gate(q.GateKind("CZ", 2), (1, 2)))
+        hg = q.circuit_to_hypergraph(q.Circuit(3, gates), model)
+        gate_level = [(e.members, e.weight) for e in hg.hyperedges if e.kind == GATE_LEVEL]
+        assert gate_level == [((0,), 4000.0), ((1,), 6000.0), ((2,), 1000.0)]
+
     def test_temporal_weight_floor_division(self):
         m = q.ErrorModel()
         assert temporal_edge_weight(9, m) == 400000.0
@@ -119,6 +128,16 @@ class TestConstruction:
         edges = (q.Hyperedge((0, 1), 2), q.Hyperedge((0, 1), 10**400))
         with pytest.raises(ValueError, match="hyperedge 1 has a weight past the float range"):
             q.Hypergraph(2, (1.0, 1.0), edges)
+
+    @pytest.mark.parametrize("num_nodes, edges, message", [
+        (2, (), "one weight per node required"),
+        (3, (q.Hyperedge((), 1.0),), "empty hyperedge"),
+        (3, (q.Hyperedge((0, 3), 1.0),), "hyperedge member 3 out of range"),
+    ], ids=["weight-count", "empty-edge", "member-out-of-range"])
+    def test_malformed_hypergraph_rejected(self, num_nodes, edges, message):
+        with pytest.raises(ValueError) as excinfo:
+            q.Hypergraph(num_nodes, (1.0, 1.0, 1.0), edges)
+        assert str(excinfo.value) == message
 
     def test_largest_float_weights_accepted(self):
         top = int(sys.float_info.max)
@@ -233,3 +252,18 @@ class TestSerialization:
             with pytest.raises(q.HgrFormatError) as excinfo:
                 q.read_hgr(text)
             assert str(excinfo.value) == f"malformed header {header!r}"
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty input"),
+        ("1 2 1 5\n5 1 2\n1\n1\n", "malformed header '1 2 1 5'"),
+        ("1 x 1\n5 1 2\n1\n1\n", "malformed header '1 x 1'"),
+        ("1 2 1\n5\n1\n1\n", "hyperedge line too short: '5'"),
+        ("1 2 1\n5 1 x\n1\n1\n", "bad integer in hyperedge line '5 1 x'"),
+        ("1 2 1\n5 1 2\n1\n", "expected 2 node weight lines, found 1"),
+        ("1 2 1\n5 1 2\n1\n1.5\n", "bad integer in node weight section"),
+    ], ids=["empty", "four-field-header", "non-integer-header", "one-field-edge",
+            "non-integer-pin", "few-node-weights", "non-integer-node-weight"])
+    def test_malformed_input_rejected(self, text, message):
+        with pytest.raises(q.HgrFormatError) as excinfo:
+            q.read_hgr(text)
+        assert str(excinfo.value) == message

@@ -1055,7 +1055,8 @@ class TestUnequalCaps:
         assert [inst.cap0, inst.cap1] == caps
         assert inst.weights == weights
 
-        reference = qp._Instance(weights, qp._top_edges(hg), *caps)
+        edges = _reference_induce(q.normalize_weights(hg), list(range(hg.num_nodes)), 0, 0).edges
+        reference = qp._Instance(weights, [(int(w), members) for w, members in edges], *caps)
         expected = _reference_solve_bisection(reference, SplitMix64(config.seed))
         assert (bis.side if bis else None) == expected
 
@@ -1078,9 +1079,10 @@ def raw_hypergraphs(draw):
 
 
 class TestSubProblems:
-    """The solver builds its top sub-problem from the hypergraph and each
-    child by restricting its parent to one side; both equal a fresh
-    induction from the normalized hypergraph."""
+    """The solver builds every sub-problem through `_mapped`: the top one
+    maps the hypergraph's scaled hyperedges by the identity, and each child
+    maps its parent by one side's local numbering. Both equal a fresh
+    induction from the normalized hypergraph, incidence lists included."""
 
     @settings(max_examples=200, deadline=None)
     @given(hg=raw_hypergraphs(), data=st.data())
@@ -1094,14 +1096,18 @@ class TestSubProblems:
         assert (type(cap), cap) == (int, expected_caps[0])
 
         norm = q.normalize_weights(hg)
-        nodes = list(range(hg.num_nodes))
-        inst = qp._Instance(weights, qp._top_edges(hg), 0, 0)
+        n = hg.num_nodes
+        nodes = list(range(n))
+        inst = qp._Instance(*qp._mapped(weights, qp._scaled_edges(hg), nodes, n), 0, 0)
         assert all(type(w) is int for w, _ in inst.edges)
         for _ in range(3):
             expected = _reference_induce(norm, nodes, 0, 0)
             assert inst.weights == [weights[v] for v in nodes]
             assert inst.edges == expected.edges
-            assert inst.incident == expected.incident
+            assert inst.incident == [
+                [ei for ei, (_, members) in enumerate(expected.edges) if v in members]
+                for v in range(len(nodes))
+            ]
             if not nodes:
                 break
             s = data.draw(st.integers(0, 1))
@@ -1110,7 +1116,8 @@ class TestSubProblems:
                 st.lists(st.integers(0, 1), min_size=len(nodes), max_size=len(nodes)),
             ))
             nodes = [v for v, t in zip(nodes, side) if t == s]
-            inst = qp._Instance(*qp._restrict(inst, side, s), 0, 0)
+            to = [side[:i].count(s) if t == s else -1 for i, t in enumerate(side)]
+            inst = qp._Instance(*qp._mapped(inst.weights, inst.edges, to, len(nodes)), 0, 0)
 
 
 # Reference versions of the contraction and projection that summed ratings
@@ -1409,6 +1416,22 @@ class TestExternalAdapter:
         solver = _fake_solver(tmp_path, "7")
         with pytest.raises(q.SolverError, match=r"line 1: label 7 outside \[0, 2\)"):
             q.partition(hypergraph_s, q.SolverConfig(k=2, backend=solver))
+
+    def test_label_count_mismatch_raises(self, hypergraph_s, tmp_path):
+        script = tmp_path / "shortsolver"
+        script.write_text(textwrap.dedent("""\
+            #!/bin/sh
+            while [ $# -gt 0 ]; do
+              case "$1" in
+                -h) hgr="$2"; shift 2 ;;
+                *) shift ;;
+              esac
+            done
+            printf '0\\n1\\n' > "$hgr.part2"
+            """))
+        script.chmod(script.stat().st_mode | stat.S_IEXEC)
+        with pytest.raises(q.SolverError, match=r"^label count mismatch: 2 labels for 22 nodes$"):
+            q.partition(hypergraph_s, q.SolverConfig(k=2, backend=str(script)))
 
     def test_failing_solver_raises(self, hypergraph_s, tmp_path):
         script = tmp_path / "broken"

@@ -142,7 +142,9 @@ def test_gate_level_edges_add_nothing_to_km1(circuit, data):
     without = q.Hypergraph(hg.num_nodes, hg.node_weights, temporal)
     assert q.km1(without, assignment) == q.km1(hg, assignment)
     # the internal solver never sees them
-    assert len(partitioner._top_edges(hg)) == len(temporal)
+    n = hg.num_nodes
+    _, top_edges = partitioner._mapped([0] * n, partitioner._scaled_edges(hg), list(range(n)), n)
+    assert len(top_edges) == len(temporal)
 
 
 @PROPERTY_SETTINGS
