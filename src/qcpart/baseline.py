@@ -42,30 +42,36 @@ def block_partition(circuit: Circuit, config: BaselineConfig) -> list[list[int]]
     block_size, unless a block opened later already contains a gate on any
     of its qubits (which would reorder causally dependent gates).
     """
+    size = config.block_size
     blocks: list[list[int]] = []  # gate indices per block
     block_qubits: list[set[int]] = []
     last = [0] * circuit.num_qubits  # index of the latest block holding each qubit
     for idx, gate in enumerate(circuit.gates):
-        if gate.kind.arity > config.block_size:
-            raise ValueError(
-                f"gate {gate.kind.name}{gate.qubits} exceeds block size "
-                f"{config.block_size}"
-            )
+        qubits = gate.qubits
+        if gate.kind.arity > size:
+            raise ValueError(f"gate {gate.kind.name}{qubits} exceeds block size {size}")
         # Joining a block before the latest one holding any of the gate's
         # qubits would reorder causally dependent gates.
-        start = max(last[q] for q in gate.qubits)
+        start = 0
+        for q in qubits:
+            if last[q] > start:
+                start = last[q]
         chosen = len(blocks)
         for pos in range(start, len(blocks)):
             held = block_qubits[pos]
-            if len(held) + sum(q not in held for q in gate.qubits) <= config.block_size:
+            new = 0
+            for q in qubits:
+                if q not in held:
+                    new += 1
+            if len(held) + new <= size:
                 chosen = pos
                 break
         if chosen == len(blocks):
             blocks.append([])
             block_qubits.append(set())
         blocks[chosen].append(idx)
-        block_qubits[chosen].update(gate.qubits)
-        for q in gate.qubits:
+        block_qubits[chosen].update(qubits)
+        for q in qubits:
             last[q] = chosen
     return blocks
 

@@ -61,8 +61,10 @@ class Gate:
     qubits: tuple[int, ...]
 
     def __post_init__(self):
-        qubits = tuple(self.qubits)
-        object.__setattr__(self, "qubits", qubits)
+        qubits = self.qubits
+        if type(qubits) is not tuple:
+            qubits = tuple(qubits)
+            object.__setattr__(self, "qubits", qubits)
         # serialize_circuit writes each index as is, and parse_circuit reads
         # back only integers; `type` is the cheapest test and rejects bools
         for q in qubits:
@@ -173,7 +175,7 @@ def parse_circuit(text: str) -> Circuit:
     num_qubits = None
     gates: list[Gate] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = (raw.split("#", 1)[0] if "#" in raw else raw).strip()
         if not line:
             continue
         tokens = line.split()
@@ -192,10 +194,10 @@ def parse_circuit(text: str) -> Circuit:
                 if len(tokens) < 3:
                     raise CircuitParseError("expected 'g <name> <arity> q...'", lineno)
                 kind = other_kind(tokens[1], int(tokens[2]))
-                qubits = tuple(int(t) for t in tokens[3:])
+                qubits = tuple(map(int, tokens[3:]))
             elif tokens[0] in _MNEMONICS:
                 kind = _MNEMONICS[tokens[0]]
-                qubits = tuple(int(t) for t in tokens[1:])
+                qubits = tuple(map(int, tokens[1:]))
             else:
                 raise CircuitParseError(f"unknown gate {tokens[0]!r}", lineno)
         except CircuitParseError:

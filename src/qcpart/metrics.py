@@ -22,6 +22,9 @@ float test ``draw / 2**64 < 0.6``, and reads those decisions from
 stream belongs to the call, so drawing up to one block ahead changes no
 output. Counts, depth and gate validation read each partition's global
 gates, whose (kind name, arity, global qubits) keys validation counts.
+``partition_metrics`` counts the H and CNOT gates by kind identity, since
+a ``GateKind`` hash or comparison runs in Python; only other kinds go into
+a ``Counter``, and any there equal to H or CNOT are added to their counts.
 """
 
 from __future__ import annotations
@@ -207,9 +210,19 @@ def total_fidelity(per_partition: Sequence[float]) -> float:
 def partition_metrics(
     part: Partition, swap_attributed: int, model: ErrorModel | None = None
 ) -> PartitionMetrics:
-    kinds = Counter(g.kind for g in part.gates)
-    h_count = kinds.pop(H, 0)
-    cnot_count = kinds.pop(CNOT, 0)
+    h_count = cnot_count = 0
+    others = []
+    for g in part.gates:
+        kind = g.kind
+        if kind is H:
+            h_count += 1
+        elif kind is CNOT:
+            cnot_count += 1
+        else:
+            others.append(kind)
+    kinds = Counter(others)
+    h_count += kinds.pop(H, 0)  # kinds equal to H or CNOT but made apart
+    cnot_count += kinds.pop(CNOT, 0)
     return PartitionMetrics(
         gate_count=len(part.gates),
         depth=gate_depth(part.gates, part.qubit_map),
@@ -247,6 +260,7 @@ def method_report(
     heuristic_on: bool = False,
     seed: int = 42,
 ) -> MethodReport:
+    model = model or ErrorModel()
     swaps = estimate_swaps(parts, heuristic_on=heuristic_on, seed=seed)
     rows = tuple(
         partition_metrics(p, swaps.per_partition_attribution[i], model)

@@ -16,8 +16,10 @@ refinement, repair and candidate selection all read. A move updates only
 the pins whose gain changes, by fixed per-side deltas, and reports the
 highest gain it raised. An FM pass keeps one scalar bound on the unlocked
 clusters' gains, so its selection scan stops at the first movable cluster
-that reaches it; a rolled-back pass puts back its start state and replays
-the moves it keeps, so only a new `_Bisection` recounts from the sides.
+that reaches it; a rolled-back pass undoes the moves after its best
+prefix with reverse moves when they are fewer than the prefix's, and
+otherwise puts back its start state and replays the moves it keeps, so
+only a new `_Bisection` recounts from the sides.
 Every weight the solver sees is an int: node weights in one unit, 1/u for
 u the largest power-of-two denominator of a node weight, with the cap
 floored in it, and edge weights as `normalize_weights` scales them. Loads,
@@ -26,18 +28,19 @@ Every restart, the flat retry on the finest level included, runs through
 `_uncoarsen`. Two prunings skip only work whose outcome is already known:
 an FM pass stops once the weight of edges with locked clusters on both
 sides (cut for the rest of the pass) leaves no later prefix able to beat
-the best one, and a restart whose refined side at some level repeats an
-earlier restart's, or mirrors it when both sides have the same cap, is
-dropped, since the rest of a restart is deterministic, draws nothing from
-the RNG and treats the two sides alike when their caps are equal. k > 2
-is handled by recursive bisection, where a side left empty leaves its
-parts empty. A solve stops early, with the error it would end in anyway,
-when the top instance (k > 1) or a side with two or more parts provably
-has no packing into its parts under the cap (`_unpackable`): a solve that
-completes leaves every part within the cap, so such a solve could only
-fail, and a solve that succeeds never meets the check. At k = 2 a refined
-random balanced assignment on the top instance replaces the top bisection
-when its cut is lower. An
+the best one, and a restart stops as soon as an FM pass starts at some
+level from a side that an earlier restart's pass started from there, or
+from its mirror when both sides have the same cap, since the rest of a
+restart is deterministic, draws nothing from the RNG and treats the two
+sides alike when their caps are equal. k > 2 is handled by recursive
+bisection, where a side left empty leaves its parts empty; k = 1 labels
+every node 0 and builds no sub-problem. A solve stops early, with the
+error it would end in anyway, when the top instance or a side with two
+or more parts provably has no packing into its parts under the cap
+(`_unpackable`): a solve that completes leaves every part within the cap,
+so such a solve could only fail, and a solve that succeeds never meets
+the check. At k = 2 a refined random balanced assignment on the top
+instance replaces the top bisection when its cut is lower. An
 external-solver adapter mirrors the usual Mt-KaHyPar style invocation for
 users who have a binary available; it rejects labels that are out of
 range or break the balance cap, and raises SolverError when the binary
@@ -233,6 +236,8 @@ def _contract(inst: _Instance, rng: SplitMix64, max_cluster: int) -> _Instance |
     rng.shuffle(order)
     merged_into = list(range(n))
     matched = [False] * n
+    # per edge, a position before which every member is matched
+    cursor = [0] * len(edges)
     any_match = False
     for v in order:
         if matched[v]:
@@ -241,7 +246,13 @@ def _contract(inst: _Instance, rng: SplitMix64, max_cluster: int) -> _Instance |
         best = -1
         mine = incident[v]
         if len(mine) == 1:
-            for u in edges[mine[0]][1]:
+            ei = mine[0]
+            members = edges[ei][1]
+            i = cursor[ei]
+            while matched[members[i]]:  # stops at v, a member and unmatched
+                i += 1
+            cursor[ei] = i
+            for u in members[i:]:
                 if u != v and not matched[u] and wv + weights[u] <= max_cluster:
                     best = u
                     break
@@ -389,20 +400,32 @@ class _Bisection:
         return raised
 
 
-def _refine(bis: _Bisection) -> None:
-    """Fiduccia-Mattheyses refinement of `bis` in place.
+def _refine(bis: _Bisection, seen: set | None = None, level: int = 0) -> bool:
+    """Fiduccia-Mattheyses refinement of `bis` in place; False when it stops
+    on a pass start already in `seen`.
 
     Each pass tentatively moves every cluster at most once, always taking
     the highest-gain move among unlocked clusters whose move fits the target
     cap plus slack, the lowest cluster index on ties, even when the gain is
     negative. The slack is the heaviest cluster weight, so weight exchanges
     stay reachable, but the pass rolls back to the best prefix whose loads
-    satisfy both caps. It flips every move of the pass back, puts back the
-    loads, gains, counts and cut saved at the pass's start and replays the
-    prefix's moves; the prefix is empty in most passes, every last one
-    included. Loads are exact integer sums, so the replayed state is the
-    recount of its sides. Passes repeat while they improve the cut, so the
-    result is never worse than the (assumed feasible) input.
+    satisfy both caps. When fewer moves follow that prefix than it holds,
+    the pass undoes them with reverse moves, the last first. Otherwise it
+    flips every move of the pass back, puts back the loads, gains, counts
+    and cut saved at the pass's start and replays the prefix's moves; the
+    prefix is empty in most passes, every last one included. Loads are
+    exact integer sums, so either way the state is the recount of its
+    sides. Passes repeat while they improve the cut, so the result is never
+    worse than the (assumed feasible) input.
+
+    Each pass first adds its start to `seen` under the key (`level`, side),
+    the side flipped when the caps are equal and cluster 0 is on side 1,
+    and refinement stops, returning False, when the key is already there:
+    the rest of the restart is a function of that side and draws nothing
+    from the RNG, so it would end on an earlier restart's result or its
+    mirror, with the same cut. With equal caps, a pass from the mirrored
+    side makes the mirrored moves. The cut falls with every pass, so
+    without a `seen` of earlier restarts nothing stops early.
 
     The scan keeps the selection's result but not always its length. A pass
     keeps `bound`, never below any unlocked cluster's gain: -`inst.below`
@@ -426,8 +449,18 @@ def _refine(bis: _Bisection) -> None:
     slack = max(weights, default=0)
     limits = (cap0 + slack, cap1 + slack)
 
+    mirror = cap0 == cap1
+    if seen is None:
+        seen = set()
     improved = True
     while improved:
+        key = tuple(side)
+        if mirror and key[0]:
+            key = tuple([1 - s for s in key])
+        key = (level, key)
+        if key in seen:
+            return False
+        seen.add(key)
         gains, loads, cut = bis.gains, bis.loads, bis.cut  # a rollback replaces the lists
         saved = (loads[:], gains[:], [c[:] for c in bis.counts], cut)
         # per side: the edge has a locked pin there
@@ -469,13 +502,17 @@ def _refine(bis: _Bisection) -> None:
             running += best_gain
             if running > best_running and loads[0] <= cap0 and loads[1] <= cap1:
                 best_running, best_prefix = running, len(moves)
-        if best_prefix < len(moves):  # back to the pass's start, then the kept moves
+        if len(moves) - best_prefix < best_prefix:  # undo the shorter tail
+            for v in reversed(moves[best_prefix:]):
+                bis.move(v)
+        elif best_prefix < len(moves):  # back to the pass's start, then the kept moves
             for v in moves:
                 side[v] = 1 - side[v]
             bis.loads, bis.gains, bis.counts, bis.cut = saved
             for v in moves[:best_prefix]:
                 bis.move(v)
         improved = best_running > 0
+    return True
 
 
 def _repair_balance(bis: _Bisection) -> bool:
@@ -491,14 +528,14 @@ def _repair_balance(bis: _Bisection) -> bool:
         over = next((s for s in (0, 1) if loads[s] > caps[s]), None)
         if over is None:
             return True
-        target = 1 - over
-        fits = [
-            v for v in range(len(side))
-            if side[v] == over and loads[target] + weights[v] <= caps[target]
-        ]
-        if not fits:
+        room = caps[1 - over] - loads[1 - over]
+        best, best_gain = -1, 0
+        for v, s in enumerate(side):  # ascending, so a strict > keeps the lowest index
+            if s == over and weights[v] <= room and (best < 0 or gains[v] > best_gain):
+                best, best_gain = v, gains[v]
+        if best < 0:
             return False
-        bis.move(min(fits, key=lambda u: (-gains[u], u)))
+        bis.move(best)
     return bis.feasible()
 
 
@@ -514,28 +551,21 @@ def _uncoarsen(levels: list[_Instance], side: list[int], seen: set) -> _Bisectio
     projects and refines down to the finest level. Refinement keeps a
     feasible split feasible, and a projected split has the same loads, exact
     sums of the same integers, so every level's split meets the caps.
-    Returns None when the repair fails, or as soon as the refined
-    (level, side) is already in `seen`, and records it there otherwise.
-    With equal caps a side and its mirror (every side flipped) share one
-    key, the orientation with cluster 0 on side 0: repair, refinement and
-    projection from the mirror end on the mirror of the same result, with
-    the same cut and the two loads swapped.
+    Returns None when the repair fails, or as soon as an FM pass starts
+    from a (level, side) already in `seen`; `_refine` records every pass
+    start there. With equal caps a side and its mirror (every side flipped)
+    share one key, the orientation with cluster 0 on side 0: refinement
+    and projection from the mirror end on the mirror of the same result,
+    with the same cut and the two loads swapped.
     """
-    mirror = levels[0].cap0 == levels[0].cap1
     bis = _Bisection(levels[-1], side)
     if not _repair_balance(bis):
         return None
     for level in range(len(levels) - 1, -1, -1):
         if level < len(levels) - 1:
             bis = _Bisection(levels[level], _project(levels[level + 1], bis.side))
-        _refine(bis)
-        key = tuple(bis.side)
-        if mirror and key[0]:
-            key = tuple(1 - s for s in key)
-        key = (level, key)
-        if key in seen:
+        if not _refine(bis, seen, level):
             return None
-        seen.add(key)
     return bis
 
 
@@ -543,10 +573,10 @@ def _solve_bisection(inst: _Instance, rng: SplitMix64) -> _Bisection | None:
     """Multilevel bisection of one instance; None if no balanced split found.
 
     Keeps the restart with the lowest cut, the earliest on ties. A restart
-    that `_uncoarsen` drops as a repeat would end as an earlier one or its
-    mirror, with the same cut, which the strict `<` never takes. The caps
-    are equal when the parts split evenly, or when both are clipped to the
-    sub-problem's total weight.
+    that `_uncoarsen` stops at a repeated pass start would end as an
+    earlier one or its mirror, with the same cut, which the strict `<`
+    never takes. The caps are equal when the parts split evenly, or when
+    both are clipped to the sub-problem's total weight.
     """
     # Cluster weights are ints, so halving the cap by floor division decides
     # every `> max_cluster` test as `/ 2` would.
@@ -621,13 +651,16 @@ def _partition_internal(hg: Hypergraph, config: SolverConfig) -> PartitionAssign
     k = config.k
     if k > hg.num_nodes:
         raise SolverError(f"k={k} exceeds node count {hg.num_nodes}")
+    if k == 1:
+        # Nothing to bisect, and no packing check: `check_balance`'s float
+        # sums can meet a cap that the int total passes.
+        return _checked(hg, [0] * hg.num_nodes, config)
 
     weights, cap = _in_one_unit(hg, k, config.imbalance)
-    # A solve at k > 1 that completes leaves every part within the cap, so
-    # an instance, or a side below, that its parts cannot hold would end in
-    # this error anyway, only later. k = 1 is left to `check_balance`, whose
-    # float sums can meet a cap that the int total passes.
-    if k > 1 and _unpackable(weights, k, cap):
+    # A solve that completes leaves every part within the cap, so an
+    # instance, or a side below, that its parts cannot hold would end in
+    # this error anyway, only later.
+    if _unpackable(weights, k, cap):
         raise SolverError(_NO_BISECTION)
     rng = SplitMix64(config.seed)
     labels = [0] * hg.num_nodes
@@ -679,7 +712,13 @@ def _partition_internal(hg: Hypergraph, config: SolverConfig) -> PartitionAssign
             _refine(rand)
             if rand.cut < bis.cut:
                 labels = rand.side
-    result = PartitionAssignment(tuple(labels), k)
+    return _checked(hg, labels, config)
+
+
+def _checked(hg: Hypergraph, labels: list[int], config: SolverConfig) -> PartitionAssignment:
+    """The internal solver's labels as an assignment, once `check_balance`
+    accepts them."""
+    result = PartitionAssignment(tuple(labels), config.k)
     if not check_balance(hg, result, config.imbalance):
         raise SolverError("internal solver produced an unbalanced assignment")
     return result

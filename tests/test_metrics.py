@@ -143,6 +143,20 @@ class TestPartitionMetrics:
         total = q.total_fidelity([r.fidelity for r in rows])
         assert total == pytest.approx(0.5916, abs=5e-4)
 
+    def test_kinds_equal_to_h_and_cnot_count_as_them(self):
+        # H and CNOT are counted by identity; kinds equal to them but made
+        # apart must count the same, by value.
+        h, cnot = q.GateKind("H", 1), q.GateKind("CNOT", 2)
+        assert h == q.H and h is not q.H and cnot == q.CNOT and cnot is not q.CNOT
+        g4 = q.other_kind("G4", 4)
+        builtin = [q.Gate(q.H, (0,)), q.Gate(q.CNOT, (0, 1)), q.Gate(q.H, (1,)),
+                   q.Gate(g4, (0, 1, 2, 3)), q.Gate(q.CNOT, (2, 1)), q.Gate(q.CCX, (0, 1, 2))]
+        apart = [q.Gate(h, (0,)), q.Gate(cnot, (0, 1)), q.Gate(q.H, (1,)),
+                 q.Gate(g4, (0, 1, 2, 3)), q.Gate(cnot, (2, 1)), q.Gate(q.CCX, (0, 1, 2))]
+        expected = q.partition_metrics(q.Partition(builtin), 1)
+        assert (expected.h_count, expected.cnot_count) == (2, 2)
+        assert q.partition_metrics(q.Partition(apart), 1) == expected
+
     def test_error_rate(self):
         m = q.PartitionMetrics(1, 1, 1, 0, 0, fidelity=0.75)
         assert m.error_rate == pytest.approx(0.25)

@@ -118,14 +118,22 @@ class TestInternalSolver:
             q.partition(hg, q.SolverConfig(k=3))
 
     def test_k_one(self, hypergraph_s):
-        # k = 1 runs the recursion's one-part case, which labels every node
-        # 0; the cap (1 + eps) * ceil(total) holds the total even at eps = 0,
-        # and for node weights that are not integral.
+        # k = 1 labels every node 0; the cap (1 + eps) * ceil(total) holds
+        # the total even at eps = 0, and for node weights that are not
+        # integral.
         edgeless = q.Hypergraph(3, (1 / 0.003, 1 / 0.05, 0.1), ())
         for hg in (hypergraph_s, edgeless):
             for imbalance in (0.05, 0.0):
                 asg = q.partition(hg, q.SolverConfig(k=1, imbalance=imbalance))
                 assert asg.labels == (0,) * hg.num_nodes
+
+    def test_k_one_builds_no_sub_problem(self, monkeypatch):
+        mapped = []
+        real = qp._mapped
+        monkeypatch.setattr(qp, "_mapped", lambda *args: mapped.append(args) or real(*args))
+        hg = q.circuit_to_hypergraph(q.benchmark_circuit("l"))
+        assert q.partition(hg, q.SolverConfig(k=1)).labels == (0,) * hg.num_nodes
+        assert mapped == []
 
     @pytest.mark.parametrize("imbalance", [-0.1, float("nan"), float("inf"), float("-inf"),
                                            True, False, "0.1", None])
@@ -614,8 +622,8 @@ class _TracedBisection(qp._Bisection):
 
 class TestBisectionState:
     """The delta-updated state, and the state a rolled-back FM pass leaves
-    by putting back its start and replaying the moves it keeps, both equal
-    a recount exactly."""
+    by putting back its start and replaying the moves it keeps, or by
+    undoing the moves after them, equal a recount exactly."""
 
     @settings(max_examples=200, deadline=None)
     @given(start=st.one_of(fractional_starts(), bisection_starts()))
@@ -651,6 +659,29 @@ class TestBisectionState:
             ("move", 2, [1, 0, 1, 0]),
             ("move", 0, [1, 0, 0, 0]),
             ("move", 1, [0, 0, 0, 0]),
+        ]
+        _assert_state_is_recount(bis)
+
+    def test_short_tail_is_undone_by_reverse_moves(self):
+        # Cut 4, each side holds at most 3 of the 4 clusters. Pass 1 moves 2
+        # (cut 0, but 4 clusters on side 0), then 0 (cut 1), then 3 (cut 2),
+        # and keeps its first two moves: its fourth move undoes 3, the one
+        # move after them. Pass 2 moves 0, 3, 2 and 1 and keeps none, so it
+        # puts back its start and the refinement ends.
+        inst = qp._Instance([1] * 4, [(3, (1, 2)), (1, (0, 1)), (1, (2, 3))], 3, 3)
+        bis = _TracedBisection(inst, [0, 0, 1, 0])
+        qp._refine(bis)
+        assert bis.side == [1, 0, 0, 0] and bis.cut == 1
+        assert bis.log == [
+            ("recount",),
+            ("move", 2, [0, 0, 1, 0]),
+            ("move", 0, [0, 0, 0, 0]),
+            ("move", 3, [1, 0, 0, 0]),
+            ("move", 3, [1, 0, 0, 1]),
+            ("move", 0, [1, 0, 0, 0]),
+            ("move", 3, [0, 0, 0, 0]),
+            ("move", 2, [0, 0, 0, 1]),
+            ("move", 1, [0, 0, 1, 1]),
         ]
         _assert_state_is_recount(bis)
 
@@ -784,9 +815,10 @@ def _restart_log(monkeypatch):
         log.append([])
         return uncoarsen(levels, side, seen)
 
-    def logged_refine(bis):
-        refine(bis)
+    def logged_refine(bis, *args):
+        refined = refine(bis, *args)
         log[-1].append(("refine", id(bis.inst), tuple(bis.side)))
+        return refined
 
     def logged_project(coarse, side):
         log[-1].append(("project", id(coarse)))
@@ -795,6 +827,31 @@ def _restart_log(monkeypatch):
     monkeypatch.setattr(qp, "_uncoarsen", logged_uncoarsen)
     monkeypatch.setattr(qp, "_refine", logged_refine)
     monkeypatch.setattr(qp, "_project", logged_project)
+    return log
+
+
+def _state_log(monkeypatch):
+    """Per `_uncoarsen` call, the (instance, sides) that each `_Bisection`
+    starts from and each move leaves, in the order they happen."""
+    log = []
+    uncoarsen, init, move = qp._uncoarsen, qp._Bisection.__init__, qp._Bisection.move
+
+    def logged_uncoarsen(levels, side, seen):
+        log.append([])
+        return uncoarsen(levels, side, seen)
+
+    def logged_init(bis, inst, side):
+        init(bis, inst, side)
+        log[-1].append((id(inst), tuple(side)))
+
+    def logged_move(bis, v):
+        raised = move(bis, v)
+        log[-1].append((id(bis.inst), tuple(bis.side)))
+        return raised
+
+    monkeypatch.setattr(qp, "_uncoarsen", logged_uncoarsen)
+    monkeypatch.setattr(qp._Bisection, "__init__", logged_init)
+    monkeypatch.setattr(qp._Bisection, "move", logged_move)
     return log
 
 
@@ -873,6 +930,28 @@ class TestPruning:
         projected.clear()
         assert _solved_side(inst, SplitMix64(0)) == expected
         assert len(projected) < qp._RESTARTS * (levels - 1)
+
+    def test_restart_stops_at_an_earlier_pass_start(self, monkeypatch):
+        # Caps 19 | 15, so no mirror is involved. On the finest level,
+        # restart 0 starts an FM pass from the sides below and refines on to
+        # a lower cut. An FM pass of restart 2 there ends on the same sides;
+        # the rest of restart 2 would repeat restart 0's, so it stops before
+        # the next pass moves anything.
+        weights = [2, 3, 3, 3, 3, 3, 3, 3, 3, 2, 2]
+        edges = [
+            (4, (5, 8)), (3, (0, 3)), (1, (0, 9)), (5, (1, 3, 8)), (3, (3, 10)), (4, (0, 10)),
+            (3, (0, 2, 3)), (1, (0, 1)), (1, (4, 5)), (2, (2, 8)), (4, (0, 9)), (2, (0, 10)),
+            (5, (1, 4, 10)), (4, (0, 4, 7)), (3, (6, 9)), (4, (1, 3)), (1, (0, 2, 7)),
+            (4, (2, 5, 8)), (3, (4, 6, 9)), (5, (0, 2)), (1, (2, 9, 10)), (4, (3, 10)),
+        ]
+        inst = qp._Instance(weights, edges, 19, 15)
+        seed = 4271453357
+        expected = _reference_solve_bisection(inst, SplitMix64(seed))
+        log = _state_log(monkeypatch)
+        assert _solved_side(inst, SplitMix64(seed)) == expected
+        state = (id(inst), (0, 0, 0, 0, 0, 1, 1, 0, 1, 1, 0))
+        assert state in log[0] and log[0][-1] != state
+        assert log[2][-1] == state
 
     def test_mirrored_restart_skips_projection(self, monkeypatch):
         # Equal caps: restarts 1 and 3 refine, at the coarsest level, to the
