@@ -10,16 +10,17 @@ its matching. Coarsening rates a cluster's merge partners from its own
 incidence list when the cluster is visited (a cluster with one incident
 edge takes its first unmatched member that fits), and each coarse level
 keeps only its fine-to-coarse map to project a bisection back, not its
-clusters' original nodes. One bisection state per level, `_Bisection`,
-owns the sides, side loads, cut, per-edge pin counts and move gains that
-refinement, repair and candidate selection all read. A move updates only
-the pins whose gain changes, by fixed per-side deltas, and reports the
-highest gain it raised. An FM pass keeps one scalar bound on the unlocked
-clusters' gains, so its selection scan stops at the first movable cluster
-that reaches it; a rolled-back pass undoes the moves after its best
-prefix with reverse moves when they are fewer than the prefix's, and
-otherwise puts back its start state and replays the moves it keeps, so
-only a new `_Bisection` recounts from the sides.
+clusters' original nodes; a visit rates its neighbours in a float array
+kept for the whole round. One bisection state per level, `_Bisection`,
+owns the sides, side loads, cut, per-side flat lists of per-edge pin
+counts and move gains that refinement, repair and candidate selection
+all read. A move updates only the pins whose gain changes, by fixed
+per-side deltas. An FM pass applies its moves inline and keeps one
+scalar bound on the unlocked clusters' gains, so its selection scan
+stops at the first movable cluster that reaches it; it copies its state
+before a move leaves its best prefix, and a rolled-back pass flips the
+later moves back and puts that copy back, so only a new `_Bisection`
+recounts from the sides.
 Every weight the solver sees is an int: node weights in one unit, 1/u for
 u the largest power-of-two denominator of a node weight, with the cap
 floored in it, and edge weights as `normalize_weights` scales them. Loads,
@@ -227,8 +228,12 @@ def _contract(inst: _Instance, rng: SplitMix64, max_cluster: int) -> _Instance |
     each unmatched neighbour u by the sum of w / (|e| - 1) over the edges e
     holding both, read from v's incidence list when v is visited, and merges
     with the highest-rated neighbour that fits max_cluster, the lowest index
-    on ties. With one incident edge every candidate rates its one share, so
-    the first unmatched member that fits wins (members are ascending).
+    on ties. The ratings sit in one float array per call, reset after each
+    visit, and v's neighbours are listed in the order v first touches them;
+    each rating sums its shares in v's incidence order, and a neighbour met
+    only on edges of weight 0 is still a candidate, rated 0.0. With one
+    incident edge every candidate rates its one share, so the first
+    unmatched member that fits wins (members are ascending).
     """
     n = len(inst.weights)
     weights, edges, incident = inst.weights, inst.edges, inst.incident
@@ -238,6 +243,9 @@ def _contract(inst: _Instance, rng: SplitMix64, max_cluster: int) -> _Instance |
     matched = [False] * n
     # per edge, a position before which every member is matched
     cursor = [0] * len(edges)
+    # per cluster, its rating by the cluster being visited, -1.0 when it has
+    # none (every share is >= 0); reset after each visit
+    rating = [-1.0] * n
     any_match = False
     for v in order:
         if matched[v]:
@@ -257,20 +265,29 @@ def _contract(inst: _Instance, rng: SplitMix64, max_cluster: int) -> _Instance |
                     best = u
                     break
         else:
-            rating: dict[int, float] = {}
+            touched = []
+            matched[v] = True  # so v rates no pin of its own; set back below
             for ei in mine:
                 w, members = edges[ei]
                 share = w / (len(members) - 1)
                 for u in members:
-                    if u != v and not matched[u]:
-                        rating[u] = rating.get(u, 0.0) + share
+                    if not matched[u]:
+                        r = rating[u]
+                        if r < 0.0:
+                            touched.append(u)
+                            rating[u] = share
+                        else:
+                            rating[u] = r + share
             best_rating = -math.inf
-            for u, r in rating.items():
+            for u in touched:
+                r = rating[u]
+                rating[u] = -1.0
                 if r < best_rating or (r == best_rating and u > best):
                     continue
                 if wv + weights[u] > max_cluster:
                     continue
                 best, best_rating = u, r
+            matched[v] = False
         if best >= 0:
             matched[v] = matched[best] = True
             merged_into[best] = v
@@ -309,13 +326,13 @@ def _greedy_initial(inst: _Instance) -> list[int]:
 class _Bisection:
     """One bisection of an instance: sides, side loads, cut and move gains.
 
-    `counts` holds each edge's pins per side. For a pin on side s, edge e
-    adds -w to the pin's gain when no pin of e is on the other side (the
-    move would cut e) and +w when the pin is e's only one on s (the move
-    would uncut e), so a cluster's gain is exactly the drop in cut its move
-    causes. Every weight is an int, so the gains, the cut and the loads
-    stay exact under moves and equal a from-scratch `recount`, whatever
-    order the moves take.
+    `counts` is a pair of flat lists, `counts[s][e]` edge e's pins on side
+    s. For a pin on side s, edge e adds -w to the pin's gain when no pin of
+    e is on the other side (the move would cut e) and +w when the pin is
+    e's only one on s (the move would uncut e), so a cluster's gain is
+    exactly the drop in cut its move causes. Every weight is an int, so the
+    gains, the cut and the loads stay exact under moves and equal a
+    from-scratch `recount`, whatever order the moves take.
     """
 
     __slots__ = ("inst", "side", "loads", "cut", "counts", "gains")
@@ -332,14 +349,15 @@ class _Bisection:
         for w, s in zip(inst.weights, side):
             loads[s] += w
         cut = 0
-        counts = []
+        count0, count1 = [], []
         gains = [0] * len(side)
         for w, members in inst.edges:
             c1 = 0
             for u in members:
                 c1 += side[u]
             c0 = len(members) - c1
-            counts.append([c0, c1])
+            count0.append(c0)
+            count1.append(c1)
             if c0 and c1:
                 cut += w
             g0 = -w if not c1 else w if c0 == 1 else 0  # each side-0 pin's gain
@@ -347,36 +365,33 @@ class _Bisection:
             if g0 or g1:
                 for u in members:
                     gains[u] += g1 if side[u] else g0
-        self.loads, self.cut, self.counts, self.gains = loads, cut, counts, gains
+        self.loads, self.cut, self.counts, self.gains = loads, cut, (count0, count1), gains
 
     def feasible(self) -> bool:
         return self.loads[0] <= self.inst.cap0 and self.loads[1] <= self.inst.cap1
 
-    def move(self, v: int) -> int:
-        """Flip cluster v's side, delta-update the state and return the
-        highest new gain among the other clusters whose gain went up, or
-        `inst.below` when none did.
+    def move(self, v: int) -> None:
+        """Flip cluster v's side and delta-update the state.
 
         With cs and cd the edge's pins on the source and target side before
         the move, each other source pin's gain rises by
         w * ((cd == 0) + (cs == 2)) and each target pin's falls by
-        w * ((cd == 1) + (cs == 1)), so only source pins can rise, and an
-        edge with cd > 1 and cs > 2 only updates its counts. v's own gain
-        simply changes sign.
+        w * ((cd == 1) + (cs == 1)), so an edge with cd > 1 and cs > 2 only
+        updates its counts. v's own gain simply changes sign. `_refine`
+        applies its moves with the same deltas inline.
         """
         inst = self.inst
-        side, gains, counts, edges = self.side, self.gains, self.counts, inst.edges
+        side, gains, edges = self.side, self.gains, inst.edges
         src = side[v]
         dst = 1 - src
+        on_src, on_dst = self.counts[src], self.counts[dst]
         own = gains[v]
         side[v] = dst  # v is no source pin below; its gain is set last
-        raised = inst.below
         for ei in inst.incident[v]:
-            c = counts[ei]
-            cs = c[src]
-            cd = c[dst]
-            c[src] = cs - 1
-            c[dst] = cd + 1
+            cs = on_src[ei]
+            cd = on_dst[ei]
+            on_src[ei] = cs - 1
+            on_dst[ei] = cd + 1
             if cd > 1 and cs > 2:
                 continue
             w, members = edges[ei]
@@ -384,10 +399,7 @@ class _Bisection:
                 d = w * ((cd == 0) + (cs == 2))
                 for u in members:
                     if side[u] == src:
-                        g = gains[u] + d
-                        gains[u] = g
-                        if g > raised:
-                            raised = g
+                        gains[u] += d
             if cd == 1 or cs == 1:
                 d = w * ((cd == 1) + (cs == 1))
                 for u in members:
@@ -397,7 +409,6 @@ class _Bisection:
         self.loads[src] -= inst.weights[v]
         self.loads[dst] += inst.weights[v]
         self.cut -= own
-        return raised
 
 
 def _refine(bis: _Bisection, seen: set | None = None, level: int = 0) -> bool:
@@ -409,14 +420,17 @@ def _refine(bis: _Bisection, seen: set | None = None, level: int = 0) -> bool:
     cap plus slack, the lowest cluster index on ties, even when the gain is
     negative. The slack is the heaviest cluster weight, so weight exchanges
     stay reachable, but the pass rolls back to the best prefix whose loads
-    satisfy both caps. When fewer moves follow that prefix than it holds,
-    the pass undoes them with reverse moves, the last first. Otherwise it
-    flips every move of the pass back, puts back the loads, gains, counts
-    and cut saved at the pass's start and replays the prefix's moves; the
-    prefix is empty in most passes, every last one included. Loads are
-    exact integer sums, so either way the state is the recount of its
-    sides. Passes repeat while they improve the cut, so the result is never
-    worse than the (assumed feasible) input.
+    satisfy both caps. A pass applies its moves inline, with
+    `_Bisection.move`'s deltas, in one loop over the moved cluster's edges
+    that also locks them and raises the scan's bound. Before a move leaves
+    the best prefix (the empty one at the first move), the pass copies the
+    loads, gains and pin counts as flat lists; a pass that ends past its
+    best prefix flips the later moves' sides back and puts that copy back,
+    and a pass without moves copies nothing. The cut after a pass is its
+    start's minus the best prefix's gain. Loads and gains are exact
+    integer sums, so the state is the recount of its sides. Passes repeat
+    while they improve the cut, so the result is never worse than the
+    (assumed feasible) input.
 
     Each pass first adds its start to `seen` under the key (`level`, side),
     the side flipped when the caps are equal and cluster 0 is on side 1,
@@ -430,7 +444,7 @@ def _refine(bis: _Bisection, seen: set | None = None, level: int = 0) -> bool:
     The scan keeps the selection's result but not always its length. A pass
     keeps `bound`, never below any unlocked cluster's gain: -`inst.below`
     at first, then the highest gain seen by a scan that reaches the end,
-    raised to what each move reports raising. The ascending scan stops at
+    raised to each gain a move raises. The ascending scan stops at
     the first movable cluster whose gain reaches `bound`; no cluster has a
     higher gain and none before it as high a one, so it is the cluster the
     full scan picks.
@@ -443,8 +457,7 @@ def _refine(bis: _Bisection, seen: set | None = None, level: int = 0) -> bool:
     exact int, so the labels are those of a full pass.
     """
     inst, side = bis.inst, bis.side
-    weights, incident = inst.weights, inst.incident
-    edge_weights = [w for w, _ in inst.edges]
+    weights, incident, edges = inst.weights, inst.incident, inst.edges
     cap0, cap1, below = inst.cap0, inst.cap1, inst.below
     slack = max(weights, default=0)
     limits = (cap0 + slack, cap1 + slack)
@@ -461,15 +474,16 @@ def _refine(bis: _Bisection, seen: set | None = None, level: int = 0) -> bool:
         if key in seen:
             return False
         seen.add(key)
-        gains, loads, cut = bis.gains, bis.loads, bis.cut  # a rollback replaces the lists
-        saved = (loads[:], gains[:], [c[:] for c in bis.counts], cut)
+        # a rollback replaces the lists
+        gains, loads, counts, cut = bis.gains, bis.loads, bis.counts, bis.cut
         # per side: the edge has a locked pin there
-        locked = ([False] * len(edge_weights), [False] * len(edge_weights))
+        locked = ([False] * len(edges), [False] * len(edges))
         locked_cut = 0
         unlocked = list(range(len(side)))  # ascending, so the scan keeps the tie-break
         moves: list[int] = []
         running = 0
         best_running, best_prefix = 0, 0
+        saved = None  # the state at the best prefix, copied when a move leaves it
         bound = -below  # never below an unlocked cluster's gain
         while unlocked and locked_cut < cut - best_running:
             best_v, best_gain, top = -1, below, below
@@ -488,29 +502,52 @@ def _refine(bis: _Bisection, seen: set | None = None, level: int = 0) -> bool:
             if best_v < 0:
                 break
             src = side[best_v]
-            raised = bis.move(best_v)
-            if raised > bound:
-                bound = raised
-            on_src, on_dst = locked[src], locked[1 - src]
+            dst = 1 - src
+            if best_prefix == len(moves):  # a rollback may come back here
+                saved = (loads[:], gains[:], (counts[0][:], counts[1][:]))
+            # The move of best_v, with `_Bisection.move`'s deltas; each raised
+            # gain also raises the bound, and each edge is locked on dst.
+            on_src, on_dst = counts[src], counts[dst]
+            locked_src, locked_dst = locked[src], locked[dst]
+            side[best_v] = dst
             for ei in incident[best_v]:
-                if not on_dst[ei]:
-                    on_dst[ei] = True
-                    if on_src[ei]:
-                        locked_cut += edge_weights[ei]
+                cs = on_src[ei]
+                cd = on_dst[ei]
+                on_src[ei] = cs - 1
+                on_dst[ei] = cd + 1
+                if not locked_dst[ei]:
+                    locked_dst[ei] = True
+                    if locked_src[ei]:
+                        locked_cut += edges[ei][0]
+                if cd > 1 and cs > 2:
+                    continue
+                w, members = edges[ei]
+                if cd == 0 or cs == 2:
+                    d = w * ((cd == 0) + (cs == 2))
+                    for u in members:
+                        if side[u] == src:
+                            g = gains[u] + d
+                            gains[u] = g
+                            if g > bound:
+                                bound = g
+                if cd == 1 or cs == 1:
+                    d = w * ((cd == 1) + (cs == 1))
+                    for u in members:
+                        if side[u] == dst:
+                            gains[u] -= d
+            gains[best_v] = -best_gain
+            loads[src] -= weights[best_v]
+            loads[dst] += weights[best_v]
             unlocked.remove(best_v)
             moves.append(best_v)
             running += best_gain
             if running > best_running and loads[0] <= cap0 and loads[1] <= cap1:
                 best_running, best_prefix = running, len(moves)
-        if len(moves) - best_prefix < best_prefix:  # undo the shorter tail
-            for v in reversed(moves[best_prefix:]):
-                bis.move(v)
-        elif best_prefix < len(moves):  # back to the pass's start, then the kept moves
-            for v in moves:
+        if best_prefix < len(moves):  # back to the best prefix
+            for v in moves[best_prefix:]:
                 side[v] = 1 - side[v]
-            bis.loads, bis.gains, bis.counts, bis.cut = saved
-            for v in moves[:best_prefix]:
-                bis.move(v)
+            bis.loads, bis.gains, bis.counts = saved
+        bis.cut = cut - best_running
         improved = best_running > 0
     return True
 

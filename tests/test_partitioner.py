@@ -174,6 +174,28 @@ class TestInternalSolver:
         assert len(set(asg.labels)) == 2
         assert q.check_balance(q.normalize_weights(hg), asg, 0.5)
 
+    def test_zero_weight_edges_reach_the_solver(self, monkeypatch):
+        # Every node has four incident edges, all of weight 0, so coarsening
+        # rates each neighbour 0.0 and still matches it.
+        members = [tuple(sorted((v, (v + d) % 12))) for v in range(12) for d in (1, 2)]
+        text = f"{len(members)} 12 11\n" + "".join(
+            f"0 {a + 1} {b + 1}\n" for a, b in members) + "1\n" * 12
+        direct = q.Hypergraph(12, (1.0,) * 12, tuple(q.Hyperedge(m, 0.0) for m in members))
+        coarse = []  # each coarsening round's result
+        contract = qp._contract
+
+        def logged_contract(*args):
+            coarse.append(contract(*args))
+            return coarse[-1]
+
+        monkeypatch.setattr(qp, "_contract", logged_contract)
+        config = q.SolverConfig(k=2, seed=3)
+        asg = q.partition(q.read_hgr(text), config)
+        assert coarse and coarse[0] is not None
+        assert all(w == 0 for level in coarse if level for w, _ in level.edges)
+        assert q.partition(direct, config) == asg
+        assert q.check_balance(direct, asg, config.imbalance) and q.km1(direct, asg) == 0
+
     def test_refined_random_candidate_wins_at_k2(self):
         # The top bisection cuts 5.8e6 here; the refined random balanced
         # assignment on the same instance cuts 5.4e6 and replaces it.
@@ -461,13 +483,14 @@ def _reference_repair_balance(inst, side):
 
 
 def _integral_edges(draw, n, max_weight=50):
-    """Up to 3n edges of 2-6 distinct pins over n clusters, int weights."""
+    """Up to 3n edges of 2-6 distinct pins over n clusters, int weights from
+    0, whose zero shares contraction must still rate."""
     return [
         (w, tuple(sorted(members)))
         for w, members in draw(
             st.lists(
                 st.tuples(
-                    st.integers(1, max_weight),
+                    st.integers(0, max_weight),
                     st.lists(st.integers(0, n - 1), min_size=2, max_size=min(n, 6), unique=True),
                 ),
                 max_size=3 * n,
@@ -499,18 +522,23 @@ class TestCachedGainsMatchReference:
     @settings(max_examples=200, deadline=None)
     @given(start=bisection_starts(), moves=st.lists(st.integers(0, 29), max_size=40))
     def test_bisection_tracks_moves(self, start, moves):
+        # Balance repair moves with `move`; `_refine` applies the same
+        # deltas inline, which test_refine_leaves_a_recounted_state checks.
         inst, side = start
         bis = qp._Bisection(inst, side)
         incident = _reference_incidence(inst)
+        assert inst.below == -1 - sum(w for w, _ in inst.edges)
 
         def assert_matches_scratch():
             expected = [_reference_move_gain(inst, side, incident, u) for u in range(len(side))]
             assert bis.gains == expected
-            assert bis.counts == [
-                [sum(1 for u in m if side[u] == t) for t in (0, 1)] for _, m in inst.edges
-            ]
+            assert bis.counts == tuple(
+                [sum(1 for u in m if side[u] == t) for _, m in inst.edges] for t in (0, 1)
+            )
             assert bis.loads == _reference_loads(inst, side)
             assert bis.cut == _reference_cost(inst, side)
+            # the scan's bounds: below every gain, and minus that above it
+            assert inst.below < min(bis.gains) and max(bis.gains) < -inst.below
 
         for v in [m % len(side) for m in moves]:
             assert_matches_scratch()
@@ -531,8 +559,8 @@ class TestCachedGainsMatchReference:
         seen = set()
         for v in (0, 1, 2, 3):
             for ei in inst.incident[v]:
-                c = cache.counts[ei]
-                seen.add((len(inst.edges[ei][1]), c[side[v]], c[1 - side[v]]))
+                cs, cd = cache.counts[side[v]][ei], cache.counts[1 - side[v]][ei]
+                seen.add((len(inst.edges[ei][1]), cs, cd))
             cache.move(v)
             assert cache.gains == [
                 _reference_move_gain(inst, side, incident, u) for u in range(6)
@@ -601,29 +629,40 @@ def _assert_state_is_recount(bis):
     assert bis.gains == fresh.gains
 
 
+class _LoggedSides(list):
+    """Sides that call `record(v, self)` after each write to a cluster v's
+    side: every move, in `_refine` or by `_Bisection.move`, and every flip
+    back of a rolled-back FM pass."""
+
+    def __init__(self, side, record):
+        super().__init__(side)
+        self.record = record
+
+    def __setitem__(self, v, s):
+        super().__setitem__(v, s)
+        self.record(v, self)
+
+
 class _TracedBisection(qp._Bisection):
-    """A `_Bisection` that logs each recount, and each move with the sides
-    it starts from."""
+    """A `_Bisection` that logs each recount, and each write to its sides
+    with the sides it leaves."""
 
     __slots__ = ("log",)
 
     def __init__(self, inst, side):
         self.log = []
-        super().__init__(inst, side)
+        super().__init__(
+            inst, _LoggedSides(side, lambda v, s: self.log.append(("set", v, list(s)))))
 
     def recount(self):
         self.log.append(("recount",))
         super().recount()
 
-    def move(self, v):
-        self.log.append(("move", v, list(self.side)))
-        return super().move(v)
-
 
 class TestBisectionState:
     """The delta-updated state, and the state a rolled-back FM pass leaves
-    by putting back its start and replaying the moves it keeps, or by
-    undoing the moves after them, equal a recount exactly."""
+    by flipping the sides after its best prefix back and putting back the
+    copy it took there, equal a recount exactly."""
 
     @settings(max_examples=200, deadline=None)
     @given(start=st.one_of(fractional_starts(), bisection_starts()))
@@ -641,47 +680,54 @@ class TestBisectionState:
         qp._repair_balance(bis)
         _assert_state_is_recount(bis)
 
-    def test_partial_rollback_replays_the_kept_moves(self):
+    def test_partial_rollback_restores_the_best_prefix(self):
         # Both edges start cut (cut 3) and each side holds at most 3 of the
         # 4 clusters. Pass 1 moves 2 (cut 1), then 0 (cut 0, but 4 clusters
-        # on side 0), then 1 (cut 1), and keeps only its first move: its
-        # fourth move replays 2 from the sides the pass started from. Pass 2
-        # moves 0 and 1 and keeps neither, so the refinement ends.
+        # on side 0), then 1 (cut 1), and keeps only its first move: it
+        # flips 0 and 1 back and puts back the state it copied after moving
+        # 2. Pass 2 moves 0 and 1 and keeps neither, so the refinement ends.
         inst = qp._Instance([1] * 4, [(2, (2, 3)), (1, (0, 1))], 3, 3)
         bis = _TracedBisection(inst, [1, 0, 1, 0])
         qp._refine(bis)
         assert bis.side == [1, 0, 0, 0] and bis.cut == 1
         assert bis.log == [
             ("recount",),
-            ("move", 2, [1, 0, 1, 0]),
-            ("move", 0, [1, 0, 0, 0]),
-            ("move", 1, [0, 0, 0, 0]),
-            ("move", 2, [1, 0, 1, 0]),
-            ("move", 0, [1, 0, 0, 0]),
-            ("move", 1, [0, 0, 0, 0]),
+            ("set", 2, [1, 0, 0, 0]),
+            ("set", 0, [0, 0, 0, 0]),
+            ("set", 1, [0, 1, 0, 0]),
+            ("set", 0, [1, 1, 0, 0]),
+            ("set", 1, [1, 0, 0, 0]),
+            ("set", 0, [0, 0, 0, 0]),
+            ("set", 1, [0, 1, 0, 0]),
+            ("set", 0, [1, 1, 0, 0]),
+            ("set", 1, [1, 0, 0, 0]),
         ]
         _assert_state_is_recount(bis)
 
-    def test_short_tail_is_undone_by_reverse_moves(self):
+    def test_short_tail_is_flipped_back(self):
         # Cut 4, each side holds at most 3 of the 4 clusters. Pass 1 moves 2
         # (cut 0, but 4 clusters on side 0), then 0 (cut 1), then 3 (cut 2),
-        # and keeps its first two moves: its fourth move undoes 3, the one
-        # move after them. Pass 2 moves 0, 3, 2 and 1 and keeps none, so it
-        # puts back its start and the refinement ends.
+        # and keeps its first two moves: it flips 3, the one move after
+        # them, back. Pass 2 moves 0, 3, 2 and 1, keeps none and flips all
+        # four back, so the refinement ends.
         inst = qp._Instance([1] * 4, [(3, (1, 2)), (1, (0, 1)), (1, (2, 3))], 3, 3)
         bis = _TracedBisection(inst, [0, 0, 1, 0])
         qp._refine(bis)
         assert bis.side == [1, 0, 0, 0] and bis.cut == 1
         assert bis.log == [
             ("recount",),
-            ("move", 2, [0, 0, 1, 0]),
-            ("move", 0, [0, 0, 0, 0]),
-            ("move", 3, [1, 0, 0, 0]),
-            ("move", 3, [1, 0, 0, 1]),
-            ("move", 0, [1, 0, 0, 0]),
-            ("move", 3, [0, 0, 0, 0]),
-            ("move", 2, [0, 0, 0, 1]),
-            ("move", 1, [0, 0, 1, 1]),
+            ("set", 2, [0, 0, 0, 0]),
+            ("set", 0, [1, 0, 0, 0]),
+            ("set", 3, [1, 0, 0, 1]),
+            ("set", 3, [1, 0, 0, 0]),
+            ("set", 0, [0, 0, 0, 0]),
+            ("set", 3, [0, 0, 0, 1]),
+            ("set", 2, [0, 0, 1, 1]),
+            ("set", 1, [0, 1, 1, 1]),
+            ("set", 0, [1, 1, 1, 1]),
+            ("set", 3, [1, 1, 1, 0]),
+            ("set", 2, [1, 1, 0, 0]),
+            ("set", 1, [1, 0, 0, 0]),
         ]
         _assert_state_is_recount(bis)
 
@@ -692,23 +738,7 @@ class TestBisectionState:
         bis = _TracedBisection(inst, side)
         assume(bis.feasible())
         assert qp._repair_balance(bis) is True
-        assert not any(entry[0] == "move" for entry in bis.log)
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        start=st.one_of(fractional_starts(), bisection_starts()),
-        moves=st.lists(st.integers(0, 29), max_size=40),
-    )
-    def test_move_returns_the_highest_raised_gain(self, start, moves):
-        inst, side = start
-        bis = qp._Bisection(inst, side)
-        assert inst.below == -1 - sum(w for w, _ in inst.edges)
-        for v in [m % len(side) for m in moves]:
-            before = list(bis.gains)
-            raised = bis.move(v)
-            risen = [g for u, g in enumerate(bis.gains) if u != v and g > before[u]]
-            assert raised == max(risen, default=inst.below)
-            assert inst.below < min(bis.gains) and max(bis.gains) < -inst.below
+        assert bis.log == [("recount",)]
 
 
 # Reference multilevel bisection that runs every restart to the end, even
@@ -832,26 +862,22 @@ def _restart_log(monkeypatch):
 
 def _state_log(monkeypatch):
     """Per `_uncoarsen` call, the (instance, sides) that each `_Bisection`
-    starts from and each move leaves, in the order they happen."""
+    starts from and each write to its sides leaves (a move, or a flip back
+    of a rolled-back FM pass), in the order they happen."""
     log = []
-    uncoarsen, init, move = qp._uncoarsen, qp._Bisection.__init__, qp._Bisection.move
+    uncoarsen, init = qp._uncoarsen, qp._Bisection.__init__
 
     def logged_uncoarsen(levels, side, seen):
         log.append([])
         return uncoarsen(levels, side, seen)
 
     def logged_init(bis, inst, side):
-        init(bis, inst, side)
-        log[-1].append((id(inst), tuple(side)))
-
-    def logged_move(bis, v):
-        raised = move(bis, v)
-        log[-1].append((id(bis.inst), tuple(bis.side)))
-        return raised
+        states = log[-1]
+        init(bis, inst, _LoggedSides(side, lambda v, s: states.append((id(inst), tuple(s)))))
+        states.append((id(inst), tuple(side)))
 
     monkeypatch.setattr(qp, "_uncoarsen", logged_uncoarsen)
     monkeypatch.setattr(qp._Bisection, "__init__", logged_init)
-    monkeypatch.setattr(qp._Bisection, "move", logged_move)
     return log
 
 
@@ -896,7 +922,7 @@ class TestPruning:
     @settings(max_examples=200, deadline=None)
     @given(start=bisection_starts(max_edge_weight=2))
     def test_refine_with_light_edges_matches_reference(self, start):
-        # With edge weights 1 and 2 a pass often ends on a gain of exactly
+        # With edge weights 0, 1 and 2 a pass often ends on a gain of exactly
         # the bound's margin, so an off-by-one in the stop rule shows.
         inst, side = start
         cached, reference = list(side), list(side)
@@ -904,14 +930,12 @@ class TestPruning:
         _reference_refine(inst, reference)
         assert cached == reference
 
-    def test_uncut_start_moves_nothing(self, monkeypatch):
+    def test_uncut_start_moves_nothing(self):
         # Two components, each whole on its own side: the cut is already 0.
         edges = [(4, (0, 1, 2)), (3, (1, 2)), (5, (3, 4, 5)), (2, (4, 5))]
         inst = qp._Instance([1] * 6, edges, 3, 3)
-        side = [0, 0, 0, 1, 1, 1]
         moved = []
-        move = qp._Bisection.move
-        monkeypatch.setattr(qp._Bisection, "move", lambda b, v: moved.append(v) or move(b, v))
+        side = _LoggedSides([0, 0, 0, 1, 1, 1], lambda v, s: moved.append(v))
         qp._refine(qp._Bisection(inst, side))
         assert side == [0, 0, 0, 1, 1, 1]
         assert moved == []
@@ -1001,7 +1025,7 @@ class TestPruning:
         assert flipped.cut == bis.cut
         assert flipped.loads == bis.loads[::-1]
         assert flipped.gains == bis.gains
-        assert flipped.counts == [c[::-1] for c in bis.counts]
+        assert flipped.counts == bis.counts[::-1]
 
 
 @st.composite
@@ -1388,8 +1412,8 @@ def _contents(inst):
 
 @st.composite
 def contraction_inputs(draw):
-    """Integral weights, edges of 2-6 distinct pins, a cluster cap that may
-    block merges. In half the draws the edges are chain-like, runs of a
+    """Integral weights, edges of 2-6 distinct pins and weights from 0, a
+    cluster cap that may block merges. In half the draws the edges are chain-like, runs of a
     shuffled cluster order that share at most their end pins, so most
     clusters have one incident edge."""
     n = draw(st.integers(min_value=2, max_value=30))
@@ -1401,7 +1425,7 @@ def contraction_inputs(draw):
         edges, start = [], 0
         while start < n - 1:
             end = min(n, start + draw(st.integers(2, 6)))
-            edges.append((draw(st.integers(1, 50)), tuple(sorted(order[start:end]))))
+            edges.append((draw(st.integers(0, 50)), tuple(sorted(order[start:end]))))
             start = end - draw(st.integers(0, 1))  # 1: the next run shares this end pin
     total = sum(weights)
     inst = qp._Instance(weights, edges, total, total)
@@ -1435,6 +1459,19 @@ class TestContractionMatchesReference:
             projected = qp._project(levels[level + 1], side)
             assert projected == _reference_project(clusters[level], clusters[level + 1], side)
             side = projected
+
+    def test_zero_share_neighbour_is_a_candidate_once(self):
+        # Clusters 0 and 1 meet on two edges of weight 0, and each meets 2
+        # on one of weight 3. 2 is too heavy to merge, so 0 and 1 merge on
+        # a rating of 0.0, whichever is visited first. Each cluster has two
+        # incident edges, so every visit rates its neighbours.
+        edges = [(0, (0, 1)), (0, (0, 1)), (3, (0, 2)), (3, (1, 2))]
+        inst = qp._Instance([1, 1, 5], edges, 7, 7)
+        for seed in range(8):
+            coarse = qp._contract(inst, SplitMix64(seed), 2)
+            expected, _ = _reference_contract(inst, [[v] for v in range(3)], SplitMix64(seed), 2)
+            assert _contents(coarse) == _contents(expected)
+            assert coarse.fine_to_coarse[0] == coarse.fine_to_coarse[1]
 
 
 def _fake_solver(tmp_path, label: str):
