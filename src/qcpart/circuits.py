@@ -132,6 +132,9 @@ class ErrorModel:
             rate = getattr(self, name)
             if not 0.0 < rate < 1.0:
                 raise CircuitError(f"{name} must be in (0, 1), got {rate}")
+        n = self.ccx_cnot_equivalents
+        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+            raise CircuitError(f"ccx_cnot_equivalents must be an integer >= 0, got {n!r}")
 
 
 def depth(circuit: Circuit) -> int:

@@ -88,6 +88,11 @@ class PartitionAssignment:
                 raise ValueError(f"label {label} outside [0, {self.k})")
 
 
+def _check_k(k) -> None:
+    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
+        raise ValueError(f"k must be an integer >= 1, got {k!r}")
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     k: int
@@ -96,8 +101,7 @@ class SolverConfig:
     backend: str = INTERNAL  # INTERNAL or a path to an external solver binary
 
     def __post_init__(self):
-        if not isinstance(self.k, int) or isinstance(self.k, bool) or self.k < 1:
-            raise ValueError(f"k must be an integer >= 1, got {self.k!r}")
+        _check_k(self.k)
         if not isinstance(self.seed, int) or isinstance(self.seed, bool):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
         imbalance = self.imbalance
@@ -151,6 +155,7 @@ def random_balanced_assignment(hg: Hypergraph, k: int, seed: int) -> PartitionAs
     refines it after the recursive bisection and keeps it when its cut is
     lower, so the solver's km1 never exceeds this one's after refinement.
     """
+    _check_k(k)
     order = list(range(hg.num_nodes))
     SplitMix64(seed).shuffle(order)
     labels = [0] * hg.num_nodes

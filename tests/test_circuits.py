@@ -191,3 +191,11 @@ class TestErrorModel:
             q.ErrorModel(eps_cnot=0.0)
         with pytest.raises(q.CircuitError):
             q.ErrorModel(eps_h=1.5)
+
+    @pytest.mark.parametrize("n", [-6, -1, True, 6.0, "6"])
+    def test_ccx_cnot_equivalents_must_be_a_nonnegative_int(self, n):
+        with pytest.raises(q.CircuitError, match="ccx_cnot_equivalents must be an integer >= 0"):
+            q.ErrorModel(ccx_cnot_equivalents=n)
+
+    def test_zero_ccx_cnot_equivalents_is_accepted(self):
+        assert q.fidelity(0, 0, 0, {q.CCX: 1}, q.ErrorModel(ccx_cnot_equivalents=0)) == 1.0

@@ -1,6 +1,8 @@
-"""The summary, side order and package loading of tools/interleave.py; nothing
-here exports a revision, runs a benchmark instance or starts a subprocess."""
+"""The digest lines, their comparison, the summary, side order and package
+loading of tools/interleave.py; nothing here exports a revision, runs a
+benchmark instance or starts a subprocess."""
 
+import hashlib
 import importlib.util
 import sys
 from pathlib import Path
@@ -13,6 +15,83 @@ ROOT = Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location("interleave", ROOT / "tools" / "interleave.py")
 interleave = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(interleave)
+
+A = interleave.line("paper-grid", 7, 810, 268, "a" * 64)
+B = interleave.line("synth-solve", 7, 240, 0, "b" * 64)
+
+
+def test_line_names_the_counts_and_the_hash():
+    assert A == f"paper-grid seed 7: 810 instances, 268 SolverError, sha256 {'a' * 64}"
+
+
+def test_combine_hashes_the_digests_in_order():
+    assert interleave.combine(["01", "02"]) == hashlib.sha256(b"01\n02").hexdigest()
+    assert interleave.combine(["01", "02"]) != interleave.combine(["02", "01"])
+
+
+def test_identical_lines_compare_equal():
+    lines, same = interleave.compare([A, B], [A, B])
+    assert same
+    assert lines == [f"identical  {A}", f"identical  {B}"]
+
+
+def test_a_differing_line_shows_both_sides():
+    changed = interleave.line("synth-solve", 7, 240, 1, "c" * 64)
+    lines, same = interleave.compare([A, B], [A, changed])
+    assert not same
+    assert lines == [f"identical  {A}", f"DIFFERS    parent {B}", f"           change {changed}"]
+
+
+def test_a_missing_line_differs():
+    lines, same = interleave.compare([A, B], [A])
+    assert not same
+    assert lines[-1] == "DIFFERS    2 parent lines, 1 change lines"
+
+
+def test_main_exits_1_when_a_side_differs(monkeypatch, capsys):
+    def fake_measure(packages, workload, seed, rounds, size):
+        assert (list(packages), workload, seed, rounds, size) == (
+            ["parent", "change"], "synth-solve", 3, 1, "tiny")
+        change = B if same else interleave.line("synth-solve", 7, 240, 0, "d" * 64)
+        return {"parent": B, "change": change}, {"parent": [0.002], "change": [0.001]}, [False]
+
+    monkeypatch.setattr(interleave, "export", lambda rev, dest: "f" * 40)
+    monkeypatch.setattr(interleave, "load_package", lambda root, name: name)
+    monkeypatch.setattr(interleave, "measure", fake_measure)
+    argv = ["--parent", "HEAD", "--workload", "synth-solve", "--seed", "3", "--size", "tiny"]
+    for same, status in ((True, 0), (False, 1)):
+        assert interleave.main(argv) == status
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == f"parent {'f' * 40}, seed 3, size tiny, 1 rounds"
+        assert out[1].startswith("identical" if same else "DIFFERS")
+        summary = interleave.summarize({"parent": [0.002], "change": [0.001]})
+        assert out[-2:] == [interleave.report("synth-solve", summary),
+                            interleave.report("synth-solve solved", summary)]
+
+
+def test_repeated_seed_gives_one_line_per_seed_and_workload(monkeypatch, capsys):
+    calls = []
+
+    def fake_measure(packages, workload, seed, rounds, size):
+        calls.append((list(packages), workload, seed))
+        return {"change": interleave.line(workload, seed, 1, 0, "e" * 64)}, {"change": [1.0]}, []
+
+    monkeypatch.setattr(interleave, "load_package", lambda root, name: name)
+    monkeypatch.setattr(interleave, "measure", fake_measure)
+    argv = ["--seed", "7", "--seed", "23", "--workload", "paper-grid", "--workload", "many-parts"]
+    assert interleave.main(argv) == 0
+    assert [call[1:] for call in calls] == [
+        ("paper-grid", 7), ("many-parts", 7), ("paper-grid", 23), ("many-parts", 23)]
+    assert all(call[0] == ["change"] for call in calls)
+    assert capsys.readouterr().out.splitlines() == [
+        interleave.line("paper-grid", 7, 1, 0, "e" * 64),
+        interleave.line("many-parts", 7, 1, 0, "e" * 64),
+        interleave.line("paper-grid", 23, 1, 0, "e" * 64),
+        interleave.line("many-parts", 23, 1, 0, "e" * 64),
+    ]
+    calls.clear()
+    assert interleave.main([]) == 0
+    assert [call[1:] for call in calls] == [(name, 7) for name in interleave.bench.WORKLOADS]
 
 
 def test_summary_takes_quartiles_of_the_per_run_ratios():

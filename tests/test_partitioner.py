@@ -98,6 +98,11 @@ class TestBalance:
         counts = [asg.labels.count(i) for i in range(3)]
         assert counts == [3, 3, 3]
 
+    @pytest.mark.parametrize("k", [0, -1, True, 2.0])
+    def test_random_balanced_assignment_rejects_a_bad_k(self, k):
+        with pytest.raises(ValueError, match=f"k must be an integer >= 1, got {k!r}"):
+            q.random_balanced_assignment(q.Hypergraph(4, (1.0,) * 4, ()), k, seed=5)
+
 
 class TestInternalSolver:
     def test_quality_bound_vs_reference_labels(self, hypergraph_s, reference_assignment):
