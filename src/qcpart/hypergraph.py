@@ -25,7 +25,7 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 
-from .circuits import CCX, CNOT, H, SWAP, Circuit, ErrorModel, GateKind
+from .circuits import CCX, CNOT, H, SWAP, Circuit, ErrorModel, GateKind, _decimal_int
 
 GATE_LEVEL = "gate-level"
 TEMPORAL = "temporal"
@@ -210,7 +210,9 @@ def write_hgr(hg: Hypergraph, mode: HgrMode = HgrMode.PAPER_NORMALIZED) -> str:
 
 
 def read_hgr(text: str) -> Hypergraph:
-    """Parse any write_hgr mode. Hyperedge kinds are not recoverable."""
+    """Parse any write_hgr mode. Hyperedge kinds are not recoverable.
+
+    Integers are ASCII decimal digits, negative ones with a leading ``-``."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise HgrFormatError("empty input")
@@ -218,7 +220,7 @@ def read_hgr(text: str) -> Hypergraph:
     if len(header) not in (2, 3):
         raise HgrFormatError(f"malformed header {lines[0]!r}")
     try:
-        num_edges, num_nodes = int(header[0]), int(header[1])
+        num_edges, num_nodes = _decimal_int(header[0]), _decimal_int(header[1])
     except ValueError:
         raise HgrFormatError(f"malformed header {lines[0]!r}")
     if num_edges < 0 or num_nodes < 0:
@@ -237,8 +239,8 @@ def read_hgr(text: str) -> Hypergraph:
         if len(fieldvals) < 2:
             raise HgrFormatError(f"hyperedge line too short: {ln!r}")
         try:
-            weight = int(fieldvals[0])
-            members = tuple(int(t) - 1 for t in fieldvals[1:])
+            weight = _decimal_int(fieldvals[0])
+            members = tuple(_decimal_int(t) - 1 for t in fieldvals[1:])
         except ValueError:
             raise HgrFormatError(f"bad integer in hyperedge line {ln!r}")
         if weight < 0:
@@ -254,7 +256,7 @@ def read_hgr(text: str) -> Hypergraph:
             f"expected {num_nodes} node weight lines, found {len(weight_lines)}"
         )
     try:
-        node_weights = tuple(float(int(ln)) for ln in weight_lines[:num_nodes])
+        node_weights = tuple(float(_decimal_int(ln)) for ln in weight_lines[:num_nodes])
     except ValueError:
         raise HgrFormatError("bad integer in node weight section")
     return Hypergraph(num_nodes, node_weights, tuple(edges))

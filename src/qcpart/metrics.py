@@ -31,10 +31,10 @@ from __future__ import annotations
 
 import math
 from collections import Counter, defaultdict
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
-from .circuits import CCX, CNOT, H, SWAP, Circuit, ErrorModel, GateKind, gate_depth
+from .circuits import CCX, CNOT, H, SWAP, Circuit, ErrorModel, Gate, GateKind, gate_depth
 from .pipeline import Partition, _qubit_holders, overlapping_pairs
 from .rng import SplitMix64
 
@@ -233,6 +233,16 @@ def partition_metrics(
     )
 
 
+def _gate_keys(gates: Iterable[Gate]) -> Counter:
+    """`validate_gate_counts`' multiset of gates: (kind name, arity, qubits)
+    counts, SWAP gates left out."""
+    swap = (SWAP.name, SWAP.arity)
+    counts = Counter((g.kind.name, g.kind.arity, g.qubits) for g in gates)
+    for key in [key for key in counts if key[:2] == swap]:
+        del counts[key]
+    return counts
+
+
 def validate_gate_counts(original: Circuit, parts: Sequence[Partition]) -> bool:
     """Multiset equality of (kind, global qubits) between circuit and partitions.
 
@@ -240,15 +250,7 @@ def validate_gate_counts(original: Circuit, parts: Sequence[Partition]) -> bool:
     artifacts rather than core operations. Kinds are keyed by (name, arity),
     the fields ``GateKind`` equality compares.
     """
-    swap = (SWAP.name, SWAP.arity)
-    expected = Counter((g.kind.name, g.kind.arity, g.qubits) for g in original.gates)
-    partitioned = Counter(
-        (g.kind.name, g.kind.arity, g.qubits) for p in parts for g in p.gates
-    )
-    for counts in (expected, partitioned):
-        for key in [key for key in counts if key[:2] == swap]:
-            del counts[key]
-    return expected == partitioned
+    return _gate_keys(original.gates) == _gate_keys(g for p in parts for g in p.gates)
 
 
 def method_report(

@@ -63,6 +63,7 @@ import tempfile
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
+from .circuits import _decimal_int
 from .hypergraph import HgrMode, Hypergraph, scaled_edge_weight, write_hgr
 from .rng import SplitMix64
 
@@ -826,7 +827,7 @@ def _partition_external(hg: Hypergraph, config: SolverConfig) -> PartitionAssign
                 if not line:
                     continue
                 try:
-                    label = int(line)
+                    label = _decimal_int(line)
                 except ValueError:
                     raise SolverError(
                         f"partition file line {lineno}: label {line!r} is not an integer"

@@ -40,8 +40,10 @@ class TestGates:
 
 class TestCircuit:
     def test_out_of_range_qubit_rejected(self):
-        with pytest.raises(q.CircuitError):
-            q.Circuit(2, (q.h(2),))
+        for index in (2, -1, 5):
+            with pytest.raises(q.CircuitError) as excinfo:
+                q.Circuit(2, (q.h(0), q.cnot(1, index)))
+            assert str(excinfo.value) == f"qubit {index} out of range for 2-qubit circuit"
 
     @pytest.mark.parametrize("count", [-2, -1, 2.5, True, "3"])
     def test_unreadable_qubit_count_rejected(self, count):
@@ -143,8 +145,10 @@ class TestSerialization:
             q.parse_circuit("qubits 2\nfoo 0\n")
 
     def test_qubit_out_of_range(self):
-        with pytest.raises(CircuitParseError):
-            q.parse_circuit("qubits 2\ncx 0 5\n")
+        for qubit in (5, 2, -1):
+            with pytest.raises(CircuitParseError) as excinfo:
+                q.parse_circuit(f"qubits 2\nh 1\ncx 0 {qubit}\n")
+            assert str(excinfo.value) == f"line 3: qubit {qubit} out of range"
 
     @pytest.mark.parametrize("gate, message", [
         ("cx 0", "CNOT expects 2 qubits, got (0,)"),
@@ -168,6 +172,30 @@ class TestSerialization:
             q.parse_circuit(text)
         assert str(excinfo.value) == message
 
+    @pytest.mark.parametrize("text, message", [
+        ("qubits 1_2\nh 1_0\ncx \u0663 +4\n", "line 1: bad qubit count '1_2'"),
+        ("qubits +3\n", "line 1: bad qubit count '+3'"),
+        ("qubits 12\nh 1_0\n", "line 2: bad integer in 'h 1_0'"),
+        ("qubits 12\nh 1\ncx \u0663 4\n", "line 3: bad integer in 'cx \u0663 4'"),
+        ("qubits 12\ncx 3 +4\n", "line 2: bad integer in 'cx 3 +4'"),
+        ("qubits 12\nh \uff11\n", "line 2: bad integer in 'h \uff11'"),
+        ("qubits 12\ng RZ +1 0\n", "line 2: bad integer in 'g RZ +1 0'"),
+        ("qubits 12\nh -\n", "line 2: bad integer in 'h -'"),
+    ], ids=["underscore-count", "plus-count", "underscore-qubit", "arabic-indic-digit",
+            "plus-qubit", "fullwidth-digit", "plus-arity", "bare-minus"])
+    def test_only_ascii_decimal_integers_are_read(self, text, message):
+        # Python's int() reads each of these, so they used to parse
+        with pytest.raises(CircuitParseError) as excinfo:
+            q.parse_circuit(text)
+        assert str(excinfo.value) == message
+
+    def test_names_and_comments_may_hold_any_character(self):
+        # '_', '+' and non-ASCII text outside the integers leave them readable
+        text = "qubits 3 # caf\u00e9 + x_y\ng my_gate+ 2 0 2\nh 1  # \u0663\ncx -0 1\n"
+        c = q.parse_circuit(text)
+        kind = q.GateKind("my_gate+", 2)
+        assert c == q.Circuit(3, (q.Gate(kind, (0, 2)), q.h(1), q.cnot(0, 1)))
+
     def test_zero_arity_gate_kind(self):
         with pytest.raises(CircuitParseError, match=r"^line 2: gate arity must be >= 1, got 0$"):
             q.parse_circuit("qubits 2\ng foo 0\n")
@@ -177,6 +205,53 @@ class TestSerialization:
             q.parse_circuit("qubits 2\ng H 2 0 1\n")
         with pytest.raises(CircuitParseError, match=r"^line 3: CNOT has fixed arity 2$"):
             q.parse_circuit("qubits 2\nh 0\ng CNOT 1 0\n")
+
+
+class TestRepeatedLines:
+    def test_repeated_lines_parse_as_gates_built_one_by_one(self):
+        text = ("qubits 3\nh 0\ncx 0 1\n  h 0\t\ncx 0   1 # again\ng RZ 1 2\n"
+                "h 0 # h\ng  RZ 1 2\ncx 0 1\nh 0\n")
+        rz = q.GateKind("RZ", 1)
+        c = q.parse_circuit(text)
+        assert c == q.Circuit(3, (
+            q.h(0), q.cnot(0, 1), q.h(0), q.cnot(0, 1), q.Gate(rz, (2,)),
+            q.h(0), q.Gate(rz, (2,)), q.cnot(0, 1), q.h(0),
+        ))
+        assert q.parse_circuit(q.serialize_circuit(c)) == c
+        # a line equal to an earlier one, once its comment is stripped and
+        # its whitespace trimmed, shares that line's gate
+        assert c.gates[0] is c.gates[2] is c.gates[5] is c.gates[8]
+        assert c.gates[1] is c.gates[7]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 5), st.sampled_from(["", " ", "\t", "  "]),
+                              st.sampled_from(["", "#", " # note", "#h 0"])),
+                    max_size=30))
+    def test_any_spacing_and_comment_gives_the_same_gates(self, picks):
+        pool = [q.h(0), q.h(3), q.cnot(0, 1), q.cnot(1, 0), q.swap(2, 3), q.ccx(0, 1, 2)]
+        body = q.serialize_circuit(q.Circuit(4, tuple(pool))).splitlines()[1:]
+        lines = ["qubits 4"]
+        for i, pad, comment in picks:
+            lines.append(pad + body[i].replace(" ", pad + " ") + pad + comment)
+        c = q.parse_circuit("\n".join(lines) + "\n")
+        assert c == q.Circuit(4, tuple(pool[i] for i, _, _ in picks))
+        assert q.parse_circuit(q.serialize_circuit(c)) == c
+
+    @pytest.mark.parametrize("bad, message", [
+        ("cx 0 5", "qubit 5 out of range"),
+        ("cx 1 1", "duplicate qubit in gate CNOT(1, 1)"),
+        ("h x", "bad integer in 'h x'"),
+        ("foo 0", "unknown gate 'foo'"),
+    ])
+    def test_repeated_bad_line_reports_its_first_line(self, bad, message):
+        text = f"qubits 2\nh 0\n{bad}\nh 0\n{bad}\n{bad}\n"
+        with pytest.raises(CircuitParseError) as excinfo:
+            q.parse_circuit(text)
+        assert (excinfo.value.line, str(excinfo.value)) == (3, f"line 3: {message}")
+
+    def test_header_line_repeated_below_is_a_bad_gate(self):
+        with pytest.raises(CircuitParseError, match=r"^line 3: unknown gate 'qubits'$"):
+            q.parse_circuit("qubits 2\nh 0\nqubits 2\n")
 
 
 class TestErrorModel:

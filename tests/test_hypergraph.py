@@ -133,7 +133,9 @@ class TestConstruction:
         (2, (), "one weight per node required"),
         (3, (q.Hyperedge((), 1.0),), "empty hyperedge"),
         (3, (q.Hyperedge((0, 3), 1.0),), "hyperedge member 3 out of range"),
-    ], ids=["weight-count", "empty-edge", "member-out-of-range"])
+        (3, (q.Hyperedge((0, 1), 1.0), q.Hyperedge((2, -1), 1.0)),
+         "hyperedge member -1 out of range"),
+    ], ids=["weight-count", "empty-edge", "member-out-of-range", "negative-member"])
     def test_malformed_hypergraph_rejected(self, num_nodes, edges, message):
         with pytest.raises(ValueError) as excinfo:
             q.Hypergraph(num_nodes, (1.0, 1.0, 1.0), edges)
@@ -240,8 +242,11 @@ class TestSerialization:
             q.read_hgr("1 1 7\n5 1\n1\n")
 
     def test_out_of_range_member(self):
-        with pytest.raises(q.HgrFormatError):
-            q.read_hgr("1 2 1\n5 3\n1\n1\n")
+        # 1-based: 0 and 3 fall just outside 2 nodes
+        for member in ("3", "0", "-1"):
+            with pytest.raises(q.HgrFormatError) as excinfo:
+                q.read_hgr(f"1 2 1\n5 1 {member}\n1\n1\n")
+            assert str(excinfo.value) == f"node index {member} out of range"
 
     def test_negative_edge_weight_names_the_line(self):
         with pytest.raises(q.HgrFormatError) as excinfo:
@@ -261,8 +266,17 @@ class TestSerialization:
         ("1 2 1\n5 1 x\n1\n1\n", "bad integer in hyperedge line '5 1 x'"),
         ("1 2 1\n5 1 2\n1\n", "expected 2 node weight lines, found 1"),
         ("1 2 1\n5 1 2\n1\n1.5\n", "bad integer in node weight section"),
+        # Python's int() reads each of the following, so they used to parse
+        ("1 2 1\n1_0 1 +2\n5\n\u0667\n", "bad integer in hyperedge line '1_0 1 +2'"),
+        ("1 2 1\n10 1 +2\n5\n7\n", "bad integer in hyperedge line '10 1 +2'"),
+        ("1 2 1\n10 1 \uff12\n5\n7\n", "bad integer in hyperedge line '10 1 \uff12'"),
+        ("1 2 1\n10 1 2\n5\n\u0667\n", "bad integer in node weight section"),
+        ("1 2 1\n10 1 2\n5_0\n7\n", "bad integer in node weight section"),
+        ("1 +2 1\n10 1 2\n5\n7\n", "malformed header '1 +2 1'"),
     ], ids=["empty", "four-field-header", "non-integer-header", "one-field-edge",
-            "non-integer-pin", "few-node-weights", "non-integer-node-weight"])
+            "non-integer-pin", "few-node-weights", "non-integer-node-weight",
+            "underscore-edge-weight", "plus-pin", "fullwidth-pin", "arabic-indic-node-weight",
+            "underscore-node-weight", "plus-header"])
     def test_malformed_input_rejected(self, text, message):
         with pytest.raises(q.HgrFormatError) as excinfo:
             q.read_hgr(text)

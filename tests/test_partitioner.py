@@ -1533,10 +1533,20 @@ class TestExternalAdapter:
         with pytest.raises(q.SolverError, match=r"line 1: label 'x' is not an integer"):
             q.partition(hypergraph_s, q.SolverConfig(k=2, backend=solver))
 
-    def test_out_of_range_label_raises(self, hypergraph_s, tmp_path):
-        solver = _fake_solver(tmp_path, "7")
-        with pytest.raises(q.SolverError, match=r"line 1: label 7 outside \[0, 2\)"):
+    # Python's int() reads both as 1, so they used to be accepted
+    @pytest.mark.parametrize("label", ["+1", "0_1"])
+    def test_non_decimal_label_raises(self, hypergraph_s, tmp_path, label):
+        solver = _fake_solver(tmp_path, label)
+        with pytest.raises(q.SolverError) as excinfo:
             q.partition(hypergraph_s, q.SolverConfig(k=2, backend=solver))
+        assert str(excinfo.value) == f"partition file line 1: label {label!r} is not an integer"
+
+    def test_out_of_range_label_raises(self, hypergraph_s, tmp_path):
+        for label in ("7", "2", "-1"):
+            solver = _fake_solver(tmp_path, label)
+            with pytest.raises(q.SolverError) as excinfo:
+                q.partition(hypergraph_s, q.SolverConfig(k=2, backend=solver))
+            assert str(excinfo.value) == f"partition file line 1: label {label} outside [0, 2)"
 
     def test_label_count_mismatch_raises(self, hypergraph_s, tmp_path):
         script = tmp_path / "shortsolver"
