@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .circuits import Circuit
+from .partitioner import _check_size
 from .pipeline import Partition
 
 
@@ -31,8 +32,7 @@ class BaselineConfig:
     block_size: int  # max distinct qubits per block
 
     def __post_init__(self):
-        if self.block_size < 1:
-            raise ValueError("block_size must be >= 1")
+        _check_size("block_size", self.block_size)
 
 
 def block_partition(circuit: Circuit, config: BaselineConfig) -> list[list[int]]:

@@ -178,6 +178,15 @@ def _decimal_int(token: str) -> int:
     return int(token)
 
 
+def _lines(text: str) -> list[str]:
+    """text split only at the line ends `open()` recognizes: LF, CR LF and
+    CR. `str.splitlines` also splits at characters such as form feed and
+    0x1c, which `str.split()` reads as spaces inside a line."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.split("\n")
+
+
 def parse_circuit(text: str) -> Circuit:
     """Parse the circuit text format.
 
@@ -198,7 +207,7 @@ def parse_circuit(text: str) -> Circuit:
     num_qubits = None
     gates: list[Gate] = []
     parsed: dict[str, Gate] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_lines(text), start=1):
         line = (raw.split("#", 1)[0] if "#" in raw else raw).strip()
         gate = parsed.get(line)
         if gate is not None:

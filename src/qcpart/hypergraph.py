@@ -1,6 +1,7 @@
 """Fidelity-weighted hypergraph construction and hMETIS-dialect I/O.
 
-One node per gate. Two hyperedge families:
+One node per gate. A hyperedge is its members and its weight, and the two
+families are told apart by size:
   - gate-level: a singleton {gate} per multi-qubit gate, weight
     100 * arity / eps(gate), penalizing cuts through entangling operations;
     eps is eps_cnot for CNOT, SWAP and CCX, which the fidelity estimate
@@ -14,8 +15,8 @@ A gate-level edge has one pin, so it always spans one part (lambda = 1)
 and adds 0 to km1 under any assignment. It exists only so the paper's hgr
 output carries it; the internal solver drops it with every other edge of
 fewer than two distinct pins when it builds its top sub-problem, after
-taking the largest edge weight for `scaled_edge_weight` over all edges,
-singletons included.
+`scaled_weights`, the one place edge weights are scaled, has taken the
+largest weight over all edges, singletons included.
 """
 
 from __future__ import annotations
@@ -25,11 +26,7 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 
-from .circuits import CCX, CNOT, H, SWAP, Circuit, ErrorModel, GateKind, _decimal_int
-
-GATE_LEVEL = "gate-level"
-TEMPORAL = "temporal"
-UNKNOWN = "unknown"
+from .circuits import CCX, CNOT, H, SWAP, Circuit, ErrorModel, GateKind, _decimal_int, _lines
 
 
 class HgrMode(str, Enum):
@@ -54,8 +51,6 @@ class HgrFormatError(ValueError):
 class Hyperedge:
     members: tuple[int, ...]
     weight: float
-    kind: str = UNKNOWN
-    qubit: int | None = None  # set for temporal chains
 
 
 def _check_weights(weights, what: str) -> None:
@@ -150,18 +145,13 @@ def circuit_to_hypergraph(circuit: Circuit, model: ErrorModel | None = None) -> 
         key = id(gate.kind)
         node_weights.append(node_w[key])
         if key in gate_w:
-            edges.append(Hyperedge(members=(idx,), weight=gate_w[key], kind=GATE_LEVEL))
+            edges.append(Hyperedge(members=(idx,), weight=gate_w[key]))
         for q in gate.qubits:
             gates_per_qubit[q].append(idx)
-    for q, members in enumerate(gates_per_qubit):
+    for members in gates_per_qubit:
         if len(members) >= 2:
             edges.append(
-                Hyperedge(
-                    members=tuple(members),
-                    weight=temporal_edge_weight(len(members), model),
-                    kind=TEMPORAL,
-                    qubit=q,
-                )
+                Hyperedge(members=tuple(members), weight=temporal_edge_weight(len(members), model))
             )
 
     return Hypergraph(len(circuit.gates), tuple(node_weights), tuple(edges))
@@ -179,19 +169,24 @@ def scaled_edge_weight(weight: float, max_weight: float) -> int:
     return max(1, round(scaled / max_weight))
 
 
+def scaled_weights(hg: Hypergraph) -> list[int]:
+    """Each hyperedge's weight by `scaled_edge_weight` against the largest
+    over every hyperedge, singletons included; all 0 when no weight is
+    positive."""
+    weights = [e.weight for e in hg.hyperedges]
+    max_w = max(weights, default=0)
+    # few distinct weights in a circuit's hypergraph: scale each once
+    scaled = {w: scaled_edge_weight(w, max_w) if max_w > 0 else 0 for w in set(weights)}
+    return [scaled[w] for w in weights]
+
+
 def normalize_weights(hg: Hypergraph) -> Hypergraph:
-    """Scale hyperedge weights by `scaled_edge_weight` against the largest;
-    unchanged when no weight is positive."""
-    if not hg.hyperedges:
-        return hg
-    max_w = max(e.weight for e in hg.hyperedges)
-    if max_w <= 0:
-        return hg
-    scaled = tuple(
-        Hyperedge(e.members, float(scaled_edge_weight(e.weight, max_w)), e.kind, e.qubit)
-        for e in hg.hyperedges
+    """hg with its hyperedge weights as `scaled_weights` gives them."""
+    edges = tuple(
+        Hyperedge(members=e.members, weight=float(w))
+        for e, w in zip(hg.hyperedges, scaled_weights(hg))
     )
-    return Hypergraph(hg.num_nodes, hg.node_weights, scaled)
+    return Hypergraph(hg.num_nodes, hg.node_weights, edges)
 
 
 def write_hgr(hg: Hypergraph, mode: HgrMode = HgrMode.PAPER_NORMALIZED) -> str:
@@ -210,10 +205,10 @@ def write_hgr(hg: Hypergraph, mode: HgrMode = HgrMode.PAPER_NORMALIZED) -> str:
 
 
 def read_hgr(text: str) -> Hypergraph:
-    """Parse any write_hgr mode. Hyperedge kinds are not recoverable.
+    """Parse any write_hgr mode.
 
     Integers are ASCII decimal digits, negative ones with a leading ``-``."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    lines = [ln.strip() for ln in _lines(text) if ln.strip()]
     if not lines:
         raise HgrFormatError("empty input")
     header = lines[0].split()

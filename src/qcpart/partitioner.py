@@ -23,7 +23,7 @@ later moves back and puts that copy back, so only a new `_Bisection`
 recounts from the sides.
 Every weight the solver sees is an int: node weights in one unit, 1/u for
 u the largest power-of-two denominator of a node weight, with the cap
-floored in it, and edge weights as `normalize_weights` scales them. Loads,
+floored in it, and edge weights as `scaled_weights` scales them. Loads,
 the cut and gains are exact, whatever order they are summed in.
 Every restart, the flat retry on the finest level included, runs through
 `_uncoarsen`. Two prunings skip only work whose outcome is already known:
@@ -64,7 +64,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .circuits import _decimal_int
-from .hypergraph import HgrMode, Hypergraph, scaled_edge_weight, write_hgr
+from .hypergraph import HgrMode, Hypergraph, scaled_weights, write_hgr
 from .rng import SplitMix64
 
 INTERNAL = "internal"
@@ -89,9 +89,10 @@ class PartitionAssignment:
                 raise ValueError(f"label {label} outside [0, {self.k})")
 
 
-def _check_k(k) -> None:
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise ValueError(f"k must be an integer >= 1, got {k!r}")
+def _check_size(name: str, value) -> None:
+    """Raise ValueError unless value is an int >= 1 (a bool is not)."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -102,7 +103,7 @@ class SolverConfig:
     backend: str = INTERNAL  # INTERNAL or a path to an external solver binary
 
     def __post_init__(self):
-        _check_k(self.k)
+        _check_size("k", self.k)
         if not isinstance(self.seed, int) or isinstance(self.seed, bool):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
         imbalance = self.imbalance
@@ -113,8 +114,7 @@ class SolverConfig:
 
 def dynamic_k(num_ops: int, num_qubits: int, block_size: int) -> int:
     """max(2, min(num_ops // block_size, floor(sqrt(num_qubits))))."""
-    if block_size < 1:
-        raise ValueError("block_size must be >= 1")
+    _check_size("block_size", block_size)
     if num_qubits < 1:
         raise ValueError("num_qubits must be >= 1")
     return max(2, min(num_ops // block_size, math.isqrt(num_qubits)))
@@ -156,7 +156,7 @@ def random_balanced_assignment(hg: Hypergraph, k: int, seed: int) -> PartitionAs
     refines it after the recursive bisection and keeps it when its cut is
     lower, so the solver's km1 never exceeds this one's after refinement.
     """
-    _check_k(k)
+    _check_size("k", k)
     order = list(range(hg.num_nodes))
     SplitMix64(seed).shuffle(order)
     labels = [0] * hg.num_nodes
@@ -214,17 +214,6 @@ def _mapped(weights: list[int], edges: list[tuple[int, tuple[int, ...]]], to: li
         if len(pins) >= 2:
             mapped_edges.append((w, tuple(sorted(pins))))
     return mapped_weights, mapped_edges
-
-
-def _scaled_edges(hg: Hypergraph) -> list[tuple[int, tuple[int, ...]]]:
-    """hg's hyperedges as (weight, members), weights the ints
-    `normalize_weights` gives, the largest taken over every hyperedge, and
-    0 when every weight is 0."""
-    weights = [e.weight for e in hg.hyperedges]
-    max_w = max(weights, default=0)
-    # few distinct weights in a circuit's hypergraph: scale each once
-    scaled = {w: scaled_edge_weight(w, max_w) if max_w else 0 for w in set(weights)}
-    return [(scaled[e.weight], e.members) for e in hg.hyperedges]
 
 
 def _contract(inst: _Instance, rng: SplitMix64, max_cluster: int) -> _Instance | None:
@@ -714,7 +703,8 @@ def _partition_internal(hg: Hypergraph, config: SolverConfig) -> PartitionAssign
     # hypergraph by the identity, and a side that splits again maps its
     # parent's by its own numbering.
     nodes = list(range(hg.num_nodes))
-    stack = [(nodes, *_mapped(weights, _scaled_edges(hg), nodes, len(nodes)), 0, k)]
+    edges = list(zip(scaled_weights(hg), (e.members for e in hg.hyperedges)))
+    stack = [(nodes, *_mapped(weights, edges, nodes, len(nodes)), 0, k)]
     while stack:
         nodes, weights, edges, first_label, parts = stack.pop()
         if parts == 1 or not nodes:

@@ -35,7 +35,7 @@ from itertools import chain
 
 from .circuits import Circuit, ErrorModel, Gate
 from .hypergraph import Hypergraph, circuit_to_hypergraph
-from .partitioner import PartitionAssignment, SolverConfig, partition as solve_partition
+from .partitioner import PartitionAssignment, SolverConfig, _check_size, partition as solve_partition
 
 logger = logging.getLogger(__name__)
 
@@ -139,8 +139,7 @@ def merge_partitions(parts: Sequence[Partition], threshold: int) -> list[Partiti
     completes without a merge. A merged partition holds its first member's
     gates then its second's, over a unified contiguous qubit map.
     """
-    if threshold < 1:
-        raise ValueError("threshold must be >= 1")
+    _check_size("threshold", threshold)
     # Each current partition is a list of input indices, whose gates it holds
     # in that order, plus the union of their qubits.
     members = [[i] for i in range(len(parts))]

@@ -61,6 +61,31 @@ GOLDEN_HGR = """16 22 1
 200
 """
 
+# Characters that `str.split()` reads as spaces and `str.splitlines()` as
+# line ends; the text formats end a line only at LF, CR LF and CR.
+SPACES_NOT_LINE_ENDS = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+def edge_families(circuit: q.Circuit) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """The members of a circuit's two hyperedge families, in the order
+    `circuit_to_hypergraph` lists them: a singleton per multi-qubit gate, in
+    gate order, then for each qubit with two or more gates, in qubit order,
+    a chain of its gates, ascending."""
+    gates = circuit.gates
+    singletons = [(i,) for i, g in enumerate(gates) if g.kind.arity > 1]
+    on_qubit = (tuple(i for i, g in enumerate(gates) if qubit in g.qubits)
+                for qubit in range(circuit.num_qubits))
+    return singletons, [chain for chain in on_qubit if len(chain) >= 2]
+
+
+def assert_hgr_round_trip(hg: q.Hypergraph) -> None:
+    """read_hgr gives hg back from the raw and standard modes, and hg with
+    normalized weights from the normalized one; it holds whenever every
+    weight is integral, as under the default error model."""
+    for mode in q.HgrMode:
+        expected = q.normalize_weights(hg) if mode == q.HgrMode.PAPER_NORMALIZED else hg
+        assert q.read_hgr(q.write_hgr(hg, mode)) == expected
+
 
 @pytest.fixture
 def circuit_s() -> q.Circuit:

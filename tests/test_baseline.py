@@ -38,6 +38,12 @@ class TestBlockPartition:
         with pytest.raises(ValueError):
             q.BaselineConfig(block_size=0)
 
+    @pytest.mark.parametrize("size", [0, 2.5, 2.0, True])
+    def test_block_size_must_be_an_integer(self, size):
+        with pytest.raises(ValueError) as excinfo:
+            q.BaselineConfig(size)
+        assert str(excinfo.value) == f"block_size must be an integer >= 1, got {size!r}"
+
 
 class TestRemapGroups:
     def test_reference_groups(self, circuit_s, baseline_partitions):

@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 import qcpart as q
 from qcpart.circuits import CircuitParseError
 
+from conftest import SPACES_NOT_LINE_ENDS
+
 
 class TestGates:
     def test_builtin_arities(self):
@@ -188,6 +190,23 @@ class TestSerialization:
         with pytest.raises(CircuitParseError) as excinfo:
             q.parse_circuit(text)
         assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize("space", SPACES_NOT_LINE_ENDS)
+    def test_space_inside_a_line_does_not_end_it(self, space):
+        # the comment's tail is not read as a gate on a line of its own
+        with pytest.raises(CircuitParseError) as excinfo:
+            q.parse_circuit(f"qubits 2\nh 0 # a{space}b\ncx 0 5\n")
+        assert str(excinfo.value) == "line 3: qubit 5 out of range"
+        text = f"qubits 2\nh{space}0\ncx 0{space}1\n"
+        assert q.parse_circuit(text) == q.Circuit(2, (q.h(0), q.cnot(0, 1)))
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r"])
+    def test_cr_lf_and_cr_end_lines_as_lf_does(self, circuit_s, end):
+        text = q.serialize_circuit(circuit_s)
+        assert q.parse_circuit(text.replace("\n", end)) == circuit_s
+        with pytest.raises(CircuitParseError) as excinfo:
+            q.parse_circuit(f"qubits 2{end}h 0{end}{end}cx 0 5{end}")
+        assert str(excinfo.value) == "line 4: qubit 5 out of range"
 
     def test_names_and_comments_may_hold_any_character(self):
         # '_', '+' and non-ASCII text outside the integers leave them readable

@@ -7,15 +7,14 @@ from hypothesis import strategies as st
 
 import qcpart as q
 from qcpart.hypergraph import (
-    GATE_LEVEL,
-    TEMPORAL,
     gate_level_edge_weight,
     node_weight,
     scaled_edge_weight,
+    scaled_weights,
     temporal_edge_weight,
 )
 
-from conftest import GOLDEN_HGR
+from conftest import GOLDEN_HGR, SPACES_NOT_LINE_ENDS, assert_hgr_round_trip, edge_families
 
 
 class TestWeights:
@@ -35,7 +34,7 @@ class TestWeights:
         model = q.ErrorModel(eps_default_multi=0.2)
         gates = (q.swap(0, 1), q.ccx(0, 1, 2), q.Gate(q.GateKind("CZ", 2), (1, 2)))
         hg = q.circuit_to_hypergraph(q.Circuit(3, gates), model)
-        gate_level = [(e.members, e.weight) for e in hg.hyperedges if e.kind == GATE_LEVEL]
+        gate_level = [(e.members, e.weight) for e in hg.hyperedges if len(e.members) == 1]
         assert gate_level == [((0,), 4000.0), ((1,), 6000.0), ((2,), 1000.0)]
 
     def test_temporal_weight_floor_division(self):
@@ -51,22 +50,20 @@ class TestConstruction:
     def test_one_node_per_gate(self, circuit_s, hypergraph_s):
         assert hypergraph_s.num_nodes == len(circuit_s.gates)
 
-    def test_edge_families(self, hypergraph_s):
-        gate_level = [e for e in hypergraph_s.hyperedges if e.kind == GATE_LEVEL]
-        temporal = [e for e in hypergraph_s.hyperedges if e.kind == TEMPORAL]
-        assert len(gate_level) == 10  # one per CNOT
-        assert len(temporal) == 6  # every qubit hosts >= 2 gates
-        assert all(len(e.members) == 1 for e in gate_level)
-        # gate-level edges come first, then temporal chains in qubit order
-        kinds = [e.kind for e in hypergraph_s.hyperedges]
-        assert kinds == [GATE_LEVEL] * 10 + [TEMPORAL] * 6
-        assert [e.qubit for e in temporal] == [0, 1, 2, 3, 4, 5]
+    def test_edge_families(self):
+        # gate-level singletons come first, in gate order, then temporal
+        # chains in qubit order
+        for name, num_singletons, num_chains in (("s", 10, 6), ("m", 35, 10), ("l", 64, 24)):
+            circuit = q.benchmark_circuit(name)
+            singletons, chains = edge_families(circuit)
+            assert (len(singletons), len(chains)) == (num_singletons, num_chains)
+            hg = q.circuit_to_hypergraph(circuit)
+            assert [e.members for e in hg.hyperedges] == singletons + chains
 
     def test_single_gate_qubit_has_no_chain(self):
         c = q.Circuit(3, (q.h(0), q.h(0), q.h(1)))
         hg = q.circuit_to_hypergraph(c)
-        qubits = {e.qubit for e in hg.hyperedges if e.kind == TEMPORAL}
-        assert qubits == {0}
+        assert [e.members for e in hg.hyperedges] == [(0, 1)]
 
     def test_equal_kinds_that_are_distinct_objects(self):
         # The builder computes each kind object's weights once; equal kinds
@@ -80,7 +77,7 @@ class TestConstruction:
         hg = q.circuit_to_hypergraph(q.Circuit(3, tuple(gates)), model)
         assert hg.node_weights == tuple(node_weight(g.kind, model) for g in gates)
         assert hg.node_weights[:3] == (250.0,) * 3
-        gate_level = [(e.members, e.weight) for e in hg.hyperedges if e.kind == GATE_LEVEL]
+        gate_level = [(e.members, e.weight) for e in hg.hyperedges if len(e.members) == 1]
         assert gate_level == [((0,), 5000.0), ((1,), 5000.0), ((2,), 5000.0), ((5,), 2500.0)]
 
     def test_empty_circuit(self):
@@ -174,14 +171,16 @@ class TestNormalization:
     @pytest.mark.parametrize("weight", [1e305, 1.7e308])
     def test_weight_whose_product_overflows(self, weight):
         hg = q.Hypergraph(2, (1.0, 1.0), (q.Hyperedge((0, 1), weight),))
+        assert scaled_weights(hg) == [1_000_000]
         assert q.normalize_weights(hg).hyperedges[0].weight == 1_000_000
         asg = q.partition(hg, q.SolverConfig(k=2, imbalance=0.05, seed=1))
         assert sorted(asg.labels) == [0, 1]
 
     def test_overflowing_and_finite_products_side_by_side(self):
         edges = (q.Hyperedge((0, 1), 1e305), q.Hyperedge((0, 1), 1.7e308))
-        norm = q.normalize_weights(q.Hypergraph(2, (1.0, 1.0), edges))
-        assert [e.weight for e in norm.hyperedges] == [588.0, 1_000_000.0]  # 1e311 / 1.7e308
+        hg = q.Hypergraph(2, (1.0, 1.0), edges)
+        assert scaled_weights(hg) == [588, 1_000_000]  # 1e311 / 1.7e308
+        assert [e.weight for e in q.normalize_weights(hg).hyperedges] == [588.0, 1_000_000.0]
 
 
 _FINITE = st.floats(min_value=0.0, max_value=sys.float_info.max, allow_nan=False)
@@ -218,18 +217,19 @@ class TestSerialization:
         text = q.write_hgr(hypergraph_s, q.HgrMode.STANDARD)
         assert text.splitlines()[0] == "16 22 11"
 
-    def test_round_trip(self, hypergraph_s):
-        for mode in q.HgrMode:
-            text = q.write_hgr(hypergraph_s, mode)
-            back = q.read_hgr(text)
-            assert back.num_nodes == hypergraph_s.num_nodes
-            assert back.num_edges == hypergraph_s.num_edges
-            assert [e.members for e in back.hyperedges] == [
-                e.members for e in hypergraph_s.hyperedges
-            ]
-            lines = text.split("\n")
-            lines[0] = f"{hypergraph_s.num_edges} {hypergraph_s.num_nodes} 1"
-            assert q.write_hgr(back, q.HgrMode.PAPER_RAW) == "\n".join(lines)
+    def test_round_trip(self):
+        for name in ("s", "m", "l"):
+            assert_hgr_round_trip(q.circuit_to_hypergraph(q.benchmark_circuit(name)))
+
+    @pytest.mark.parametrize("space", SPACES_NOT_LINE_ENDS)
+    def test_space_inside_a_line_does_not_end_it(self, space):
+        hg = q.read_hgr(f"1 2 1\n5 1{space}2\n1\n1\n")
+        assert hg == q.Hypergraph(2, (1.0, 1.0), (q.Hyperedge((0, 1), 5.0),))
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r"])
+    def test_cr_lf_and_cr_end_lines_as_lf_does(self, hypergraph_s, end):
+        text = q.write_hgr(hypergraph_s, q.HgrMode.PAPER_RAW)
+        assert q.read_hgr(text.replace("\n", end)) == q.read_hgr(text)
 
     def test_truncated_input_rejected(self, hypergraph_s):
         text = q.write_hgr(hypergraph_s, q.HgrMode.PAPER_RAW)

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import qcpart as q
 from qcpart import partitioner as qp
+from qcpart.hypergraph import scaled_weights
 from qcpart.rng import SplitMix64
 
 
@@ -45,6 +46,13 @@ class TestDynamicK:
             q.dynamic_k(10, 4, 0)
         with pytest.raises(ValueError):
             q.dynamic_k(10, 0, 4)
+
+    @pytest.mark.parametrize("block_size", [0, 2.5, 2.0, True])
+    def test_block_size_must_be_an_integer(self, block_size):
+        # 10 // 2.5 is 4.0, which SolverConfig would then reject as k
+        with pytest.raises(ValueError) as excinfo:
+            q.dynamic_k(10, 100, block_size)
+        assert str(excinfo.value) == f"block_size must be an integer >= 1, got {block_size!r}"
 
 
 class TestKm1:
@@ -186,6 +194,8 @@ class TestInternalSolver:
         text = f"{len(members)} 12 11\n" + "".join(
             f"0 {a + 1} {b + 1}\n" for a, b in members) + "1\n" * 12
         direct = q.Hypergraph(12, (1.0,) * 12, tuple(q.Hyperedge(m, 0.0) for m in members))
+        # no weight to scale against: every edge scales to the int 0
+        assert [(type(w), w) for w in scaled_weights(direct)] == [(int, 0)] * len(members)
         coarse = []  # each coarsening round's result
         contract = qp._contract
 
@@ -1206,7 +1216,8 @@ class TestSubProblems:
         norm = q.normalize_weights(hg)
         n = hg.num_nodes
         nodes = list(range(n))
-        inst = qp._Instance(*qp._mapped(weights, qp._scaled_edges(hg), nodes, n), 0, 0)
+        edges = list(zip(scaled_weights(hg), (e.members for e in hg.hyperedges)))
+        inst = qp._Instance(*qp._mapped(weights, edges, nodes, n), 0, 0)
         assert all(type(w) is int for w, _ in inst.edges)
         for _ in range(3):
             expected = _reference_induce(norm, nodes, 0, 0)

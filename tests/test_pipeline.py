@@ -82,6 +82,12 @@ class TestMerging:
         with pytest.raises(ValueError):
             q.merge_partitions(reference_partitions, threshold=0)
 
+    @pytest.mark.parametrize("threshold", [0, 1.5, 1.0, True])
+    def test_threshold_must_be_an_integer(self, reference_partitions, threshold):
+        with pytest.raises(ValueError) as excinfo:
+            q.merge_partitions(reference_partitions, threshold)
+        assert str(excinfo.value) == f"threshold must be an integer >= 1, got {threshold!r}"
+
     def test_gate_order_preserved(self):
         a = q.Partition([q.h(0), q.cnot(0, 2)])
         b = q.Partition([q.h(2)])

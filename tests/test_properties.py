@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 import qcpart as q
 from qcpart import partitioner
-from qcpart.hypergraph import GATE_LEVEL
+from qcpart.hypergraph import scaled_weights
+
+from conftest import assert_hgr_round_trip, edge_families
 
 PROPERTY_SETTINGS = settings(max_examples=200, deadline=None)
 
@@ -116,7 +118,7 @@ def test_km1_relabel_invariance_and_scaling(circuit, data):
         hg.num_nodes,
         hg.node_weights,
         tuple(
-            q.Hyperedge(e.members, e.weight * factor, e.kind, e.qubit)
+            q.Hyperedge(e.members, e.weight * factor)
             for e in hg.hyperedges
         ),
     )
@@ -128,8 +130,9 @@ def test_km1_relabel_invariance_and_scaling(circuit, data):
 def test_gate_level_edges_add_nothing_to_km1(circuit, data):
     assume(circuit.gates)
     hg = q.circuit_to_hypergraph(circuit)
-    temporal = tuple(e for e in hg.hyperedges if e.kind != GATE_LEVEL)
-    assert all(len(e.members) == 1 for e in hg.hyperedges if e.kind == GATE_LEVEL)
+    singletons, chains = edge_families(circuit)
+    assert [e.members for e in hg.hyperedges] == singletons + chains
+    temporal = hg.hyperedges[len(singletons):]
     k = data.draw(st.integers(min_value=1, max_value=4))
     labels = data.draw(
         st.lists(
@@ -143,8 +146,15 @@ def test_gate_level_edges_add_nothing_to_km1(circuit, data):
     assert q.km1(without, assignment) == q.km1(hg, assignment)
     # the internal solver never sees them
     n = hg.num_nodes
-    _, top_edges = partitioner._mapped([0] * n, partitioner._scaled_edges(hg), list(range(n)), n)
+    edges = list(zip(scaled_weights(hg), (e.members for e in hg.hyperedges)))
+    _, top_edges = partitioner._mapped([0] * n, edges, list(range(n)), n)
     assert len(top_edges) == len(temporal)
+
+
+@PROPERTY_SETTINGS
+@given(circuit=circuits())
+def test_hgr_round_trip(circuit):
+    assert_hgr_round_trip(q.circuit_to_hypergraph(circuit))
 
 
 @PROPERTY_SETTINGS
