@@ -18,8 +18,7 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 
-from .circuits import Circuit
-from .partitioner import _check_size
+from .circuits import Circuit, _check_int
 from .pipeline import Partition
 
 
@@ -32,7 +31,7 @@ class BaselineConfig:
     block_size: int  # max distinct qubits per block
 
     def __post_init__(self):
-        _check_size("block_size", self.block_size)
+        _check_int("block_size", self.block_size, 1)
 
 
 def block_partition(circuit: Circuit, config: BaselineConfig) -> list[list[int]]:

@@ -4,6 +4,11 @@ A circuit is an ordered gate list over a fixed qubit count. Gate order is
 significant everywhere in the pipeline; all types are immutable, so
 ``parse_circuit`` reads each distinct gate line once and the lines that
 repeat it share one ``Gate``.
+
+Integer arguments meet one rule, ``_check_int`` below: an ``int``, not a
+``bool``, at least a bound, or an error naming the argument, so a count or
+arity that constructs serializes to text that parses. Qubit indices and
+labels (one ``type`` test each) and fixture indices keep their own check.
 """
 
 from __future__ import annotations
@@ -14,6 +19,12 @@ from dataclasses import dataclass
 
 class CircuitError(ValueError):
     """Invalid circuit construction or serialization input."""
+
+
+def _check_int(name: str, value, low: int | None = None, error=ValueError) -> None:
+    """Raise ``error`` naming ``name`` unless value is an int, not a bool, and >= ``low`` if given."""
+    if not isinstance(value, int) or isinstance(value, bool) or (low is not None and value < low):
+        raise error(f"{name} must be an integer{'' if low is None else f' >= {low}'}, got {value!r}")
 
 
 class CircuitParseError(CircuitError):
@@ -30,8 +41,7 @@ class GateKind:
     arity: int
 
     def __post_init__(self):
-        if self.arity < 1:
-            raise CircuitError(f"gate arity must be >= 1, got {self.arity}")
+        _check_int("gate arity", self.arity, 1, CircuitError)
 
 
 H = GateKind("H", 1)
@@ -103,11 +113,8 @@ class Circuit:
 
     def __post_init__(self):
         object.__setattr__(self, "gates", tuple(self.gates))
-        # serialize_circuit writes the count as is, and parse_circuit reads
-        # back only a non-negative integer
         n = self.num_qubits
-        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-            raise CircuitError(f"qubit count must be an integer >= 0, got {n!r}")
+        _check_int("qubit count", n, 0, CircuitError)
         for g in self.gates:
             for q in g.qubits:
                 if not 0 <= q < n:
@@ -132,9 +139,7 @@ class ErrorModel:
             rate = getattr(self, name)
             if not 0.0 < rate < 1.0:
                 raise CircuitError(f"{name} must be in (0, 1), got {rate}")
-        n = self.ccx_cnot_equivalents
-        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-            raise CircuitError(f"ccx_cnot_equivalents must be an integer >= 0, got {n!r}")
+        _check_int("ccx_cnot_equivalents", self.ccx_cnot_equivalents, 0, CircuitError)
 
 
 def depth(circuit: Circuit) -> int:

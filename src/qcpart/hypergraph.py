@@ -26,7 +26,7 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 
-from .circuits import CCX, CNOT, H, SWAP, Circuit, ErrorModel, GateKind, _decimal_int, _lines
+from .circuits import CCX, CNOT, H, SWAP, Circuit, ErrorModel, GateKind, _check_int, _decimal_int, _lines
 
 
 class HgrMode(str, Enum):
@@ -79,6 +79,7 @@ class Hypergraph:
     hyperedges: tuple[Hyperedge, ...]
 
     def __post_init__(self):
+        _check_int("num_nodes", self.num_nodes, 0)
         if len(self.node_weights) != self.num_nodes:
             raise ValueError("one weight per node required")
         _check_weights(self.node_weights, "node")

@@ -63,7 +63,7 @@ import tempfile
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
-from .circuits import _decimal_int
+from .circuits import _check_int, _decimal_int
 from .hypergraph import HgrMode, Hypergraph, scaled_weights, write_hgr
 from .rng import SplitMix64
 
@@ -84,15 +84,10 @@ class PartitionAssignment:
 
     def __post_init__(self):
         object.__setattr__(self, "labels", tuple(self.labels))
+        _check_int("k", self.k, 1)
         for label in self.labels:
-            if not 0 <= label < self.k:
-                raise ValueError(f"label {label} outside [0, {self.k})")
-
-
-def _check_size(name: str, value) -> None:
-    """Raise ValueError unless value is an int >= 1 (a bool is not)."""
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+            if type(label) is not int or not 0 <= label < self.k:
+                raise ValueError(f"label {label!r} outside [0, {self.k})")
 
 
 @dataclass(frozen=True)
@@ -103,9 +98,8 @@ class SolverConfig:
     backend: str = INTERNAL  # INTERNAL or a path to an external solver binary
 
     def __post_init__(self):
-        _check_size("k", self.k)
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        _check_int("k", self.k, 1)
+        _check_int("seed", self.seed)
         imbalance = self.imbalance
         if (isinstance(imbalance, bool) or not isinstance(imbalance, numbers.Real)
                 or not (math.isfinite(imbalance) and imbalance >= 0)):
@@ -114,9 +108,9 @@ class SolverConfig:
 
 def dynamic_k(num_ops: int, num_qubits: int, block_size: int) -> int:
     """max(2, min(num_ops // block_size, floor(sqrt(num_qubits))))."""
-    _check_size("block_size", block_size)
-    if num_qubits < 1:
-        raise ValueError("num_qubits must be >= 1")
+    _check_int("num_ops", num_ops, 0)
+    _check_int("num_qubits", num_qubits, 1)
+    _check_int("block_size", block_size, 1)
     return max(2, min(num_ops // block_size, math.isqrt(num_qubits)))
 
 
@@ -156,7 +150,7 @@ def random_balanced_assignment(hg: Hypergraph, k: int, seed: int) -> PartitionAs
     refines it after the recursive bisection and keeps it when its cut is
     lower, so the solver's km1 never exceeds this one's after refinement.
     """
-    _check_size("k", k)
+    _check_int("k", k, 1)
     order = list(range(hg.num_nodes))
     SplitMix64(seed).shuffle(order)
     labels = [0] * hg.num_nodes

@@ -33,9 +33,9 @@ from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from itertools import chain
 
-from .circuits import Circuit, ErrorModel, Gate
+from .circuits import Circuit, ErrorModel, Gate, _check_int
 from .hypergraph import Hypergraph, circuit_to_hypergraph
-from .partitioner import PartitionAssignment, SolverConfig, _check_size, partition as solve_partition
+from .partitioner import PartitionAssignment, SolverConfig, partition as solve_partition
 
 logger = logging.getLogger(__name__)
 
@@ -87,8 +87,8 @@ def create_trimmed_partitions(
 ) -> list[Partition]:
     """Split a circuit by per-gate labels into local-indexed partitions.
 
-    Partitions come out in ascending label order with gates in original
-    order; label ids with no gates are skipped with a warning.
+    Partitions come out in ascending label order, gates in original order;
+    labels are ints >= 0, and label ids with no gates are skipped with a warning.
     """
     label_seq = labels.labels if isinstance(labels, PartitionAssignment) else tuple(labels)
     if len(label_seq) != len(circuit.gates):
@@ -97,10 +97,11 @@ def create_trimmed_partitions(
             f"number of gates ({len(circuit.gates)})"
         )
     if isinstance(labels, PartitionAssignment):
-        present = set(label_seq)
-        for part_id in range(labels.k):
-            if part_id not in present:
-                logger.warning("partition %d is empty (no active qubits)", part_id)
+        for part_id in sorted(set(range(labels.k)).difference(label_seq)):
+            logger.warning("partition %d is empty (no active qubits)", part_id)
+    else:
+        for label in label_seq:
+            _check_int("label", label, 0)
     buckets: dict[int, list[Gate]] = {}
     for gate, label in zip(circuit.gates, label_seq):
         buckets.setdefault(label, []).append(gate)
@@ -139,7 +140,7 @@ def merge_partitions(parts: Sequence[Partition], threshold: int) -> list[Partiti
     completes without a merge. A merged partition holds its first member's
     gates then its second's, over a unified contiguous qubit map.
     """
-    _check_size("threshold", threshold)
+    _check_int("threshold", threshold, 1)
     # Each current partition is a list of input indices, whose gates it holds
     # in that order, plus the union of their qubits.
     members = [[i] for i in range(len(parts))]

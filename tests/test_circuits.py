@@ -38,6 +38,9 @@ class TestGates:
         assert q.other_kind("CNOT", 2) is q.CNOT
         rz = q.other_kind("RZ", 1)
         assert rz.arity == 1
+        # "2" < 1 used to raise TypeError
+        with pytest.raises(q.CircuitError, match=r"^gate arity must be an integer >= 1, got '2'$"):
+            q.other_kind("X", "2")
 
 
 class TestCircuit:
@@ -93,7 +96,11 @@ class TestSerialization:
     @given(
         specs=st.lists(
             st.tuples(
-                st.sampled_from([q.H, q.CNOT, q.SWAP, q.CCX, q.GateKind("RZZ", 2)]),
+                # a built-in kind, or the arity of a custom kind RZZ
+                st.one_of(
+                    st.sampled_from([q.H, q.CNOT, q.SWAP, q.CCX]),
+                    st.integers(0, 3), st.booleans(), st.floats(0, 3),
+                ),
                 st.lists(
                     st.one_of(st.integers(0, 5), st.booleans(), st.floats(0, 5)),
                     min_size=1, max_size=3,
@@ -103,18 +110,21 @@ class TestSerialization:
         )
     )
     def test_every_gate_that_constructs_round_trips(self, specs):
-        # True == 1 and 1.0 == 1, so a gate holding them compares equal to
-        # its integer twin; the round trip only holds if they never construct
+        # True == 1 and 1.0 == 1, so a gate or kind holding them compares
+        # equal to its integer twin; the round trip only holds if they never
+        # construct
         gates = []
         for kind, qubits in specs:
             try:
+                if not isinstance(kind, q.GateKind):
+                    kind = q.GateKind("RZZ", kind)
                 gates.append(q.Gate(kind, qubits))
             except q.CircuitError:
                 continue
         circuit = q.Circuit(6, tuple(gates))
         parsed = q.parse_circuit(q.serialize_circuit(circuit))
         assert parsed == circuit
-        assert all(type(i) is int for g in circuit.gates for i in g.qubits)
+        assert all(type(i) is int for g in circuit.gates for i in (g.kind.arity, *g.qubits))
 
     def test_comments_and_blanks(self):
         text = "# header\n\nqubits 2  # two wires\nh 0\ncx 0 1\n"
@@ -216,7 +226,7 @@ class TestSerialization:
         assert c == q.Circuit(3, (q.Gate(kind, (0, 2)), q.h(1), q.cnot(0, 1)))
 
     def test_zero_arity_gate_kind(self):
-        with pytest.raises(CircuitParseError, match=r"^line 2: gate arity must be >= 1, got 0$"):
+        with pytest.raises(CircuitParseError, match=r"^line 2: gate arity must be an integer >= 1, got 0$"):
             q.parse_circuit("qubits 2\ng foo 0\n")
 
     def test_builtin_name_with_wrong_arity(self):
@@ -293,3 +303,42 @@ class TestErrorModel:
 
     def test_zero_ccx_cnot_equivalents_is_accepted(self):
         assert q.fidelity(0, 0, 0, {q.CCX: 1}, q.ErrorModel(ccx_cnot_equivalents=0)) == 1.0
+
+
+# Every argument that `_check_int` guards: the caller and argument (the test
+# id), the name in the error, the lower bound or None, the exception type the
+# caller raises, and a call that passes the value in
+_INTEGER_ARGUMENTS = [
+    ("GateKind.arity", "gate arity", 1, q.CircuitError, lambda v: q.GateKind("RZ", v)),
+    ("Circuit.num_qubits", "qubit count", 0, q.CircuitError, lambda v: q.Circuit(v)),
+    ("ErrorModel.ccx_cnot_equivalents", "ccx_cnot_equivalents", 0, q.CircuitError,
+     lambda v: q.ErrorModel(ccx_cnot_equivalents=v)),
+    ("Hypergraph.num_nodes", "num_nodes", 0, ValueError, lambda v: q.Hypergraph(v, (1.0,), ())),
+    ("PartitionAssignment.k", "k", 1, ValueError, lambda v: q.PartitionAssignment((0,), v)),
+    ("SolverConfig.k", "k", 1, ValueError, lambda v: q.SolverConfig(k=v)),
+    ("SolverConfig.seed", "seed", None, ValueError, lambda v: q.SolverConfig(k=2, seed=v)),
+    ("random_balanced_assignment.k", "k", 1, ValueError,
+     lambda v: q.random_balanced_assignment(q.Hypergraph(2, (1.0, 1.0), ()), v, 0)),
+    ("dynamic_k.num_ops", "num_ops", 0, ValueError, lambda v: q.dynamic_k(v, 4, 2)),
+    ("dynamic_k.num_qubits", "num_qubits", 1, ValueError, lambda v: q.dynamic_k(10, v, 2)),
+    ("dynamic_k.block_size", "block_size", 1, ValueError, lambda v: q.dynamic_k(10, 4, v)),
+    ("BaselineConfig.block_size", "block_size", 1, ValueError, lambda v: q.BaselineConfig(v)),
+    ("merge_partitions.threshold", "threshold", 1, ValueError, lambda v: q.merge_partitions([], v)),
+    ("create_trimmed_partitions.labels", "label", 0, ValueError,
+     lambda v: q.create_trimmed_partitions(q.Circuit(1, (q.h(0),)), [v])),
+]
+
+
+class TestIntegerRule:
+    @pytest.mark.parametrize("name, low, error, call, value", [
+        pytest.param(name, low, error, call, value, id=f"{where}-{value!r}")
+        for where, name, low, error, call in _INTEGER_ARGUMENTS
+        for value in (True, 1.0) + (() if low is None else (low - 1,))
+    ])
+    def test_one_rule_for_every_integer_argument(self, name, low, error, call, value):
+        # True and 1.0 pass a `>= low` test, so only the type test stops them
+        with pytest.raises(ValueError) as excinfo:
+            call(value)
+        assert type(excinfo.value) is error
+        bound = "" if low is None else f" >= {low}"
+        assert str(excinfo.value) == f"{name} must be an integer{bound}, got {value!r}"

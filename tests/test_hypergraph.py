@@ -132,7 +132,10 @@ class TestConstruction:
         (3, (q.Hyperedge((0, 3), 1.0),), "hyperedge member 3 out of range"),
         (3, (q.Hyperedge((0, 1), 1.0), q.Hyperedge((2, -1), 1.0)),
          "hyperedge member -1 out of range"),
-    ], ids=["weight-count", "empty-edge", "member-out-of-range", "negative-member"])
+        # 3.0 == len of the three weights, so it used to construct
+        (3.0, (), "num_nodes must be an integer >= 0, got 3.0"),
+    ], ids=["weight-count", "empty-edge", "member-out-of-range", "negative-member",
+            "float-node-count"])
     def test_malformed_hypergraph_rejected(self, num_nodes, edges, message):
         with pytest.raises(ValueError) as excinfo:
             q.Hypergraph(num_nodes, (1.0, 1.0, 1.0), edges)

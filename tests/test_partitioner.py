@@ -46,6 +46,11 @@ class TestDynamicK:
             q.dynamic_k(10, 4, 0)
         with pytest.raises(ValueError):
             q.dynamic_k(10, 0, 4)
+        # each of these used to return 2
+        with pytest.raises(ValueError, match=r"^num_ops must be an integer >= 0, got -5$"):
+            q.dynamic_k(-5, 4, 2)
+        with pytest.raises(ValueError, match=r"^num_qubits must be an integer >= 1, got True$"):
+            q.dynamic_k(10, True, 2)
 
     @pytest.mark.parametrize("block_size", [0, 2.5, 2.0, True])
     def test_block_size_must_be_an_integer(self, block_size):
@@ -99,6 +104,18 @@ class TestBalance:
         assert qp.balance_cap(hg, 2, imbalance) == math.fsum(part) == 336.2333333333333
         assert sum(part) == 336.23333333333335
         assert q.check_balance(hg, q.PartitionAssignment((0, 0, 0, 0, 1), 2), imbalance)
+
+    @pytest.mark.parametrize("labels, message", [
+        ((0.5, 0.5), "label 0.5 outside [0, 2)"),
+        ((0, True), "label True outside [0, 2)"),
+        ((0, 1.0), "label 1.0 outside [0, 2)"),
+        ((0, 2), "label 2 outside [0, 2)"),
+    ], ids=["half", "bool", "float", "out-of-range"])
+    def test_assignment_labels_must_be_ints_in_range(self, labels, message):
+        # (0.5, 0.5) used to construct, and check_balance then raised TypeError
+        with pytest.raises(ValueError) as excinfo:
+            q.PartitionAssignment(labels, 2)
+        assert str(excinfo.value) == message
 
     def test_random_balanced_assignment_unit_weights(self):
         hg = q.Hypergraph(9, (1.0,) * 9, ())

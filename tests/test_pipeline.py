@@ -40,6 +40,18 @@ class TestTrimming:
         with pytest.raises(ValueError):
             q.create_trimmed_partitions(circuit_s, [0] * 5)
 
+    @pytest.mark.parametrize("labels, message", [
+        ([0.5, 0], "label must be an integer >= 0, got 0.5"),
+        ([0, True], "label must be an integer >= 0, got True"),
+        ([-1, 0], "label must be an integer >= 0, got -1"),
+    ], ids=["half", "bool", "negative"])
+    def test_plain_labels_must_be_non_negative_ints(self, labels, message):
+        # each used to give a part keyed by the bad label
+        c = q.Circuit(2, (q.h(0), q.h(1)))
+        with pytest.raises(ValueError) as excinfo:
+            q.create_trimmed_partitions(c, labels)
+        assert str(excinfo.value) == message
+
     def test_empty_label_id_warns_and_skips(self, caplog):
         c = q.Circuit(2, (q.h(0), q.h(1)))
         asg = q.PartitionAssignment((0, 0), 2)
