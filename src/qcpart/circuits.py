@@ -1,4 +1,4 @@
-"""Circuit IR: gate catalog, depth, text serialization, benchmark circuits.
+"""Circuit IR: gate catalog and error model, depth, text serialization, benchmark circuits.
 
 A circuit is an ordered gate list over a fixed qubit count. Gate order is
 significant everywhere in the pipeline; all types are immutable, so
@@ -124,9 +124,12 @@ class Circuit:
         return len(self.gates)
 
 
+_RATE_FIELDS = ("eps_h", "eps_cnot", "eps_default_single", "eps_default_multi")
+
+
 @dataclass(frozen=True)
 class ErrorModel:
-    """Gate error rates used for hypergraph weighting and fidelity estimation."""
+    """Gate error rates for hypergraph weights and fidelity, by kind as `charge` says."""
 
     eps_h: float = 0.001
     eps_cnot: float = 0.05
@@ -135,11 +138,27 @@ class ErrorModel:
     ccx_cnot_equivalents: int = 6
 
     def __post_init__(self):
-        for name in ("eps_h", "eps_cnot", "eps_default_single", "eps_default_multi"):
+        for name in _RATE_FIELDS:
             rate = getattr(self, name)
             if not 0.0 < rate < 1.0:
                 raise CircuitError(f"{name} must be in (0, 1), got {rate}")
         _check_int("ccx_cnot_equivalents", self.ccx_cnot_equivalents, 0, CircuitError)
+
+    def charge(self, kind: GateKind) -> tuple[str, int]:
+        """(rate field, multiplicity): a gate of ``kind`` counts as that many
+        gates at that rate. H is once ``eps_h``; CNOT once, SWAP 3 times and
+        CCX ``ccx_cnot_equivalents`` times ``eps_cnot``; another one-qubit
+        kind once ``eps_default_single``; any other kind ``arity - 1`` times
+        ``eps_default_multi``. Kinds compare by value, not identity."""
+        if kind.arity == 1:
+            return ("eps_h", 1) if kind == H else ("eps_default_single", 1)
+        if kind == CNOT:
+            return "eps_cnot", 1
+        if kind == SWAP:
+            return "eps_cnot", 3
+        if kind == CCX:
+            return "eps_cnot", self.ccx_cnot_equivalents
+        return "eps_default_multi", kind.arity - 1
 
 
 def depth(circuit: Circuit) -> int:

@@ -3,13 +3,13 @@
 One node per gate. A hyperedge is its members and its weight, and the two
 families are told apart by size:
   - gate-level: a singleton {gate} per multi-qubit gate, weight
-    100 * arity / eps(gate), penalizing cuts through entangling operations;
-    eps is eps_cnot for CNOT, SWAP and CCX, which the fidelity estimate
-    charges as CNOTs, and eps_default_multi for any other kind;
+    100 * arity / eps, penalizing cuts through entangling operations, with
+    eps the rate `ErrorModel.charge` gives the gate's kind, the rate the
+    fidelity estimate charges it at;
   - temporal chain: all gates on one qubit (when >= 2), weight
     max(1, 100 * (m // 2) / eps_h), preserving per-qubit execution order.
 
-Node weights are 10/eps for CNOT and 1/eps otherwise.
+Node weights are 10/eps for CNOT and 1/eps otherwise (see `node_weight`).
 
 A gate-level edge has one pin, so it always spans one part (lambda = 1)
 and adds 0 to km1 under any assignment. It exists only so the paper's hgr
@@ -26,7 +26,7 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 
-from .circuits import CCX, CNOT, H, SWAP, Circuit, ErrorModel, GateKind, _check_int, _decimal_int, _lines
+from .circuits import CNOT, Circuit, ErrorModel, GateKind, _check_int, _decimal_int, _lines
 
 
 class HgrMode(str, Enum):
@@ -96,18 +96,14 @@ class Hypergraph:
         return len(self.hyperedges)
 
 
-def _eps_for_node(kind: GateKind, model: ErrorModel) -> float:
-    if kind == CNOT:
-        return model.eps_cnot
-    if kind == H:
-        return model.eps_h
-    return model.eps_default_single
-
-
 def node_weight(kind: GateKind, model: ErrorModel) -> float:
-    """10/eps for CNOT (10x criticality factor), 1/eps for everything else."""
+    """10/eps for CNOT (10x criticality factor), 1/eps for everything else;
+    eps is the rate `ErrorModel.charge` gives a one-qubit kind or CNOT, and
+    eps_default_single for any other kind."""
+    # a known mismatch with `charge` for SWAP, CCX and others; fixing it changes l's labels
+    rate = model.charge(kind)[0] if kind.arity == 1 or kind == CNOT else "eps_default_single"
     factor = 10.0 if kind == CNOT else 1.0
-    return factor / _eps_for_node(kind, model)
+    return factor / getattr(model, rate)
 
 
 def gate_level_edge_weight(arity: int, eps: float) -> float:
@@ -132,12 +128,8 @@ def circuit_to_hypergraph(circuit: Circuit, model: ErrorModel | None = None) -> 
     # Weights per kind object, each computed once; equal kinds may be distinct objects.
     kinds = {id(g.kind): g.kind for g in circuit.gates}
     node_w = {key: node_weight(kind, model) for key, kind in kinds.items()}
-    gate_w = {
-        key: gate_level_edge_weight(
-            kind.arity,
-            model.eps_cnot if kind in (CNOT, SWAP, CCX) else model.eps_default_multi)
-        for key, kind in kinds.items() if kind.arity > 1
-    }
+    gate_w = {key: gate_level_edge_weight(kind.arity, getattr(model, model.charge(kind)[0]))
+              for key, kind in kinds.items() if kind.arity > 1}
 
     node_weights = []
     edges: list[Hyperedge] = []

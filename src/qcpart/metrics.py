@@ -1,14 +1,11 @@
 """Partition quality metrics and the two-method comparison report.
 
-Fidelity uses the product-of-errors model
-    F_p = (1 - eps_h)^H * (1 - eps_cnot)^(CNOT + 3*SWAP + c*CCX)
-          * (1 - eps_default_single)^S1 * (1 - eps_default_multi)^M
-with each SWAP counted as three CNOTs and each CCX as c (a configurable
-decomposition size); S1 counts other single-qubit gates and M adds
-arity - 1 for each other multi-qubit gate, charged at the rate
-``circuit_to_hypergraph`` weights that gate's hyperedge with. Estimated
-SWAPs are logical realignments: one per shared global qubit whose local
-indices differ between two partitions.
+Fidelity uses the product-of-errors model F_p = prod over gates g of
+(1 - eps_g)^m_g, with eps_g and m_g the rate and multiplicity
+``ErrorModel.charge`` gives g's kind; ``circuit_to_hypergraph`` weights a
+gate-level hyperedge with the same rate. Estimated SWAPs are logical
+realignments: one per shared global qubit whose local indices differ
+between two partitions.
 
 Nothing here scans every partition pair. Pairwise cuts read pairs from
 ``pipeline.overlapping_pairs``; the SWAP estimate turns the same qubit ->
@@ -34,7 +31,7 @@ from collections import Counter, defaultdict
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
-from .circuits import CCX, CNOT, H, SWAP, Circuit, ErrorModel, Gate, GateKind, gate_depth
+from .circuits import _RATE_FIELDS, CNOT, H, SWAP, Circuit, ErrorModel, Gate, GateKind, _check_int, gate_depth
 from .pipeline import Partition, _qubit_holders, overlapping_pairs
 from .rng import SplitMix64
 
@@ -166,35 +163,25 @@ def fidelity(
 ) -> float:
     """Product-of-errors fidelity for one partition (computed in log space).
 
-    H and CNOT entries of ``other_gates`` add to ``h_count`` and
-    ``cnot_count``; every other kind is charged as the module docstring says.
+    Each count, ``other_gates``' included, must be an int >= 0, and each
+    gate is charged as ``ErrorModel.charge`` says.
     """
     model = model or ErrorModel()
-    if min(h_count, cnot_count, swap_count) < 0:
-        raise ValueError("gate counts must be >= 0")
-    cnot_equivalents = cnot_count + 3 * swap_count
-    single_count = multi_equivalents = 0
-    for kind, count in (other_gates or {}).items():
-        if count < 0:
-            raise ValueError("gate counts must be >= 0")
-        if kind == H:
-            h_count += count
-        elif kind == CNOT:
-            cnot_equivalents += count
-        elif kind == CCX:
-            cnot_equivalents += model.ccx_cnot_equivalents * count
-        elif kind == SWAP:
-            cnot_equivalents += 3 * count
-        elif kind.arity == 1:
-            single_count += count
-        else:
-            multi_equivalents += (kind.arity - 1) * count
-    log_f = (
-        h_count * math.log1p(-model.eps_h)
-        + cnot_equivalents * math.log1p(-model.eps_cnot)
-        + single_count * math.log1p(-model.eps_default_single)
-        + multi_equivalents * math.log1p(-model.eps_default_multi)
-    )
+    counts = [("h_count", H, h_count), ("cnot_count", CNOT, cnot_count),
+              ("swap_count", SWAP, swap_count)]
+    if other_gates:
+        counts += [(f"other_gates[{k.name!r}]", k, n) for k, n in other_gates.items()]
+    exponents = dict.fromkeys(_RATE_FIELDS, 0)
+    for name, kind, count in counts:
+        _check_int(name, count, 0)
+        if count:
+            rate, times = model.charge(kind)
+            exponents[rate] += times * count
+    # term by term in the fields' order: `sum` rounds otherwise on CPython 3.12+
+    log_f = 0.0
+    for rate, n in exponents.items():
+        if n:
+            log_f += n * math.log1p(-getattr(model, rate))
     return math.exp(log_f)
 
 

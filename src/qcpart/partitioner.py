@@ -151,6 +151,7 @@ def random_balanced_assignment(hg: Hypergraph, k: int, seed: int) -> PartitionAs
     lower, so the solver's km1 never exceeds this one's after refinement.
     """
     _check_int("k", k, 1)
+    _check_int("seed", seed)
     order = list(range(hg.num_nodes))
     SplitMix64(seed).shuffle(order)
     labels = [0] * hg.num_nodes
@@ -743,11 +744,18 @@ def _partition_internal(hg: Hypergraph, config: SolverConfig) -> PartitionAssign
 
 
 def _checked(hg: Hypergraph, labels: list[int], config: SolverConfig) -> PartitionAssignment:
-    """The internal solver's labels as an assignment, once `check_balance`
+    """Either backend's labels as an assignment, once `check_balance`
     accepts them."""
     result = PartitionAssignment(tuple(labels), config.k)
     if not check_balance(hg, result, config.imbalance):
-        raise SolverError("internal solver produced an unbalanced assignment")
+        loads = _part_loads(hg, result)
+        heaviest = max(range(config.k), key=loads.__getitem__)
+        cap = balance_cap(hg, config.k, config.imbalance)
+        backend = "internal" if config.backend == INTERNAL else "external"
+        raise SolverError(
+            f"{backend} solver labels are unbalanced: part {heaviest} weighs "
+            f"{loads[heaviest]:g}, over the cap {cap:g}"
+        )
     return result
 
 
@@ -825,16 +833,7 @@ def _partition_external(hg: Hypergraph, config: SolverConfig) -> PartitionAssign
         raise SolverError(
             f"label count mismatch: {len(labels)} labels for {hg.num_nodes} nodes"
         )
-    result = PartitionAssignment(tuple(labels), config.k)
-    if not check_balance(hg, result, config.imbalance):
-        loads = _part_loads(hg, result)
-        heaviest = max(range(config.k), key=loads.__getitem__)
-        cap = balance_cap(hg, config.k, config.imbalance)
-        raise SolverError(
-            f"external solver labels are unbalanced: part {heaviest} weighs "
-            f"{loads[heaviest]:g}, over the cap {cap:g}"
-        )
-    return result
+    return _checked(hg, labels, config)
 
 
 def partition(hg: Hypergraph, config: SolverConfig) -> PartitionAssignment:

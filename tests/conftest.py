@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 import qcpart as q
+from qcpart.rng import SplitMix64
 
 # Reference 2-way label vector for the benchmark circuit (one label per gate).
 REFERENCE_LABELS = (0, 0, 1, 0, 1, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 1, 1, 1, 1, 1, 1, 1)
@@ -76,6 +77,19 @@ def edge_families(circuit: q.Circuit) -> tuple[list[tuple[int, ...]], list[tuple
     on_qubit = (tuple(i for i, g in enumerate(gates) if qubit in g.qubits)
                 for qubit in range(circuit.num_qubits))
     return singletons, [chain for chain in on_qubit if len(chain) >= 2]
+
+
+def random_h_cnot_circuit(rng: SplitMix64, num_qubits: int, num_gates: int) -> q.Circuit:
+    """Each gate is H on a uniform qubit or CNOT on a uniform distinct pair, 50/50."""
+    gates = []
+    for _ in range(num_gates):
+        if rng.next_below(2) == 0:
+            gates.append(q.h(rng.next_below(num_qubits)))
+        else:
+            control = rng.next_below(num_qubits)
+            target = rng.next_below(num_qubits - 1)
+            gates.append(q.cnot(control, target + (target >= control)))
+    return q.Circuit(num_qubits, tuple(gates))
 
 
 def assert_hgr_round_trip(hg: q.Hypergraph) -> None:

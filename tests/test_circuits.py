@@ -304,6 +304,29 @@ class TestErrorModel:
     def test_zero_ccx_cnot_equivalents_is_accepted(self):
         assert q.fidelity(0, 0, 0, {q.CCX: 1}, q.ErrorModel(ccx_cnot_equivalents=0)) == 1.0
 
+    # (kind, ccx_cnot_equivalents, rate field, multiplicity); kinds compare
+    # by (name, arity), so a built-in's twin is charged as it and a built-in
+    # name at another arity as a custom kind
+    @pytest.mark.parametrize("kind, ccx, rate, times", [
+        (q.H, 6, "eps_h", 1),
+        (q.CNOT, 6, "eps_cnot", 1),
+        (q.SWAP, 6, "eps_cnot", 3),
+        (q.CCX, 6, "eps_cnot", 6),
+        (q.CCX, 0, "eps_cnot", 0),
+        (q.GateKind("RZ", 1), 6, "eps_default_single", 1),
+        (q.GateKind("RZZ", 2), 6, "eps_default_multi", 1),
+        (q.GateKind("G3", 3), 6, "eps_default_multi", 2),
+        (q.GateKind("H", 1), 6, "eps_h", 1),
+        (q.GateKind("CNOT", 2), 6, "eps_cnot", 1),
+        (q.GateKind("SWAP", 2), 6, "eps_cnot", 3),
+        (q.GateKind("CCX", 3), 4, "eps_cnot", 4),
+        (q.GateKind("SWAP", 3), 6, "eps_default_multi", 2),
+        (q.GateKind("H", 2), 6, "eps_default_multi", 1),
+    ], ids=["H", "CNOT", "SWAP", "CCX", "CCX-zero", "custom-1", "custom-2", "custom-3",
+            "H-twin", "CNOT-twin", "SWAP-twin", "CCX-twin", "SWAP-arity-3", "H-arity-2"])
+    def test_charge(self, kind, ccx, rate, times):
+        assert q.ErrorModel(ccx_cnot_equivalents=ccx).charge(kind) == (rate, times)
+
 
 # Every argument that `_check_int` guards: the caller and argument (the test
 # id), the name in the error, the lower bound or None, the exception type the
@@ -326,6 +349,15 @@ _INTEGER_ARGUMENTS = [
     ("merge_partitions.threshold", "threshold", 1, ValueError, lambda v: q.merge_partitions([], v)),
     ("create_trimmed_partitions.labels", "label", 0, ValueError,
      lambda v: q.create_trimmed_partitions(q.Circuit(1, (q.h(0),)), [v])),
+    ("random_balanced_assignment.seed", "seed", None, ValueError,
+     lambda v: q.random_balanced_assignment(q.Hypergraph(2, (1.0, 1.0), ()), 2, v)),
+    ("fidelity.h_count", "h_count", 0, ValueError, lambda v: q.fidelity(v, 0, 0)),
+    ("fidelity.cnot_count", "cnot_count", 0, ValueError, lambda v: q.fidelity(0, v, 0)),
+    ("fidelity.swap_count", "swap_count", 0, ValueError, lambda v: q.fidelity(0, 0, v)),
+    ("fidelity.other_gates-CCX", "other_gates['CCX']", 0, ValueError,
+     lambda v: q.fidelity(0, 0, 0, {q.CCX: v})),
+    ("fidelity.other_gates-custom", "other_gates['RZ']", 0, ValueError,
+     lambda v: q.fidelity(0, 0, 0, {q.H: 1, q.GateKind("RZ", 1): v})),
 ]
 
 

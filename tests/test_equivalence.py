@@ -22,6 +22,8 @@ import qcpart as q
 from qcpart.metrics import _WAIVE_BELOW
 from qcpart.rng import _FIRST_LANES, _LANES, SplitMix64
 
+from conftest import random_h_cnot_circuit
+
 PROPERTY_SETTINGS = settings(max_examples=200, deadline=None)
 
 
@@ -213,19 +215,6 @@ def _digest(lines) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _random_h_cnot_circuit(rng: SplitMix64, num_qubits: int, num_gates: int) -> q.Circuit:
-    """Each gate is H on a uniform qubit or CNOT on a uniform distinct pair, 50/50."""
-    gates = []
-    for _ in range(num_gates):
-        if rng.next_below(2) == 0:
-            gates.append(q.h(rng.next_below(num_qubits)))
-        else:
-            control = rng.next_below(num_qubits)
-            target = rng.next_below(num_qubits - 1)
-            gates.append(q.cnot(control, target + (target >= control)))
-    return q.Circuit(num_qubits, tuple(gates))
-
-
 def _chunk_labels(circuit: q.Circuit, k: int) -> list[int]:
     """Contiguous gate-order chunks by node-weight midpoint, as an external
     solver that cuts the gate sequence into k chunks would return them."""
@@ -247,7 +236,7 @@ def _golden_cases():
     rng = SplitMix64(3003)
     cases = []
     for nq, ng, k in GOLDEN_SIZES:
-        circuit = _random_h_cnot_circuit(rng, nq, ng)
+        circuit = random_h_cnot_circuit(rng, nq, ng)
         random_labels = [rng.next_below(k // 4) for _ in range(ng)]
         cases.append((f"{nq}q/{ng}g", circuit, _chunk_labels(circuit, k), random_labels))
     return cases
@@ -389,7 +378,7 @@ def dense_merge_inputs():
     """Many-parts density, beyond the Hypothesis sizes: a 64-qubit,
     4000-gate circuit cut into 400 gate-order chunks, and its block-baseline
     parts of 2 qubits (about 2000 parts) and of 8."""
-    circuit = _random_h_cnot_circuit(SplitMix64(9009), 64, 4000)
+    circuit = random_h_cnot_circuit(SplitMix64(9009), 64, 4000)
     inputs = {"chunks k=400": q.create_trimmed_partitions(circuit, _chunk_labels(circuit, 400))}
     for b in (2, 8):
         groups = q.block_partition(circuit, q.BaselineConfig(b))

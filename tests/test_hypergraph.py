@@ -37,6 +37,34 @@ class TestWeights:
         gate_level = [(e.members, e.weight) for e in hg.hyperedges if len(e.members) == 1]
         assert gate_level == [((0,), 4000.0), ((1,), 6000.0), ((2,), 1000.0)]
 
+    @pytest.mark.parametrize("model", [
+        q.ErrorModel(),
+        q.ErrorModel(eps_h=0.003, eps_cnot=0.07, eps_default_single=0.5,
+                     eps_default_multi=0.2, ccx_cnot_equivalents=4),
+    ], ids=["default", "custom"])
+    def test_weights_and_fidelity_read_one_charge(self, model):
+        multi = [q.CNOT, q.SWAP, q.CCX, q.GateKind("CNOT", 2), q.GateKind("RZZ", 2),
+                 q.GateKind("G3", 3), q.GateKind("G5", 5)]
+        single = [q.H, q.GateKind("H", 1), q.GateKind("RZ", 1)]
+        gates = tuple(q.Gate(kind, tuple(range(kind.arity))) for kind in multi)
+        hg = q.circuit_to_hypergraph(q.Circuit(5, gates), model)
+        edges = [e.weight for e in hg.hyperedges if len(e.members) == 1]
+        for kind, edge in zip(multi, edges, strict=True):
+            field, times = model.charge(kind)
+            rate = getattr(model, field)
+            assert edge == 100 * kind.arity / rate
+            assert q.fidelity(0, 0, 0, {kind: 1}, model) == pytest.approx((1 - rate) ** times, rel=1e-12)
+        for kind in single:
+            rate = getattr(model, model.charge(kind)[0])
+            assert node_weight(kind, model) == 1 / rate
+            assert q.fidelity(0, 0, 0, {kind: 1}, model) == pytest.approx(1 - rate, rel=1e-12)
+        # A known mismatch, pinned so that fixing it changes this test: the
+        # node weight of SWAP, CCX and custom multi-qubit kinds reads
+        # eps_default_single, not the rate their edge and fidelity read.
+        for kind in multi:
+            expected = 10 / model.eps_cnot if kind == q.CNOT else 1 / model.eps_default_single
+            assert node_weight(kind, model) == expected
+
     def test_temporal_weight_floor_division(self):
         m = q.ErrorModel()
         assert temporal_edge_weight(9, m) == 400000.0

@@ -17,6 +17,8 @@ from qcpart import partitioner as qp
 from qcpart.hypergraph import scaled_weights
 from qcpart.rng import SplitMix64
 
+from conftest import random_h_cnot_circuit
+
 
 def brute_force_km1(hg: q.Hypergraph, labels) -> float:
     """Independent km1 oracle: enumerate each hyperedge's spanned parts."""
@@ -122,6 +124,17 @@ class TestBalance:
         asg = q.random_balanced_assignment(hg, 3, seed=5)
         counts = [asg.labels.count(i) for i in range(3)]
         assert counts == [3, 3, 3]
+
+    @pytest.mark.parametrize("backend, text", [
+        (q.INTERNAL, "internal solver labels are unbalanced: part 1 weighs 3, over the cap 2"),
+        ("solver", "external solver labels are unbalanced: part 1 weighs 3, over the cap 2"),
+    ], ids=["internal", "external"])
+    def test_one_balance_check_for_both_backends(self, backend, text):
+        hg = q.Hypergraph(4, (1.0,) * 4, ())
+        with pytest.raises(q.SolverError) as excinfo:
+            qp._checked(hg, [0, 1, 1, 1], q.SolverConfig(k=2, imbalance=0.0, backend=backend))
+        assert str(excinfo.value) == text
+        assert qp._checked(hg, [0, 1, 1, 0], q.SolverConfig(k=2, backend=backend)).labels == (0, 1, 1, 0)
 
     @pytest.mark.parametrize("k", [0, -1, True, 2.0])
     def test_random_balanced_assignment_rejects_a_bad_k(self, k):
@@ -283,19 +296,6 @@ def _digest(lines) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
-def _random_h_cnot_circuit(rng: SplitMix64, num_qubits: int, num_gates: int) -> q.Circuit:
-    """Each gate is H on a uniform qubit or CNOT on a uniform distinct pair, 50/50."""
-    gates = []
-    for _ in range(num_gates):
-        if rng.next_below(2) == 0:
-            gates.append(q.h(rng.next_below(num_qubits)))
-        else:
-            control = rng.next_below(num_qubits)
-            target = rng.next_below(num_qubits - 1)
-            gates.append(q.cnot(control, target + (target >= control)))
-    return q.Circuit(num_qubits, tuple(gates))
-
-
 class TestGoldenLabels:
     """Labels (or failure messages) pinned by SHA-256 digest.
 
@@ -323,7 +323,7 @@ class TestGoldenLabels:
         rng = SplitMix64(2506)
         lines = []
         for i in range(8):
-            hg = q.circuit_to_hypergraph(_random_h_cnot_circuit(rng, 16, 200))
+            hg = q.circuit_to_hypergraph(random_h_cnot_circuit(rng, 16, 200))
             for k in (2, 4):
                 config = q.SolverConfig(k=k, imbalance=0.1, seed=i)
                 lines.append(f"circuit {i} k={k} {_outcome(hg, config)}")
@@ -384,8 +384,8 @@ class TestCoarseningHierarchy:
     def test_hierarchy(self):
         circuits = [(name, q.benchmark_circuit(name)) for name in ("s", "m", "l")]
         rng = SplitMix64(777)
-        circuits += [(f"16q/200g #{i}", _random_h_cnot_circuit(rng, 16, 200)) for i in range(4)]
-        circuits += [(f"32q/400g #{i}", _random_h_cnot_circuit(rng, 32, 400)) for i in range(2)]
+        circuits += [(f"16q/200g #{i}", random_h_cnot_circuit(rng, 16, 200)) for i in range(4)]
+        circuits += [(f"32q/400g #{i}", random_h_cnot_circuit(rng, 32, 400)) for i in range(2)]
         lines = []
         for label, circuit in circuits:
             hg = q.circuit_to_hypergraph(circuit)
@@ -1108,7 +1108,7 @@ class TestExactLoads:
         # Node weights 1/0.003 and 10/0.03, which are not integral and differ
         # in their last bits.
         model = q.ErrorModel(eps_cnot=0.03, eps_h=0.003, eps_default_single=0.003)
-        circuit = _random_h_cnot_circuit(SplitMix64(circuit_seed), num_qubits, num_gates)
+        circuit = random_h_cnot_circuit(SplitMix64(circuit_seed), num_qubits, num_gates)
         hg = q.circuit_to_hypergraph(circuit, model)
         config = q.SolverConfig(k=k, imbalance=imbalance, seed=seed)
         outcome = _outcome(hg, config)
@@ -1553,8 +1553,11 @@ class TestExternalAdapter:
 
     def test_unbalanced_labels_raise(self, hypergraph_s, tmp_path):
         solver = _fake_solver(tmp_path, "0")  # every node in part 0
-        with pytest.raises(q.SolverError, match=r"part 0 weighs 14000, over the cap 7350"):
+        with pytest.raises(q.SolverError) as excinfo:
             q.partition(hypergraph_s, q.SolverConfig(k=2, imbalance=0.05, backend=solver))
+        assert str(excinfo.value) == (
+            "external solver labels are unbalanced: part 0 weighs 14000, over the cap 7350"
+        )
 
     def test_non_integer_label_raises(self, hypergraph_s, tmp_path):
         solver = _fake_solver(tmp_path, "x")
