@@ -33,15 +33,26 @@ class CircuitParseError(CircuitError):
         self.line = line
 
 
-@dataclass(frozen=True)
+_KINDS: dict[tuple[str, int], GateKind] = {}  # (name, arity) -> its one GateKind
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class GateKind:
-    """A gate type with a fixed arity (H=1, CNOT/SWAP=2, CCX=3)."""
+    """A gate type with a fixed arity (H=1, CNOT/SWAP=2, CCX=3); construction, copy and
+    pickle give one object per (name, arity), so kinds compare and hash by identity."""
 
     name: str
     arity: int
 
-    def __post_init__(self):
-        _check_int("gate arity", self.arity, 1, CircuitError)
+    def __new__(cls, name: str, arity: int) -> GateKind:
+        _check_int("gate arity", arity, 1, CircuitError)  # first: ("X", True) is not ("X", 1)
+        kind = object.__new__(cls)
+        object.__setattr__(kind, "name", name)
+        object.__setattr__(kind, "arity", arity)
+        return _KINDS.setdefault((name, arity), kind)  # one winner if two threads race
+
+    def __reduce__(self):
+        return GateKind, (self.name, self.arity)
 
 
 H = GateKind("H", 1)
@@ -53,12 +64,10 @@ _BUILTIN_KINDS = {k.name: k for k in (H, CNOT, SWAP, CCX)}
 
 
 def other_kind(name: str, arity: int) -> GateKind:
-    """Kind for a gate outside the built-in catalog."""
-    if name in _BUILTIN_KINDS:
-        builtin = _BUILTIN_KINDS[name]
-        if builtin.arity != arity:
-            raise CircuitError(f"{name} has fixed arity {builtin.arity}")
-        return builtin
+    """Kind for a ``g name arity`` line: a built-in name only at its own arity."""
+    builtin = _BUILTIN_KINDS.get(name)
+    if builtin is not None and builtin.arity != arity:
+        raise CircuitError(f"{name} has fixed arity {builtin.arity}")
     return GateKind(name, arity)
 
 
@@ -149,14 +158,14 @@ class ErrorModel:
         gates at that rate. H is once ``eps_h``; CNOT once, SWAP 3 times and
         CCX ``ccx_cnot_equivalents`` times ``eps_cnot``; another one-qubit
         kind once ``eps_default_single``; any other kind ``arity - 1`` times
-        ``eps_default_multi``. Kinds compare by value, not identity."""
+        ``eps_default_multi``."""
         if kind.arity == 1:
-            return ("eps_h", 1) if kind == H else ("eps_default_single", 1)
-        if kind == CNOT:
+            return ("eps_h", 1) if kind is H else ("eps_default_single", 1)
+        if kind is CNOT:
             return "eps_cnot", 1
-        if kind == SWAP:
+        if kind is SWAP:
             return "eps_cnot", 3
-        if kind == CCX:
+        if kind is CCX:
             return "eps_cnot", self.ccx_cnot_equivalents
         return "eps_default_multi", kind.arity - 1
 

@@ -101,8 +101,8 @@ def node_weight(kind: GateKind, model: ErrorModel) -> float:
     eps is the rate `ErrorModel.charge` gives a one-qubit kind or CNOT, and
     eps_default_single for any other kind."""
     # a known mismatch with `charge` for SWAP, CCX and others; fixing it changes l's labels
-    rate = model.charge(kind)[0] if kind.arity == 1 or kind == CNOT else "eps_default_single"
-    factor = 10.0 if kind == CNOT else 1.0
+    rate = model.charge(kind)[0] if kind.arity == 1 or kind is CNOT else "eps_default_single"
+    factor = 10.0 if kind is CNOT else 1.0
     return factor / getattr(model, rate)
 
 
@@ -125,20 +125,20 @@ def circuit_to_hypergraph(circuit: Circuit, model: ErrorModel | None = None) -> 
     chain per qubit hosting at least two gates (in qubit order).
     """
     model = model or ErrorModel()
-    # Weights per kind object, each computed once; equal kinds may be distinct objects.
-    kinds = {id(g.kind): g.kind for g in circuit.gates}
-    node_w = {key: node_weight(kind, model) for key, kind in kinds.items()}
-    gate_w = {key: gate_level_edge_weight(kind.arity, getattr(model, model.charge(kind)[0]))
-              for key, kind in kinds.items() if kind.arity > 1}
+    # Weights per kind, each computed once
+    kinds = dict.fromkeys(g.kind for g in circuit.gates)
+    node_w = {kind: node_weight(kind, model) for kind in kinds}
+    gate_w = {kind: gate_level_edge_weight(kind.arity, getattr(model, model.charge(kind)[0]))
+              for kind in kinds if kind.arity > 1}
 
     node_weights = []
     edges: list[Hyperedge] = []
     gates_per_qubit: list[list[int]] = [[] for _ in range(circuit.num_qubits)]
     for idx, gate in enumerate(circuit.gates):
-        key = id(gate.kind)
-        node_weights.append(node_w[key])
-        if key in gate_w:
-            edges.append(Hyperedge(members=(idx,), weight=gate_w[key]))
+        kind = gate.kind
+        node_weights.append(node_w[kind])
+        if kind in gate_w:
+            edges.append(Hyperedge(members=(idx,), weight=gate_w[kind]))
         for q in gate.qubits:
             gates_per_qubit[q].append(idx)
     for members in gates_per_qubit:

@@ -18,10 +18,9 @@ float test ``draw / 2**64 < 0.6``, and reads those decisions from
 ``SplitMix64.draws_below``, which computes them a block at a time; the
 stream belongs to the call, so drawing up to one block ahead changes no
 output. Counts, depth and gate validation read each partition's global
-gates, whose (kind name, arity, global qubits) keys validation counts.
-``partition_metrics`` counts the H and CNOT gates by kind identity, since
-a ``GateKind`` hash or comparison runs in Python; only other kinds go into
-a ``Counter``, and any there equal to H or CNOT are added to their counts.
+gates: ``partition_metrics`` counts their kinds and validation their
+(kind, global qubits) keys, and a kind, one object per (name, arity),
+hashes and compares by identity.
 """
 
 from __future__ import annotations
@@ -111,8 +110,9 @@ def estimate_swaps(
     With the teleportation heuristic on, once a qubit has accumulated more
     than 3 misalignments (waived ones included), each further cost is
     waived with probability 0.6, drawn from a splitmix64 stream seeded once
-    per call.
+    per call; ``seed`` must be an int.
     """
+    _check_int("seed", seed)
     maps = [p.qubit_map for p in parts]
     # global qubit -> (holder, its local index) for the holders ascending
     entries = {
@@ -197,19 +197,9 @@ def total_fidelity(per_partition: Sequence[float]) -> float:
 def partition_metrics(
     part: Partition, swap_attributed: int, model: ErrorModel | None = None
 ) -> PartitionMetrics:
-    h_count = cnot_count = 0
-    others = []
-    for g in part.gates:
-        kind = g.kind
-        if kind is H:
-            h_count += 1
-        elif kind is CNOT:
-            cnot_count += 1
-        else:
-            others.append(kind)
-    kinds = Counter(others)
-    h_count += kinds.pop(H, 0)  # kinds equal to H or CNOT but made apart
-    cnot_count += kinds.pop(CNOT, 0)
+    kinds = Counter(g.kind for g in part.gates)
+    h_count = kinds.pop(H, 0)
+    cnot_count = kinds.pop(CNOT, 0)
     return PartitionMetrics(
         gate_count=len(part.gates),
         depth=gate_depth(part.gates, part.qubit_map),
@@ -221,21 +211,16 @@ def partition_metrics(
 
 
 def _gate_keys(gates: Iterable[Gate]) -> Counter:
-    """`validate_gate_counts`' multiset of gates: (kind name, arity, qubits)
-    counts, SWAP gates left out."""
-    swap = (SWAP.name, SWAP.arity)
-    counts = Counter((g.kind.name, g.kind.arity, g.qubits) for g in gates)
-    for key in [key for key in counts if key[:2] == swap]:
-        del counts[key]
-    return counts
+    """`validate_gate_counts`' multiset of gates: (kind, qubits) counts,
+    SWAP gates left out."""
+    return Counter((g.kind, g.qubits) for g in gates if g.kind is not SWAP)
 
 
 def validate_gate_counts(original: Circuit, parts: Sequence[Partition]) -> bool:
     """Multiset equality of (kind, global qubits) between circuit and partitions.
 
     SWAP gates are excluded on both sides; they may be communication
-    artifacts rather than core operations. Kinds are keyed by (name, arity),
-    the fields ``GateKind`` equality compares.
+    artifacts rather than core operations.
     """
     return _gate_keys(original.gates) == _gate_keys(g for p in parts for g in p.gates)
 

@@ -104,6 +104,11 @@ class SolverConfig:
         if (isinstance(imbalance, bool) or not isinstance(imbalance, numbers.Real)
                 or not (math.isfinite(imbalance) and imbalance >= 0)):
             raise ValueError("imbalance must be a finite number >= 0")
+        if self.backend != INTERNAL:
+            try:
+                os.fspath(self.backend)
+            except TypeError:
+                raise ValueError(f"backend must be {INTERNAL!r} or a path, got {self.backend!r}") from None
 
 
 def dynamic_k(num_ops: int, num_qubits: int, block_size: int) -> int:

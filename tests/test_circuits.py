@@ -1,3 +1,9 @@
+import copy
+import dataclasses
+import pickle
+import sys
+import threading
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -41,6 +47,72 @@ class TestGates:
         # "2" < 1 used to raise TypeError
         with pytest.raises(q.CircuitError, match=r"^gate arity must be an integer >= 1, got '2'$"):
             q.other_kind("X", "2")
+
+
+class TestInterning:
+    """One GateKind per (name, arity), however it is made."""
+
+    def test_construction_and_other_kind(self):
+        assert q.GateKind("RZZ", 2) is q.GateKind("RZZ", 2)
+        assert q.GateKind("CNOT", 2) is q.CNOT and q.other_kind("CNOT", 2) is q.CNOT
+        assert q.other_kind("RZZ", 2) is q.GateKind("RZZ", 2)
+        assert q.GateKind("H", 2) is not q.H and q.GateKind("RZZ", 3) is not q.GateKind("RZZ", 2)
+
+    def test_identity_compare_and_hash(self):
+        # the C-level object ones, not the dataclass-generated ones
+        assert "__eq__" not in vars(q.GateKind) and "__hash__" not in vars(q.GateKind)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            q.H.name = "X"
+
+    def test_parsed_lines_share_the_kind(self):
+        circuit = q.parse_circuit("qubits 3\ng RZZ 2 0 1\ng RZZ 2 1 2\ncx 0 1\n")
+        first, second, cx = circuit.gates
+        assert first is not second
+        assert first.kind is second.kind is q.GateKind("RZZ", 2)
+        assert cx.kind is q.CNOT
+
+    @pytest.mark.parametrize("kind", [q.H, q.CCX, q.GateKind("RZZ", 2)], ids=["H", "CCX", "RZZ"])
+    def test_copy_and_pickle_give_the_same_object(self, kind):
+        assert copy.copy(kind) is kind
+        assert copy.deepcopy(kind) is kind
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(kind, protocol)) is kind
+        gate = q.Gate(kind, tuple(range(kind.arity)))
+        assert copy.deepcopy(gate).kind is kind
+        assert pickle.loads(pickle.dumps(gate)).kind is kind
+
+    def test_replace(self):
+        assert dataclasses.replace(q.H, name="X") is q.GateKind("X", 1)
+        assert dataclasses.replace(q.H, arity=2) is q.GateKind("H", 2)
+
+    def test_threads_making_one_new_kind_get_one_object(self):
+        # more threads than cores, switching often, each making the same
+        # fresh kinds; a lost race would leave two objects for one key
+        names = [f"T{i}" for i in range(300)]
+        made = [[] for _ in range(8)]
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=lambda out=out: out.extend(
+                q.GateKind(name, 2) for name in names)) for out in made]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(old_interval)
+        for kinds in made:
+            assert len(kinds) == len(names)
+            assert all(kind is q.GateKind(name, 2) for kind, name in zip(kinds, names))
+
+    @pytest.mark.parametrize("arity", [True, 1.0])
+    def test_integer_rule_before_the_lookup(self, arity):
+        kind = q.GateKind("Z9", 1)
+        with pytest.raises(q.CircuitError) as excinfo:
+            q.GateKind("Z9", arity)
+        assert str(excinfo.value) == f"gate arity must be an integer >= 1, got {arity!r}"
+        assert kind.arity == 1 and type(kind.arity) is int
 
 
 class TestCircuit:
@@ -304,9 +376,9 @@ class TestErrorModel:
     def test_zero_ccx_cnot_equivalents_is_accepted(self):
         assert q.fidelity(0, 0, 0, {q.CCX: 1}, q.ErrorModel(ccx_cnot_equivalents=0)) == 1.0
 
-    # (kind, ccx_cnot_equivalents, rate field, multiplicity); kinds compare
-    # by (name, arity), so a built-in's twin is charged as it and a built-in
-    # name at another arity as a custom kind
+    # (kind, ccx_cnot_equivalents, rate field, multiplicity); a kind built
+    # apart with a built-in's name and arity is that built-in, and a built-in
+    # name at another arity is a custom kind
     @pytest.mark.parametrize("kind, ccx, rate, times", [
         (q.H, 6, "eps_h", 1),
         (q.CNOT, 6, "eps_cnot", 1),
@@ -351,6 +423,7 @@ _INTEGER_ARGUMENTS = [
      lambda v: q.create_trimmed_partitions(q.Circuit(1, (q.h(0),)), [v])),
     ("random_balanced_assignment.seed", "seed", None, ValueError,
      lambda v: q.random_balanced_assignment(q.Hypergraph(2, (1.0, 1.0), ()), 2, v)),
+    ("estimate_swaps.seed", "seed", None, ValueError, lambda v: q.estimate_swaps([], False, v)),
     ("fidelity.h_count", "h_count", 0, ValueError, lambda v: q.fidelity(v, 0, 0)),
     ("fidelity.cnot_count", "cnot_count", 0, ValueError, lambda v: q.fidelity(0, v, 0)),
     ("fidelity.swap_count", "swap_count", 0, ValueError, lambda v: q.fidelity(0, 0, v)),

@@ -93,14 +93,16 @@ class TestConstruction:
         hg = q.circuit_to_hypergraph(c)
         assert [e.members for e in hg.hyperedges] == [(0, 1)]
 
-    def test_equal_kinds_that_are_distinct_objects(self):
-        # The builder computes each kind object's weights once; equal kinds
-        # built apart, the built-in CNOT's twin included, get the same ones.
+    def test_kinds_built_apart_weigh_the_same(self):
+        # The builder computes each kind's weights once; kinds are interned,
+        # so one built apart, the built-in CNOT's included, is the same
+        # object and gets the same weights.
         model = q.ErrorModel(eps_h=0.002, eps_cnot=0.04, eps_default_single=0.004,
                              eps_default_multi=0.08)
         kinds = [q.GateKind("CNOT", 2), q.GateKind("CNOT", 2), q.CNOT,
                  q.GateKind("RZ", 1), q.GateKind("RZ", 1), q.GateKind("CZ", 2), q.H]
-        assert len({id(kind) for kind in kinds}) == len(kinds)
+        assert kinds[0] is kinds[1] is q.CNOT and kinds[3] is kinds[4]
+        assert len({id(kind) for kind in kinds}) == 4
         gates = [q.Gate(kind, (0, 1, 2)[: kind.arity]) for kind in kinds]
         hg = q.circuit_to_hypergraph(q.Circuit(3, tuple(gates)), model)
         assert hg.node_weights == tuple(node_weight(g.kind, model) for g in gates)

@@ -1607,6 +1607,20 @@ class TestExternalAdapter:
         with pytest.raises(q.SolverError, match=r"no-such-solver' could not be started"):
             q.partition(hypergraph_s, q.SolverConfig(k=2, backend=missing))
 
+    def test_missing_binary_as_a_path_raises(self, hypergraph_s, tmp_path):
+        missing = tmp_path / "no-such-solver"
+        with pytest.raises(q.SolverError, match=r"no-such-solver'\) could not be started"):
+            q.partition(hypergraph_s, q.SolverConfig(k=2, backend=missing))
+
+    @pytest.mark.parametrize("backend", [None, 5])
+    def test_backend_that_is_not_a_path_rejected(self, backend):
+        # each used to end in a bare TypeError from subprocess.Popen
+        with pytest.raises(ValueError) as excinfo:
+            q.SolverConfig(k=2, backend=backend)
+        assert str(excinfo.value) == f"backend must be 'internal' or a path, got {backend!r}"
+        with pytest.raises(ValueError, match="^backend must be"):
+            q.run_hypergraph_pipeline(q.benchmark_circuit("s"), 2, backend=backend)
+
     def test_non_executable_binary_raises(self, hypergraph_s, tmp_path):
         script = tmp_path / "not-executable"
         script.write_text("#!/bin/sh\nexit 0\n")
