@@ -26,7 +26,6 @@ from .circuits import (
     cnot,
     depth,
     h,
-    other_kind,
     parse_circuit,
     serialize_circuit,
     swap,

@@ -6,13 +6,16 @@ significant everywhere in the pipeline; all types are immutable, so
 repeat it share one ``Gate``.
 
 Integer arguments meet one rule, ``_check_int`` below: an ``int``, not a
-``bool``, at least a bound, or an error naming the argument, so a count or
-arity that constructs serializes to text that parses. Qubit indices and
-labels (one ``type`` test each) and fixture indices keep their own check.
+``bool``, at least a bound, or an error naming the argument. A ``GateKind``
+checks its name when it is made: a non-empty ``str`` without whitespace or
+``#``, and a built-in name only at its own arity. So a count, arity or kind
+that constructs serializes to text that parses. Qubit indices and labels
+(one ``type`` test each) and fixture indices keep their own check.
 """
 
 from __future__ import annotations
 
+import numbers
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -34,18 +37,26 @@ class CircuitParseError(CircuitError):
 
 
 _KINDS: dict[tuple[str, int], GateKind] = {}  # (name, arity) -> its one GateKind
+_FIXED_ARITIES: dict[str, int] = {}  # built-in name -> arity, filled from _MNEMONICS
 
 
 @dataclass(frozen=True, eq=False, init=False)
 class GateKind:
     """A gate type with a fixed arity (H=1, CNOT/SWAP=2, CCX=3); construction, copy and
-    pickle give one object per (name, arity), so kinds compare and hash by identity."""
+    pickle give one object per (name, arity), so kinds compare and hash by identity.
+    CircuitError unless the text format can carry the kind: see the module docstring."""
 
     name: str
     arity: int
 
     def __new__(cls, name: str, arity: int) -> GateKind:
         _check_int("gate arity", arity, 1, CircuitError)  # first: ("X", True) is not ("X", 1)
+        # `split` drops whitespace, so only a non-empty name without any keeps itself
+        if not isinstance(name, str) or "#" in name or name.split() != [name]:
+            raise CircuitError(f"gate name must be a non-empty str without whitespace or '#', got {name!r}")
+        fixed = _FIXED_ARITIES.get(name, arity)
+        if fixed != arity:
+            raise CircuitError(f"{name} has fixed arity {fixed}")
         kind = object.__new__(cls)
         object.__setattr__(kind, "name", name)
         object.__setattr__(kind, "arity", arity)
@@ -60,15 +71,9 @@ CNOT = GateKind("CNOT", 2)
 SWAP = GateKind("SWAP", 2)
 CCX = GateKind("CCX", 3)
 
-_BUILTIN_KINDS = {k.name: k for k in (H, CNOT, SWAP, CCX)}
-
-
-def other_kind(name: str, arity: int) -> GateKind:
-    """Kind for a ``g name arity`` line: a built-in name only at its own arity."""
-    builtin = _BUILTIN_KINDS.get(name)
-    if builtin is not None and builtin.arity != arity:
-        raise CircuitError(f"{name} has fixed arity {builtin.arity}")
-    return GateKind(name, arity)
+_MNEMONICS = {"h": H, "cx": CNOT, "swap": SWAP, "ccx": CCX}
+_KIND_TO_MNEMONIC = {kind: mnemonic for mnemonic, kind in _MNEMONICS.items()}
+_FIXED_ARITIES.update((kind.name, kind.arity) for kind in _MNEMONICS.values())
 
 
 @dataclass(frozen=True)
@@ -149,8 +154,8 @@ class ErrorModel:
     def __post_init__(self):
         for name in _RATE_FIELDS:
             rate = getattr(self, name)
-            if not 0.0 < rate < 1.0:
-                raise CircuitError(f"{name} must be in (0, 1), got {rate}")
+            if not isinstance(rate, numbers.Real) or not 0.0 < rate < 1.0:  # a bool is 0 or 1
+                raise CircuitError(f"{name} must be in (0, 1), got {rate!r}")
         _check_int("ccx_cnot_equivalents", self.ccx_cnot_equivalents, 0, CircuitError)
 
     def charge(self, kind: GateKind) -> tuple[str, int]:
@@ -195,10 +200,6 @@ def gate_depth(gates: Iterable[Gate], qubits: Iterable[int]) -> int:
         if layer > result:
             result = layer
     return result
-
-
-_MNEMONICS = {"h": H, "cx": CNOT, "swap": SWAP, "ccx": CCX}
-_KIND_TO_MNEMONIC = {H: "h", CNOT: "cx", SWAP: "swap", CCX: "ccx"}
 
 
 def _decimal_int(token: str) -> int:
@@ -266,7 +267,7 @@ def parse_circuit(text: str) -> Circuit:
             elif tokens[0] == "g":
                 if len(tokens) < 3:
                     raise CircuitParseError("expected 'g <name> <arity> q...'", lineno)
-                kind = other_kind(tokens[1], to_int(tokens[2]))
+                kind = GateKind(tokens[1], to_int(tokens[2]))
                 qubits = tuple(map(to_int, tokens[3:]))
             else:
                 raise CircuitParseError(f"unknown gate {tokens[0]!r}", lineno)
@@ -290,31 +291,16 @@ def parse_circuit(text: str) -> Circuit:
 
 
 def serialize_circuit(circuit: Circuit) -> str:
-    """Inverse of parse_circuit: parse(serialize(c)) == c.
-
-    Raises CircuitError for a gate whose kind the text format cannot carry:
-    a custom name that is empty or holds whitespace or ``#``, or a built-in
-    name at another arity.
-    """
+    """Inverse of parse_circuit: parse(serialize(c)) == c for every circuit
+    that constructs, since ``GateKind`` admits only kinds the format carries."""
     lines = [f"qubits {circuit.num_qubits}"]
     for g in circuit.gates:
         qubits = " ".join(str(q) for q in g.qubits)
         mnemonic = _KIND_TO_MNEMONIC.get(g.kind)
         if mnemonic is not None:
             lines.append(f"{mnemonic} {qubits}")
-            continue
-        name = g.kind.name
-        if not name or "#" in name or any(ch.isspace() for ch in name):
-            raise CircuitError(
-                f"cannot serialize gate {name!r}{g.qubits}: a custom gate name "
-                "must be non-empty, without whitespace or '#'"
-            )
-        if name in _BUILTIN_KINDS:
-            raise CircuitError(
-                f"cannot serialize gate {name}{g.qubits}: {name} has fixed arity "
-                f"{_BUILTIN_KINDS[name].arity}"
-            )
-        lines.append(f"g {name} {g.kind.arity} {qubits}")
+        else:
+            lines.append(f"g {g.kind.name} {g.kind.arity} {qubits}")
     return "\n".join(lines) + "\n"
 
 

@@ -79,7 +79,7 @@ def _pipeline_from_args(args, circuit: Circuit):
     backend = args.solver_binary or os.environ.get(SOLVER_ENV_VAR) or INTERNAL
     return run_hypergraph_pipeline(
         circuit,
-        k=_resolve_k(getattr(args, "k", None), args.block_size, circuit),
+        k=_resolve_k(args.k, args.block_size, circuit),
         imbalance=args.imbalance,
         seed=args.seed,
         backend=backend,
@@ -117,7 +117,7 @@ def cmd_partition(args) -> int:
 
 def cmd_compare(args) -> int:
     circuit = _load_circuit(args)
-    if args.block_size is None:
+    if args.block_size is None and not args.baseline_fixture:
         print("error: --block-size is required for compare", file=sys.stderr)
         return 1
 
@@ -165,6 +165,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_solver_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--k", type=int, help="explicit part count")
     parser.add_argument("--block-size", type=int, help="block size for dynamic k")
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--imbalance", type=float, default=0.05)
@@ -194,14 +195,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_partition = sub.add_parser("partition", help="run the partitioning pipeline")
     _add_common(p_partition)
     _add_solver_options(p_partition)
-    p_partition.add_argument("--k", type=int, help="explicit part count")
     p_partition.add_argument("--merge-threshold", type=int, help="merge parts sharing N+ qubits")
     p_partition.set_defaults(func=cmd_partition)
 
     p_compare = sub.add_parser("compare", help="compare against the block baseline")
     _add_common(p_compare)
     _add_solver_options(p_compare)
-    p_compare.add_argument("--k", type=int, help="explicit part count")
     p_compare.add_argument("--baseline-fixture", help="replay groups from a fixture")
     p_compare.add_argument(
         "--heuristic", action="store_true", help="enable the SWAP waiver heuristic"

@@ -88,6 +88,8 @@ class Hypergraph:
             if not e.members:
                 raise ValueError("empty hyperedge")
             for v in e.members:
+                if type(v) is not int:  # a float member breaks indexing and write_hgr
+                    raise ValueError(f"hyperedge member must be an int, got {v!r}")
                 if not 0 <= v < self.num_nodes:
                     raise ValueError(f"hyperedge member {v} out of range")
 

@@ -90,6 +90,12 @@ class PartitionAssignment:
                 raise ValueError(f"label {label!r} outside [0, {self.k})")
 
 
+def _check_imbalance(imbalance) -> None:
+    if (isinstance(imbalance, bool) or not isinstance(imbalance, numbers.Real)
+            or not (math.isfinite(imbalance) and imbalance >= 0)):
+        raise ValueError("imbalance must be a finite number >= 0")
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     k: int
@@ -100,10 +106,7 @@ class SolverConfig:
     def __post_init__(self):
         _check_int("k", self.k, 1)
         _check_int("seed", self.seed)
-        imbalance = self.imbalance
-        if (isinstance(imbalance, bool) or not isinstance(imbalance, numbers.Real)
-                or not (math.isfinite(imbalance) and imbalance >= 0)):
-            raise ValueError("imbalance must be a finite number >= 0")
+        _check_imbalance(self.imbalance)
         if self.backend != INTERNAL:
             try:
                 os.fspath(self.backend)
@@ -131,6 +134,7 @@ def km1(hg: Hypergraph, assignment: PartitionAssignment) -> float:
 
 
 def balance_cap(hg: Hypergraph, k: int, imbalance: float) -> float:
+    _check_imbalance(imbalance)
     return (1.0 + imbalance) * math.ceil(math.fsum(hg.node_weights) / k)
 
 

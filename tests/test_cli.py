@@ -118,17 +118,20 @@ class TestCompare:
         assert "block-baseline" in out
         assert "hypergraph" in out
 
-    def test_fixture_replay_reference_numbers(self, capsys, tmp_path):
+    # neither the fixture nor an explicit --k reads the block size
+    @pytest.mark.parametrize("block_size", [["--block-size", "4"], []], ids=["block-size", "none"])
+    def test_fixture_replay_reference_numbers(self, capsys, tmp_path, block_size):
         fixture = tmp_path / "fixture.json"
         fixture.write_text(q.builtin_fixture_text("quick_s"))
         code, out, _ = run_cli(
             capsys,
-            "compare", "--bench", "s", "--block-size", "4", "--k", "2",
+            "compare", "--bench", "s", *block_size, "--k", "2",
             "--baseline-fixture", str(fixture), "--format", "json",
         )
         assert code == 0
         doc = json.loads(out)
         assert doc["baseline"]["swap_total"] == 8
+        assert doc["baseline"]["cut_qubits"] == [0, 1, 4, 5]
         assert doc["baseline"]["swap_attribution"] == [4, 3, 0, 0, 1, 0]
         assert doc["baseline"]["max_depth"] == 7
         assert doc["baseline"]["total_fidelity"] == pytest.approx(0.1724, abs=5e-4)

@@ -659,7 +659,7 @@ def _corrupt(parts, circuit, how, data):
         if not h_at:
             return list(parts), True
         n = data.draw(st.sampled_from(h_at))
-        gates[n] = q.Gate(q.other_kind("RX", 1), gates[n].qubits)
+        gates[n] = q.Gate(q.GateKind("RX", 1), gates[n].qubits)
         return _rebuilt(parts, i, gates), False
     pair = data.draw(
         st.lists(
@@ -699,7 +699,7 @@ def _with_ccx_as(circuit, kind):
 def test_validate_gate_counts_matches_custom_kinds_built_apart(case):
     circuit, labels = case
     # kinds are interned: one built apart is the same object, and validates as it
-    kind, other = q.other_kind("U3", 3), q.GateKind("U3", 3)
+    kind, other = q.GateKind("U3", 3), q.GateKind("U3", 3)
     assert kind is other
     original = _with_ccx_as(circuit, kind)
     parts = q.create_trimmed_partitions(_with_ccx_as(circuit, other), labels)

@@ -162,10 +162,15 @@ class TestConstruction:
         (3, (q.Hyperedge((0, 3), 1.0),), "hyperedge member 3 out of range"),
         (3, (q.Hyperedge((0, 1), 1.0), q.Hyperedge((2, -1), 1.0)),
          "hyperedge member -1 out of range"),
+        # used to construct; partition and km1 then raised TypeError, and
+        # write_hgr wrote a member read_hgr rejects
+        (3, (q.Hyperedge((0, 1.0), 5.0), q.Hyperedge((1, 2), 3.0)),
+         "hyperedge member must be an int, got 1.0"),
+        (3, (q.Hyperedge((0, True), 1.0),), "hyperedge member must be an int, got True"),
         # 3.0 == len of the three weights, so it used to construct
         (3.0, (), "num_nodes must be an integer >= 0, got 3.0"),
     ], ids=["weight-count", "empty-edge", "member-out-of-range", "negative-member",
-            "float-node-count"])
+            "float-member", "bool-member", "float-node-count"])
     def test_malformed_hypergraph_rejected(self, num_nodes, edges, message):
         with pytest.raises(ValueError) as excinfo:
             q.Hypergraph(num_nodes, (1.0, 1.0, 1.0), edges)

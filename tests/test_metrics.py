@@ -38,17 +38,17 @@ class TestFidelity:
         assert f == pytest.approx(0.95**6, rel=1e-12)
 
     def test_unknown_single_qubit_gate(self):
-        rz = q.other_kind("RZ", 1)
+        rz = q.GateKind("RZ", 1)
         assert q.fidelity(0, 0, 0, {rz: 4}) == pytest.approx(0.999**4, rel=1e-12)
 
     def test_unknown_multi_qubit_gate(self):
-        g4 = q.other_kind("G4", 4)
+        g4 = q.GateKind("G4", 4)
         assert q.fidelity(0, 0, 0, {g4: 1}) == pytest.approx(0.95**3, rel=1e-12)
 
     def test_unknown_multi_qubit_gate_charged_at_its_own_rate(self):
         # circuit_to_hypergraph weights this gate's hyperedge with
         # eps_default_multi, so its fidelity charge uses the same rate.
-        g4 = q.other_kind("G4", 4)
+        g4 = q.GateKind("G4", 4)
         model = q.ErrorModel(eps_default_multi=0.2)
         assert q.fidelity(0, 0, 0, {g4: 1}, model) == pytest.approx(0.8**3, rel=1e-12)
         assert q.fidelity(0, 2, 0, {g4: 2}, model) == pytest.approx(0.95**2 * 0.8**6, rel=1e-12)
@@ -148,7 +148,7 @@ class TestPartitionMetrics:
         # objects, and count as them
         h, cnot = q.GateKind("H", 1), q.GateKind("CNOT", 2)
         assert h is q.H and cnot is q.CNOT
-        g4 = q.other_kind("G4", 4)
+        g4 = q.GateKind("G4", 4)
         builtin = [q.Gate(q.H, (0,)), q.Gate(q.CNOT, (0, 1)), q.Gate(q.H, (1,)),
                    q.Gate(g4, (0, 1, 2, 3)), q.Gate(q.CNOT, (2, 1)), q.Gate(q.CCX, (0, 1, 2))]
         apart = [q.Gate(h, (0,)), q.Gate(cnot, (0, 1)), q.Gate(q.H, (1,)),

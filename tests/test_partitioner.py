@@ -107,6 +107,15 @@ class TestBalance:
         assert sum(part) == 336.23333333333335
         assert q.check_balance(hg, q.PartitionAssignment((0, 0, 0, 0, 1), 2), imbalance)
 
+    @pytest.mark.parametrize("imbalance", [float("nan"), -1.0, "x", None, True, float("inf")])
+    def test_bad_imbalance_rejected_by_check_balance(self, imbalance, hypergraph_s):
+        # nan and -1.0 used to return False, read as unbalanced, and "x" to
+        # raise a bare TypeError
+        asg = q.PartitionAssignment((0, 1) * 11, 2)
+        with pytest.raises(ValueError) as excinfo:
+            q.check_balance(hypergraph_s, asg, imbalance)
+        assert str(excinfo.value) == "imbalance must be a finite number >= 0"
+
     @pytest.mark.parametrize("labels, message", [
         ((0.5, 0.5), "label 0.5 outside [0, 2)"),
         ((0, True), "label True outside [0, 2)"),
