@@ -80,11 +80,18 @@ class Hypergraph:
 
     def __post_init__(self):
         _check_int("num_nodes", self.num_nodes, 0)
+        # stored as tuples, so a hypergraph built from lists is a value too:
+        # hashable, and equal to its hgr read-back
+        object.__setattr__(self, "node_weights", tuple(self.node_weights))
         if len(self.node_weights) != self.num_nodes:
             raise ValueError("one weight per node required")
         _check_weights(self.node_weights, "node")
         _check_weights([e.weight for e in self.hyperedges], "hyperedge")
+        edges = []
         for e in self.hyperedges:
+            if type(e.members) is not tuple:
+                e = Hyperedge(tuple(e.members), e.weight)
+            edges.append(e)
             if not e.members:
                 raise ValueError("empty hyperedge")
             for v in e.members:
@@ -92,6 +99,7 @@ class Hypergraph:
                     raise ValueError(f"hyperedge member must be an int, got {v!r}")
                 if not 0 <= v < self.num_nodes:
                     raise ValueError(f"hyperedge member {v} out of range")
+        object.__setattr__(self, "hyperedges", tuple(edges))
 
     @property
     def num_edges(self) -> int:
@@ -241,12 +249,12 @@ def read_hgr(text: str) -> Hypergraph:
         edges.append(Hyperedge(members=members, weight=float(weight)))
 
     weight_lines = lines[1 + num_edges :]
-    if len(weight_lines) < num_nodes:
+    if len(weight_lines) != num_nodes:
         raise HgrFormatError(
             f"expected {num_nodes} node weight lines, found {len(weight_lines)}"
         )
     try:
-        node_weights = tuple(float(_decimal_int(ln)) for ln in weight_lines[:num_nodes])
+        node_weights = tuple(float(_decimal_int(ln)) for ln in weight_lines)
     except ValueError:
         raise HgrFormatError("bad integer in node weight section")
     return Hypergraph(num_nodes, node_weights, tuple(edges))

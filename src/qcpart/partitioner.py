@@ -139,6 +139,8 @@ def balance_cap(hg: Hypergraph, k: int, imbalance: float) -> float:
 
 
 def _part_loads(hg: Hypergraph, assignment: PartitionAssignment) -> list[float]:
+    if len(assignment.labels) != hg.num_nodes:
+        raise ValueError("assignment does not match hypergraph")
     weights: list[list[float]] = [[] for _ in range(assignment.k)]
     for v, label in enumerate(assignment.labels):
         weights[label].append(hg.node_weights[v])
@@ -632,7 +634,8 @@ def _solve_bisection(inst: _Instance, rng: SplitMix64) -> _Bisection | None:
                 break
             # Coarse-level restarts could not be repaired into balance; retry
             # flat on the finest level, where individual clusters are lighter.
-            levels, seen = [inst], set()
+            # `seen` is empty: the first restart past repair records it and sets `best`
+            levels = [inst]
         coarse = levels[-1]
         if restart == 0:
             side = _greedy_initial(coarse)

@@ -85,12 +85,13 @@ class TestPartition:
         assert code == 0
         assert json.loads(out)["num_partitions"] == 2
 
-    def test_merge_threshold_alone_enables_merging(self, capsys):
-        code, out, _ = run_cli(
-            capsys,
-            "partition", "--bench", "s", "--k", "2",
-            "--merge-threshold", "1", "--format", "json",
-        )
+    # on l, four parts merge into one: the merge passes and the merged-part build
+    @pytest.mark.parametrize("args", [
+        ["--bench", "s", "--k", "2", "--merge-threshold", "1"],
+        ["--bench", "l", "--k", "4", "--imbalance", "0.1", "--merge-threshold", "2"],
+    ], ids=["s", "l"])
+    def test_merge_threshold_alone_enables_merging(self, capsys, args):
+        code, out, _ = run_cli(capsys, "partition", *args, "--format", "json")
         assert code == 0
         assert json.loads(out)["num_partitions"] == 1
 
@@ -107,6 +108,15 @@ class TestPartition:
         assert code == 1
         assert out == ""
         assert err == "error: imbalance must be a finite number >= 0\n"
+
+    def test_unpackable_instance_exits_one(self, capsys):
+        # 12 nodes of weight 1000, one a part under this cap, 8 parts: the
+        # packing check stops the solve before any bisection
+        code, out, err = run_cli(
+            capsys, "partition", "--bench", "s", "--k", "8", "--imbalance", "0.03"
+        )
+        assert (code, out) == (1, "")
+        assert "no balanced bisection" in err
 
 
 class TestCompare:
@@ -184,9 +194,35 @@ class TestCompare:
         assert code == 2
         assert out.splitlines()[-1] == "WARNING: gate count validation failed for block-baseline"
 
-    def test_heuristic_flag_accepted(self, capsys):
-        code, _, _ = run_cli(
+    # on l, 29 baseline parts: the SWAP waiver fires, and the gate counts validate
+    @pytest.mark.parametrize("bench, parts, waived", [("s", 4, 0), ("l", 29, 75)],
+                             ids=["s", "l"])
+    def test_heuristic_flag_accepted(self, capsys, bench, parts, waived):
+        code, out, _ = run_cli(
             capsys,
-            "compare", "--bench", "s", "--block-size", "4", "--k", "2", "--heuristic",
+            "compare", "--bench", bench, "--block-size", "4", "--k", "2", "--heuristic",
+            "--format", "json",
         )
         assert code == 0
+        baseline = json.loads(out)["baseline"]
+        assert (baseline["num_partitions"], baseline["swap_waived"]) == (parts, waived)
+        assert baseline["gate_counts_valid"] is True
+
+    def test_circuit_file_with_custom_gates(self, capsys, tmp_path):
+        # the benchmark circuits hold no `g` line; with H, CNOT, SWAP, CCX and
+        # custom gates of one, two and three qubits, the fidelity estimate
+        # charges every rate and multiplicity `ErrorModel.charge` gives
+        src = tmp_path / "custom.txt"
+        src.write_text(
+            "qubits 4\nh 0\ng RZZ 2 0 1\ncx 1 2\ng RZZ 2 2 3\nswap 1 3\nh 3\ncx 0 3\n"
+            "ccx 0 1 2\ng RZ 1 2\ncx 2 3\ng G3 3 1 2 3\ncx 0 1\n"
+        )
+        code, out, _ = run_cli(
+            capsys,
+            "compare", "--input", str(src), "--block-size", "4", "--k", "2", "--format", "json",
+        )
+        assert code == 0
+        doc = json.loads(out)
+        for method in ("baseline", "hypergraph"):
+            assert doc[method]["gate_counts_valid"] is True
+            assert 0 < doc[method]["total_fidelity"] <= 1

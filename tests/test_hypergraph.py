@@ -110,6 +110,13 @@ class TestConstruction:
         gate_level = [(e.members, e.weight) for e in hg.hyperedges if len(e.members) == 1]
         assert gate_level == [((0,), 5000.0), ((1,), 5000.0), ((2,), 5000.0), ((5,), 2500.0)]
 
+    def test_list_built_hypergraph_is_a_value(self):
+        # the lists used to be kept, so this equality was False and hash
+        # raised TypeError
+        built = q.Hypergraph(2, [1.0, 1.0], [q.Hyperedge([0, 1], 5.0)])
+        assert built == q.read_hgr(q.write_hgr(built, q.HgrMode.PAPER_RAW))
+        assert hash(built) == hash(q.Hypergraph(2, (1.0, 1.0), (q.Hyperedge((0, 1), 5.0),)))
+
     def test_empty_circuit(self):
         hg = q.circuit_to_hypergraph(q.Circuit(2))
         assert hg.num_nodes == 0
@@ -303,6 +310,8 @@ class TestSerialization:
         ("1 2 1\n5\n1\n1\n", "hyperedge line too short: '5'"),
         ("1 2 1\n5 1 x\n1\n1\n", "bad integer in hyperedge line '5 1 x'"),
         ("1 2 1\n5 1 2\n1\n", "expected 2 node weight lines, found 1"),
+        # a header that under-counts the nodes used to drop the extra weights
+        ("1 2 1\n5 1 2\n1\n1\nfoo bar\n7\n", "expected 2 node weight lines, found 4"),
         ("1 2 1\n5 1 2\n1\n1.5\n", "bad integer in node weight section"),
         # Python's int() reads each of the following, so they used to parse
         ("1 2 1\n1_0 1 +2\n5\n\u0667\n", "bad integer in hyperedge line '1_0 1 +2'"),
@@ -312,7 +321,7 @@ class TestSerialization:
         ("1 2 1\n10 1 2\n5_0\n7\n", "bad integer in node weight section"),
         ("1 +2 1\n10 1 2\n5\n7\n", "malformed header '1 +2 1'"),
     ], ids=["empty", "four-field-header", "non-integer-header", "one-field-edge",
-            "non-integer-pin", "few-node-weights", "non-integer-node-weight",
+            "non-integer-pin", "few-node-weights", "many-node-weights", "non-integer-node-weight",
             "underscore-edge-weight", "plus-pin", "fullwidth-pin", "arabic-indic-node-weight",
             "underscore-node-weight", "plus-header"])
     def test_malformed_input_rejected(self, text, message):

@@ -116,6 +116,16 @@ class TestBalance:
             q.check_balance(hypergraph_s, asg, imbalance)
         assert str(excinfo.value) == "imbalance must be a finite number >= 0"
 
+    @pytest.mark.parametrize("num_labels", [2, 24], ids=["short", "long"])
+    def test_assignment_of_wrong_length_rejected_by_check_balance(self, num_labels, hypergraph_s):
+        # 2 labels used to return True from two nodes' weights, and 24 to
+        # raise a bare IndexError; km1 already rejected both
+        asg = q.PartitionAssignment((0, 1) * (num_labels // 2), 2)
+        with pytest.raises(ValueError, match="^assignment does not match hypergraph$"):
+            q.check_balance(hypergraph_s, asg, 0.05)
+        with pytest.raises(ValueError, match="^assignment does not match hypergraph$"):
+            q.km1(hypergraph_s, asg)
+
     @pytest.mark.parametrize("labels, message", [
         ((0.5, 0.5), "label 0.5 outside [0, 2)"),
         ((0, True), "label True outside [0, 2)"),
