@@ -52,6 +52,11 @@ class Hyperedge:
     members: tuple[int, ...]
     weight: float
 
+    def __post_init__(self):
+        # stored as a tuple, so an edge built from a list is a value too
+        if type(self.members) is not tuple:
+            object.__setattr__(self, "members", tuple(self.members))
+
 
 def _check_weights(weights, what: str) -> None:
     """Raise ValueError naming the first weight that is negative, NaN,
@@ -83,15 +88,12 @@ class Hypergraph:
         # stored as tuples, so a hypergraph built from lists is a value too:
         # hashable, and equal to its hgr read-back
         object.__setattr__(self, "node_weights", tuple(self.node_weights))
+        object.__setattr__(self, "hyperedges", tuple(self.hyperedges))
         if len(self.node_weights) != self.num_nodes:
             raise ValueError("one weight per node required")
         _check_weights(self.node_weights, "node")
         _check_weights([e.weight for e in self.hyperedges], "hyperedge")
-        edges = []
         for e in self.hyperedges:
-            if type(e.members) is not tuple:
-                e = Hyperedge(tuple(e.members), e.weight)
-            edges.append(e)
             if not e.members:
                 raise ValueError("empty hyperedge")
             for v in e.members:
@@ -99,7 +101,6 @@ class Hypergraph:
                     raise ValueError(f"hyperedge member must be an int, got {v!r}")
                 if not 0 <= v < self.num_nodes:
                     raise ValueError(f"hyperedge member {v} out of range")
-        object.__setattr__(self, "hyperedges", tuple(edges))
 
     @property
     def num_edges(self) -> int:
@@ -154,7 +155,7 @@ def circuit_to_hypergraph(circuit: Circuit, model: ErrorModel | None = None) -> 
     for members in gates_per_qubit:
         if len(members) >= 2:
             edges.append(
-                Hyperedge(members=tuple(members), weight=temporal_edge_weight(len(members), model))
+                Hyperedge(members=members, weight=temporal_edge_weight(len(members), model))
             )
 
     return Hypergraph(len(circuit.gates), tuple(node_weights), tuple(edges))

@@ -14,30 +14,41 @@ it with a per-qubit cursor and keeps only the misaligned (pair, qubit)
 entries, so both costs grow with the number of shared (pair, qubit) entries
 rather than with the square of the partition count. The waiver compares
 raw 64-bit draws with an integer threshold that decides exactly as the
-float test ``draw / 2**64 < 0.6``, and reads those decisions from
-``SplitMix64.draws_below``, which computes them a block at a time; the
-stream belongs to the call, so drawing up to one block ahead changes no
-output. Counts, depth and gate validation read each partition's global
-gates: ``partition_metrics`` counts their kinds and validation their
-(kind, global qubits) keys, and a kind, one object per (name, arity),
-hashes and compares by identity.
+float test ``draw / 2**64 < 0.6``, and reads the draws from
+``SplitMix64.draws`` a block at a time; the stream belongs to the call, so
+drawing up to one block ahead changes no output. Counts, depth and gate
+validation read each partition's global gates: ``partition_metrics``
+counts their kinds and validation their (kind, global qubits) keys, and a
+kind, one object per (name, arity), hashes and compares by identity.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter, defaultdict
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 
 from .circuits import _RATE_FIELDS, CNOT, H, SWAP, Circuit, ErrorModel, Gate, GateKind, _check_int, gate_depth
 from .pipeline import Partition, _qubit_holders, overlapping_pairs
-from .rng import SplitMix64
+from .rng import _LANES, SplitMix64
 
 # The smallest u64 draw u with u / 2**64 >= 0.6: a draw waives a SWAP exactly
 # when ``next_float() < 0.6`` would hold, since true division of integers
 # rounds correctly and never falls as u rises.
 _WAIVE_BELOW = int(0.6 * 2**64) - 1023
+
+
+def _waiver_draws(seed: int) -> Iterator[int]:
+    """Endless stream of ``SplitMix64(seed)``'s draws, read from ``draws``."""
+    # The first block is small and each next one doubles up to the largest,
+    # so a short stream stays cheap: fixed 2048-draw blocks took circuit l's
+    # waiver from 255 to 591 us per call. The caller compares each draw with
+    # ``_WAIVE_BELOW``, which costs less than yielding a flag from here.
+    rng, n = SplitMix64(seed), 64
+    while True:
+        yield from rng.draws(n)
+        n = min(2 * n, _LANES)
 
 
 @dataclass(frozen=True)
@@ -120,7 +131,7 @@ def estimate_swaps(
     }
     # per qubit, the position of the current partition in its entries
     cursor = dict.fromkeys(entries, 0)
-    waive = SplitMix64(seed).draws_below(_WAIVE_BELOW).__next__
+    draw = _waiver_draws(seed).__next__
     misalignments = dict.fromkeys(entries, 0)
     per_pair: dict[tuple[int, int], int] = {}
     attribution = [0] * len(parts)
@@ -140,7 +151,7 @@ def estimate_swaps(
             if heuristic_on:
                 for q in qubits:
                     misalignments[q] += 1
-                    if misalignments[q] > 3 and waive():
+                    if misalignments[q] > 3 and draw() < _WAIVE_BELOW:
                         count -= 1
                         waived += 1
             if count:

@@ -71,6 +71,8 @@ class DependencyDag:
     edges: tuple[tuple[int, int, frozenset[int]], ...]
 
     def __post_init__(self):
+        # stored as a tuple, so a DAG built from a list is a value too
+        object.__setattr__(self, "edges", tuple(self.edges))
         for i, j, shared in self.edges:
             if not (0 <= i < j < self.num_partitions):
                 raise ValueError(f"bad edge ({i}, {j})")

@@ -4,25 +4,21 @@ Used wherever the partitioner or the SWAP-waiver heuristic needs
 randomness, so results are reproducible across platforms and runs.
 
 splitmix64 is counter-based: draw t depends only on ``state + t * gamma``.
-``draws`` and ``draws_below`` use that to compute a block of up to 2048
-draws at once, each in its own 128-bit lane of one Python int (SWAR
-arithmetic). A 64 x 64-bit product fits its lane, so no lane carries into
-the next, and the bits a right shift brings in from the next lane land
-above bit 64, where a mask of each lane's low 64 bits clears them. The SWAP
-waiver reads tens of thousands of flags per call from ``draws_below``; the
-solver's shuffles and random restart sides read whole runs of draws from
-``draws``, which end in the state as many ``next_u64`` calls would.
+``draws`` uses that to compute a block of up to 2048 draws at once, each
+in its own 128-bit lane of one Python int (SWAR arithmetic). A 64 x 64-bit
+product fits its lane, so no lane carries into the next, and the bits a
+right shift brings in from the next lane land above bit 64, where a mask of
+each lane's low 64 bits clears them. The SWAP waiver reads tens of
+thousands of draws per call, and the solver's shuffles and random restart
+sides read whole runs of them, all from ``draws``, which ends in the state
+as many ``next_u64`` calls would.
 """
 
 import functools
 import struct
-from collections.abc import Iterator
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
-# Draws per block: the first block is small, so a short stream stays cheap,
-# and each next one doubles up to the largest.
-_FIRST_LANES = 64
 _LANES = 2048
 
 
@@ -70,26 +66,6 @@ class SplitMix64:
     def next_below(self, n: int) -> int:
         """Uniform integer in [0, n) (modulo bias is irrelevant at our sizes)."""
         return self.next_u64() % n
-
-    def draws_below(self, bound: int) -> Iterator[int]:
-        """Endless stream of flags, one per draw: 1 where ``next_u64() < bound``
-        would hold, else 0, for 0 <= bound <= 2**64.
-
-        Draws are taken a block at a time, ``_FIRST_LANES`` first and twice as
-        many each next block up to ``_LANES``, so the state runs up to one
-        block ahead of the flags read; after whole blocks it equals the state
-        of as many ``next_u64`` calls.
-        """
-        lanes = _FIRST_LANES
-        while True:
-            ones = _lane_constants(lanes)[0]
-            # lane value >= 2**64 exactly where the lane's draw is below bound
-            threshold = (bound - 1 + 2**64) * ones
-            z = _block(self.state, lanes)
-            self.state = (self.state + lanes * _GAMMA) & _MASK64
-            flags = (((threshold - z) >> 64) & ones).to_bytes(16 * lanes, "little")
-            yield from flags[0::16]
-            lanes = min(2 * lanes, _LANES)
 
     def draws(self, count: int) -> list[int]:
         """The next `count` values of ``next_u64``, leaving the same state.

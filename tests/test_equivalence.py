@@ -19,8 +19,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qcpart as q
-from qcpart.metrics import _WAIVE_BELOW
-from qcpart.rng import _FIRST_LANES, _LANES, SplitMix64
+from qcpart.metrics import _WAIVE_BELOW, _waiver_draws
+from qcpart.rng import _LANES, SplitMix64
 
 from conftest import random_h_cnot_circuit
 
@@ -535,13 +535,10 @@ def test_dense_waiver_matches_reference(dense_merge_inputs, name, seed):
     assert swaps_key(est) == swaps_key(reference_estimate_swaps(parts, True, seed))
 
 
-BLOCK_BOUNDS = (0, 1, 2**63, _WAIVE_BELOW - 1, _WAIVE_BELOW, _WAIVE_BELOW + 1, 2**64)
-
-
-def _block_ends():
-    """The draw count at the end of each of the first blocks: the growing
-    ones, then four of the largest size."""
-    ends, size, largest = [], _FIRST_LANES, 0
+def _waiver_block_ends():
+    """The draw count at the end of each of the waiver stream's first
+    blocks: the growing ones from 64 draws, then four of the largest size."""
+    ends, size, largest = [], 64, 0
     while largest < 4:
         ends.append(size + (ends[-1] if ends else 0))
         largest += size == _LANES
@@ -549,24 +546,22 @@ def _block_ends():
     return ends
 
 
-BLOCK_ENDS = _block_ends()
+WAIVER_BLOCK_ENDS = _waiver_block_ends()
 
 
 @PROPERTY_SETTINGS
 @given(
     seed=st.integers(min_value=0, max_value=2**64 - 1),
-    crossings=st.integers(min_value=0, max_value=len(BLOCK_ENDS) - 1),
+    crossings=st.integers(min_value=0, max_value=len(WAIVER_BLOCK_ENDS) - 1),
     data=st.data(),
-    bound=st.sampled_from(BLOCK_BOUNDS),
 )
-def test_block_flags_match_scalar_draws(seed, crossings, data, bound):
+def test_waiver_draws_match_scalar_draws(seed, crossings, data):
     """A stream that ends inside block ``crossings`` (from 0) crosses that
     many block boundaries, up to three between blocks of the largest size."""
-    start = BLOCK_ENDS[crossings - 1] if crossings else 0
-    length = data.draw(st.integers(min_value=start + 1, max_value=BLOCK_ENDS[crossings]))
-    flags = list(islice(SplitMix64(seed).draws_below(bound), length))
+    start = WAIVER_BLOCK_ENDS[crossings - 1] if crossings else 0
+    length = data.draw(st.integers(min_value=start + 1, max_value=WAIVER_BLOCK_ENDS[crossings]))
     rng = SplitMix64(seed)
-    assert flags == [int(rng.next_u64() < bound) for _ in range(length)]
+    assert list(islice(_waiver_draws(seed), length)) == [rng.next_u64() for _ in range(length)]
 
 
 def _unshift(y, s):
@@ -586,32 +581,37 @@ def _seed_drawing(value, t):
     return (z - (t + 1) * 0x9E3779B97F4A7C15) % 2**64
 
 
-@pytest.mark.parametrize(
-    "t", [0, BLOCK_ENDS[0] - 1, BLOCK_ENDS[0], BLOCK_ENDS[-3], BLOCK_ENDS[-1] - 1]
+# the first draw, the last and first draw at each block boundary, and the
+# last draw of the fourth largest block
+WAIVER_EDGE_DRAWS = sorted(
+    {0, WAIVER_BLOCK_ENDS[-1] - 1}
+    | {t for end in WAIVER_BLOCK_ENDS[:-1] for t in (end - 1, end)}
 )
-@pytest.mark.parametrize("bound", BLOCK_BOUNDS)
-def test_block_flags_at_draws_equal_to_the_bound(bound, t):
-    """Random draws almost never land on the bound or just below it; these
-    seeds put draw t exactly there, where ``<`` and ``<=`` differ."""
-    for value in {min(bound, 2**64 - 1), max(bound - 1, 0)}:
-        seed = _seed_drawing(value, t)
-        rng = SplitMix64(seed)
-        scalar = [rng.next_u64() for _ in range(t + 1)]
-        assert scalar[t] == value
-        flags = list(islice(SplitMix64(seed).draws_below(bound), t + 1))
-        assert flags == [int(u < bound) for u in scalar]
 
 
-@pytest.mark.parametrize("end", BLOCK_ENDS)
+@pytest.mark.parametrize("value", [_WAIVE_BELOW - 1, _WAIVE_BELOW], ids=["waived", "kept"])
+@pytest.mark.parametrize("t", WAIVER_EDGE_DRAWS)
+def test_waiver_flags_at_draws_equal_to_the_threshold(t, value):
+    """Random draws almost never land on the threshold or just below it;
+    these seeds put draw t exactly there, where the integer test must still
+    decide as ``next_float() < 0.6``."""
+    seed = _seed_drawing(value, t)
+    draws = list(islice(_waiver_draws(seed), t + 1))
+    assert draws[t] == value
+    rng = SplitMix64(seed)
+    assert [u < _WAIVE_BELOW for u in draws] == [rng.next_float() < 0.6 for _ in range(t + 1)]
+
+
+@pytest.mark.parametrize("end", WAIVER_BLOCK_ENDS)
 @pytest.mark.parametrize("seed", [0, 2**64 - 1, 0x0123456789ABCDEF])
-def test_block_state_after_whole_blocks_matches_scalar(seed, end):
-    rng, scalar = SplitMix64(seed), SplitMix64(seed)
-    for _ in islice(rng.draws_below(_WAIVE_BELOW), end):
-        pass
-    for _ in range(end):
+def test_waiver_draws_continue_after_whole_blocks(seed, end):
+    """The draws on either side of a block boundary are the scalar ones, so
+    each block starts where as many ``next_u64`` calls would leave the state."""
+    scalar = SplitMix64(seed)
+    for _ in range(end - 1):
         scalar.next_u64()
-    assert rng.state == scalar.state
-    assert rng.next_u64() == scalar.next_u64()
+    expected = [scalar.next_u64() for _ in range(2)]
+    assert list(islice(_waiver_draws(seed), end - 1, end + 1)) == expected
 
 
 def _rebuilt(parts, index, global_gates):

@@ -117,6 +117,16 @@ class TestConstruction:
         assert built == q.read_hgr(q.write_hgr(built, q.HgrMode.PAPER_RAW))
         assert hash(built) == hash(q.Hypergraph(2, (1.0, 1.0), (q.Hyperedge((0, 1), 5.0),)))
 
+    def test_list_built_hyperedge_is_a_value(self):
+        built = q.Hyperedge([0, 1], 5.0)
+        assert built == q.Hyperedge((0, 1), 5.0)
+        assert hash(built) == hash(q.Hyperedge((0, 1), 5.0))
+
+    def test_list_built_dependency_dag_is_a_value(self):
+        built = q.DependencyDag(2, [(0, 1, frozenset({0}))])
+        assert built == q.DependencyDag(2, ((0, 1, frozenset({0})),))
+        assert hash(built) == hash(q.DependencyDag(2, ((0, 1, frozenset({0})),)))
+
     def test_empty_circuit(self):
         hg = q.circuit_to_hypergraph(q.Circuit(2))
         assert hg.num_nodes == 0

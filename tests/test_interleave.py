@@ -103,6 +103,8 @@ def test_summary_takes_quartiles_of_the_per_run_ratios():
     assert summary["ratio_median"] == pytest.approx(0.9)
     assert summary["ratio_q1"] == pytest.approx(0.7)
     assert summary["ratio_q3"] == pytest.approx(0.95)
+    # summed times 0.098 against 0.110: the total ratio is not the median
+    assert summary["ratio_total"] == pytest.approx(0.098 / 0.110)
     assert summary["parent_median_ms"] == pytest.approx(20.0)
     assert summary["change_median_ms"] == pytest.approx(16.0)
 
@@ -116,7 +118,8 @@ def test_report_names_the_ratio_and_both_medians():
     summary = interleave.summarize({"parent": [0.010, 0.010], "change": [0.009, 0.009]})
     assert interleave.report("synth-solve", summary) == (
         "synth-solve: 2 runs per side, time ratio change/parent median 0.900 "
-        "(quartiles 0.900-0.900); median instance parent 10.000 ms, change 9.000 ms")
+        "(quartiles 0.900-0.900), total 0.900; median instance parent 10.000 ms, "
+        "change 9.000 ms")
 
 
 def test_runs_split_by_the_parents_outcome():

@@ -120,6 +120,14 @@ class TestSwapEstimation:
         assert est.total == 5
         assert est.waived == 0
 
+    def test_per_pair_counts_must_sum_to_total(self):
+        with pytest.raises(ValueError, match="per-pair counts do not sum to total"):
+            q.SwapEstimate(3, {(0, 1): 2}, (3,), 0)
+
+    def test_attribution_must_sum_to_total(self):
+        with pytest.raises(ValueError, match="attribution does not sum to total"):
+            q.SwapEstimate(2, {(0, 1): 2}, (1, 0), 0)
+
 
 class TestPartitionMetrics:
     def test_baseline_depths_and_fidelities(self, baseline_partitions):

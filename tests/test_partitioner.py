@@ -1570,6 +1570,13 @@ class TestExternalAdapter:
         asg = q.partition(hypergraph_s, config)
         assert asg.labels == tuple(i % 2 for i in range(22))
 
+    def test_blank_lines_between_labels_skipped(self, hypergraph_s, tmp_path):
+        # each label line is followed by an empty one
+        solver = _fake_solver(tmp_path, '$((i % k)) >> "$out"; echo ""')
+        config = q.SolverConfig(k=2, imbalance=0.25, backend=solver)
+        asg = q.partition(hypergraph_s, config)
+        assert asg.labels == tuple(i % 2 for i in range(22))
+
     def test_unbalanced_labels_raise(self, hypergraph_s, tmp_path):
         solver = _fake_solver(tmp_path, "0")  # every node in part 0
         with pytest.raises(q.SolverError) as excinfo:

@@ -129,6 +129,15 @@ class TestDependencyDag:
         dag = q.build_dependency_graph(parts)
         assert [(i, j) for i, j, _ in dag.edges] == [(0, 1), (0, 2), (1, 2)]
 
+    @pytest.mark.parametrize("edge", [(1, 0), (0, 0), (-1, 1), (0, 2)])
+    def test_edge_outside_index_order_rejected(self, edge):
+        with pytest.raises(ValueError, match=r"bad edge \(%d, %d\)" % edge):
+            q.DependencyDag(2, ((*edge, frozenset({0})),))
+
+    def test_edge_without_shared_qubits_rejected(self):
+        with pytest.raises(ValueError, match=r"edge \(0, 1\) carries no shared qubits"):
+            q.DependencyDag(2, ((0, 1, frozenset()),))
+
 
 class TestRunPipeline:
     def test_end_to_end_shape(self, circuit_s):

@@ -178,6 +178,9 @@ def test_internal_solver_respects_balance(circuit, k, seed):
 @PROPERTY_SETTINGS
 @given(circuit=circuits(), data=st.data())
 def test_dependency_dag_is_acyclic(circuit, data):
+    """The DAG's edges follow part index order, so ``i < j`` holds by
+    construction: this says nothing about gate causality, which a part
+    order that respects the circuit's gate order would need."""
     assume(circuit.gates)
     k = data.draw(st.integers(min_value=1, max_value=4))
     labels = data.draw(

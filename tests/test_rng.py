@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcpart.rng import _FIRST_LANES, _LANES, SplitMix64, _lane_constants
+from qcpart.rng import _LANES, SplitMix64, _lane_constants
 
 COUNTS = (0, 1, 2, 63, 64, 65, 2047, 2048, 2049, 5000)
 
@@ -20,7 +20,6 @@ def test_draws_equal_scalar_draws(seed, count):
 OPS = st.one_of(
     st.tuples(st.just("draws"), st.sampled_from(COUNTS) | st.integers(0, 300)),
     st.tuples(st.just("next_u64"), st.integers(1, 3)),
-    st.tuples(st.just("draws_below"), st.sampled_from([0, 1, 2**63, 2**64])),
 )
 
 
@@ -28,19 +27,13 @@ OPS = st.one_of(
 @given(seed=st.integers(0, 2**64 - 1), ops=st.lists(OPS, max_size=6))
 def test_draws_interleave_with_the_other_draws(seed, ops):
     """Each call leaves the state where as many `next_u64` calls would, so
-    the calls after it read the same values. `draws_below` is read for its
-    first block, after which its state is at a block boundary."""
+    the calls after it read the same values."""
     rng, scalar = SplitMix64(seed), SplitMix64(seed)
     for op, arg in ops:
         if op == "draws":
             assert rng.draws(arg) == [scalar.next_u64() for _ in range(arg)]
-        elif op == "next_u64":
-            assert [rng.next_u64() for _ in range(arg)] == [scalar.next_u64() for _ in range(arg)]
         else:
-            flags = rng.draws_below(arg)
-            assert [next(flags) for _ in range(_FIRST_LANES)] == [
-                int(scalar.next_u64() < arg) for _ in range(_FIRST_LANES)
-            ]
+            assert [rng.next_u64() for _ in range(arg)] == [scalar.next_u64() for _ in range(arg)]
         assert rng.state == scalar.state
 
 

@@ -28,11 +28,14 @@ pair differs: a change that claims byte-identical outputs shows it with
 `--parent <its parent>`.
 
 Then, per workload, it prints the median of the per-instance time ratios
-change/parent with their quartiles, over every instance, seed and round, and
-each side's median instance time; then the same for the instances the
-parent solved and for those it raised SolverError on, each line left out
-when it has no runs. A change that stops failing solves sooner shows there
-as a ratio near 1 on the solved ones and a lower one on the failing ones.
+change/parent with their quartiles, over every instance, seed and round;
+the ratio of the two sides' summed times, which the benchmark's
+`gates_per_s` (gates over summed instance time) follows and a few long
+instances can pull away from the median; and each side's median instance
+time. Then it prints the same for the instances the parent solved and for
+those it raised SolverError on, each line left out when it has no runs. A
+change that stops failing solves sooner shows there as a ratio near 1 on
+the solved ones and a lower one on the failing ones.
 Timing both sides on the same instances in the same process cancels most of
 the drift that separate benchmark runs see, so a change of a few percent
 shows in a few rounds; a claimed gain still needs tools/bench_pairs.py.
@@ -110,7 +113,8 @@ def order(instance: int, round_: int) -> tuple[str, str]:
 
 def summarize(times: dict[str, list[float]]) -> dict:
     """The per-instance ratios change/parent: their median and quartiles,
-    with each side's median time; the lists hold matching runs in order."""
+    with the ratio of the summed times and each side's median time; the
+    lists hold matching runs in order."""
     ratios = [c / p for p, c in zip(times["parent"], times["change"])]
     if len(ratios) > 1:
         q1, median, q3 = statistics.quantiles(ratios, n=4)
@@ -121,6 +125,7 @@ def summarize(times: dict[str, list[float]]) -> dict:
         "ratio_median": median,
         "ratio_q1": q1,
         "ratio_q3": q3,
+        "ratio_total": sum(times["change"]) / sum(times["parent"]),
         "parent_median_ms": 1e3 * statistics.median(times["parent"]),
         "change_median_ms": 1e3 * statistics.median(times["change"]),
     }
@@ -138,8 +143,9 @@ def by_outcome(times: dict[str, list[float]], raised: list[bool]) -> dict:
 def report(workload: str, summary: dict) -> str:
     return (f"{workload}: {summary['runs']} runs per side, time ratio change/parent "
             f"median {summary['ratio_median']:.3f} (quartiles {summary['ratio_q1']:.3f}"
-            f"-{summary['ratio_q3']:.3f}); median instance parent "
-            f"{summary['parent_median_ms']:.3f} ms, change {summary['change_median_ms']:.3f} ms")
+            f"-{summary['ratio_q3']:.3f}), total {summary['ratio_total']:.3f}; "
+            f"median instance parent {summary['parent_median_ms']:.3f} ms, "
+            f"change {summary['change_median_ms']:.3f} ms")
 
 
 def measure(packages: dict, workload: str, seed: int, rounds: int, size: str):
