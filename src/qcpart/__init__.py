@@ -51,7 +51,6 @@ from .metrics import (
     fidelity,
     format_report,
     method_report,
-    pairwise_cuts,
     partition_metrics,
     report_to_dict,
     total_fidelity,

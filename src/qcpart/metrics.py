@@ -7,19 +7,20 @@ gate-level hyperedge with the same rate. Estimated SWAPs are logical
 realignments: one per shared global qubit whose local indices differ
 between two partitions.
 
-Nothing here scans every partition pair. Pairwise cuts read pairs from
-``pipeline.overlapping_pairs``; the SWAP estimate turns the same qubit ->
-holders index into a per-qubit list of (holder, local index) pairs, walks
-it with a per-qubit cursor and keeps only the misaligned (pair, qubit)
-entries, so both costs grow with the number of shared (pair, qubit) entries
-rather than with the square of the partition count. The waiver compares
-raw 64-bit draws with an integer threshold that decides exactly as the
-float test ``draw / 2**64 < 0.6``, and reads the draws from
-``SplitMix64.draws`` a block at a time; the stream belongs to the call, so
-drawing up to one block ahead changes no output. Counts, depth and gate
-validation read each partition's global gates: ``partition_metrics``
-counts their kinds and validation their (kind, global qubits) keys, and a
-kind, one object per (name, arity), hashes and compares by identity.
+Nothing here scans every partition pair. Both overlap figures read
+``pipeline``'s one qubit -> holders index: cut qubits are the qubits with
+two or more holders, and the SWAP estimate turns the index into a
+per-qubit list of (holder, local index) pairs, walks it with a per-qubit
+cursor and keeps only the misaligned (pair, qubit) entries, so its cost
+grows with the number of shared (pair, qubit) entries rather than with the
+square of the partition count. The waiver compares raw 64-bit draws with
+an integer threshold that decides exactly as the float test
+``draw / 2**64 < 0.6``, and reads the draws from ``SplitMix64.draws`` a
+block at a time; the stream belongs to the call, so drawing up to one
+block ahead changes no output. Counts, depth and gate validation read each
+partition's global gates: ``partition_metrics`` counts their kinds and
+validation their (kind, global qubits) keys, and a kind, one object per
+(name, arity), hashes and compares by identity.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 
 from .circuits import _RATE_FIELDS, CNOT, H, SWAP, Circuit, ErrorModel, Gate, GateKind, _check_int, gate_depth
-from .pipeline import Partition, _qubit_holders, overlapping_pairs
+from .pipeline import Partition, _qubit_holders
 from .rng import _LANES, SplitMix64
 
 # The smallest u64 draw u with u / 2**64 >= 0.6: a draw waives a SWAP exactly
@@ -100,15 +101,8 @@ class ComparisonReport:
 
 def cut_qubits(parts: Sequence[Partition]) -> set[int]:
     """Global qubits appearing in the maps of two or more partitions."""
-    counts: Counter[int] = Counter()
-    for p in parts:
-        counts.update(p.qubit_map.keys())
-    return {q for q, n in counts.items() if n >= 2}
-
-
-def pairwise_cuts(parts: Sequence[Partition]) -> dict[tuple[int, int], set[int]]:
-    """Non-empty qubit-map intersections for every partition pair i < j."""
-    return {(i, j): set(shared) for i, j, shared in overlapping_pairs(parts)}
+    holders = _qubit_holders(p.qubit_map for p in parts)
+    return {q for q, held in holders.items() if len(held) >= 2}
 
 
 def estimate_swaps(

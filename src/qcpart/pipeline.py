@@ -5,9 +5,10 @@ qubit map from them. Trimming, re-mapping and merging regroup gates and
 copy none. The dependency DAG follows partition index order: an edge
 i -> j for each pair i < j that shares a qubit, not gate causality.
 
-Work over many partitions goes through a qubit -> holders index (the
+Work over many partitions goes through one qubit -> holders index (the
 ascending indices of the partitions whose qubit maps hold each global
-qubit), so nothing scans every partition pair:
+qubit), read by merge, the dependency DAG and, in ``metrics``, the cut
+qubits and the SWAP estimate, so nothing scans every partition pair:
 
 - trimming buckets the gates by label in one pass, O(G);
 - each merge pass counts, for each partition, the qubits it shares with
@@ -16,12 +17,9 @@ qubit), so nothing scans every partition pair:
   intersections, and picks its partner in one loop over those counts;
 - merged partitions are built once, after the last pass, from their
   members' gates in order;
-- ``overlapping_pairs`` yields every intersecting pair with its shared
-  qubits at a cost that grows with the number of shared (pair, qubit)
-  entries, not with P^2. The dependency DAG and, in ``metrics``, the
-  pairwise cuts read pairs from it; the SWAP estimate turns the index into
-  a (holder, local index) table and walks that, keeping only the qubits
-  whose local indices differ.
+- the dependency DAG is the one walk over intersecting pairs: each
+  partition's edges come from the later holders of its qubits, at a cost
+  that grows with the number of shared (pair, qubit) entries, not with P^2.
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ from __future__ import annotations
 import logging
 from bisect import bisect_right
 from collections import Counter
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -117,20 +115,6 @@ def _qubit_holders(qubit_sets: Iterable[Iterable[int]]) -> dict[int, list[int]]:
         for q in qubits:
             holders.setdefault(q, []).append(i)
     return holders
-
-
-def overlapping_pairs(parts: Sequence[Partition]) -> Iterator[tuple[int, int, list[int]]]:
-    """(i, j, shared global qubits ascending) for every pair i < j whose qubit
-    maps intersect, in lexicographic (i, j) order."""
-    holders = _qubit_holders(p.qubit_map for p in parts)
-    for i, part in enumerate(parts):
-        shared: dict[int, list[int]] = {}
-        for q in part.qubit_map:
-            held = holders[q]
-            for j in held[bisect_right(held, i) :]:
-                shared.setdefault(j, []).append(q)
-        for j in sorted(shared):
-            yield i, j, shared[j]
 
 
 def merge_partitions(parts: Sequence[Partition], threshold: int) -> list[Partition]:
@@ -222,6 +206,16 @@ def run_hypergraph_pipeline(
 
 
 def build_dependency_graph(parts: Sequence[Partition]) -> DependencyDag:
-    """Edge i -> j for every i < j whose qubit maps intersect."""
-    edges = tuple((i, j, frozenset(shared)) for i, j, shared in overlapping_pairs(parts))
-    return DependencyDag(len(parts), edges)
+    """Edge i -> j, with the qubits i and j share, for every i < j whose
+    qubit maps intersect, in lexicographic (i, j) order."""
+    holders = _qubit_holders(p.qubit_map for p in parts)
+    edges = []
+    for i, part in enumerate(parts):
+        # later partition j -> the qubits it shares with i
+        shared: dict[int, list[int]] = {}
+        for q in part.qubit_map:
+            held = holders[q]
+            for j in held[bisect_right(held, i) :]:
+                shared.setdefault(j, []).append(q)
+        edges += [(i, j, frozenset(shared[j])) for j in sorted(shared)]
+    return DependencyDag(len(parts), tuple(edges))

@@ -79,6 +79,17 @@ def edge_families(circuit: q.Circuit) -> tuple[list[tuple[int, ...]], list[tuple
     return singletons, [chain for chain in on_qubit if len(chain) >= 2]
 
 
+def brute_force_km1(hg: q.Hypergraph, labels) -> float:
+    """Independent km1 oracle: enumerate each hyperedge's spanned parts."""
+    total = 0.0
+    for e in hg.hyperedges:
+        spanned = set()
+        for v in e.members:
+            spanned.add(labels[v])
+        total += e.weight * (len(spanned) - 1)
+    return total
+
+
 def random_h_cnot_circuit(rng: SplitMix64, num_qubits: int, num_gates: int) -> q.Circuit:
     """Each gate is H on a uniform qubit or CNOT on a uniform distinct pair, 50/50."""
     gates = []

@@ -11,23 +11,12 @@ import pytest
 import qcpart as q
 from qcpart.cli import main as cli_main
 
-from conftest import BASELINE_GROUPS, GOLDEN_HGR, REFERENCE_LABELS
+from conftest import BASELINE_GROUPS, GOLDEN_HGR, REFERENCE_LABELS, brute_force_km1
 
 
 def verdict(number: int, ok: bool) -> None:
     print(f"criterion {number}: {'PASS' if ok else 'FAIL'}")
     assert ok, f"criterion {number} failed"
-
-
-def brute_force_km1(hg: q.Hypergraph, labels) -> float:
-    """Independent oracle: per-edge spanned-part enumeration."""
-    total = 0.0
-    for e in hg.hyperedges:
-        spanned = set()
-        for v in e.members:
-            spanned.add(labels[v])
-        total += e.weight * (len(spanned) - 1)
-    return total
 
 
 def test_criterion_1_hypergraph_golden_file(circuit_s):

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -158,6 +162,22 @@ class TestCompare:
             doc = json.loads(out)
             doc.pop("timings")
             docs.append(doc)
+        assert docs[0] == docs[1]
+
+    def test_module_entry_point_matches_main(self, capsys):
+        # `python -m qcpart.cli` runs the module's `__main__` guard, on the
+        # same package this process imported
+        argv = ["compare", "--bench", "s", "--block-size", "4", "--k", "2", "--format", "json"]
+        path = [str(Path(q.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        proc = subprocess.run([sys.executable, "-m", "qcpart.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        docs = [json.loads(text) for text in (proc.stdout, out)]
+        for doc in docs:
+            doc.pop("timings")
         assert docs[0] == docs[1]
 
     def test_env_var_selects_external_solver(self, capsys, tmp_path, monkeypatch):

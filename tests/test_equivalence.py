@@ -302,7 +302,8 @@ class TestGoldenDigests:
         lines = []
         for name, circuit, chunks, _ in golden_cases:
             parts = q.create_trimmed_partitions(circuit, chunks)
-            lines.append((name, cuts_key(q.pairwise_cuts(parts)), sorted(q.cut_qubits(parts))))
+            cuts = {(i, j): set(s) for i, j, s in q.build_dependency_graph(parts).edges}
+            lines.append((name, cuts_key(cuts), sorted(q.cut_qubits(parts))))
         assert _digest(lines) == self.CUTS_DIGEST
 
     def test_swap_estimates(self, golden_cases):
@@ -486,8 +487,7 @@ def test_overlap_consumers_match_reference(case, block_size, heuristic_on, seed)
     circuit, labels = case
     baseline = q.remap_groups(circuit, q.block_partition(circuit, q.BaselineConfig(block_size)))
     for parts in (baseline, q.create_trimmed_partitions(circuit, labels)):
-        cuts = q.pairwise_cuts(parts)
-        assert cuts_key(cuts) == cuts_key(reference_pairwise_cuts(parts))
+        assert q.cut_qubits(parts) == set().union(*reference_pairwise_cuts(parts).values())
         assert q.build_dependency_graph(parts).edges == reference_dag_edges(parts)
         est = q.estimate_swaps(parts, heuristic_on=heuristic_on, seed=seed)
         assert swaps_key(est) == swaps_key(reference_estimate_swaps(parts, heuristic_on, seed))

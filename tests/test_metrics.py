@@ -76,10 +76,6 @@ class TestCutQubits:
         assert q.cut_qubits(baseline_partitions) == {0, 1, 4, 5}
         assert q.cut_qubits(reference_partitions) == {0, 1}
 
-    def test_pairwise_cuts(self, reference_partitions):
-        cuts = q.pairwise_cuts(reference_partitions)
-        assert cuts == {(0, 1): {0, 1}}
-
 
 class TestSwapEstimation:
     def test_baseline_reference(self, baseline_partitions):

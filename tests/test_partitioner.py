@@ -1,7 +1,9 @@
 import hashlib
+import importlib.util
 import math
 from fractions import Fraction
 import os
+from pathlib import Path
 import signal
 import stat
 import subprocess
@@ -17,18 +19,7 @@ from qcpart import partitioner as qp
 from qcpart.hypergraph import scaled_weights
 from qcpart.rng import SplitMix64
 
-from conftest import random_h_cnot_circuit
-
-
-def brute_force_km1(hg: q.Hypergraph, labels) -> float:
-    """Independent km1 oracle: enumerate each hyperedge's spanned parts."""
-    total = 0.0
-    for e in hg.hyperedges:
-        spanned = set()
-        for v in e.members:
-            spanned.add(labels[v])
-        total += e.weight * (len(spanned) - 1)
-    return total
+from conftest import brute_force_km1, random_h_cnot_circuit
 
 
 class TestDynamicK:
@@ -161,6 +152,15 @@ class TestBalance:
             q.random_balanced_assignment(q.Hypergraph(4, (1.0,) * 4, ()), k, seed=5)
 
 
+def load_oracle():
+    """The benchmark's exact feasibility oracle, imported from its file."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "oracle.py"
+    spec = importlib.util.spec_from_file_location("perfbench_oracle", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 class TestInternalSolver:
     def test_quality_bound_vs_reference_labels(self, hypergraph_s, reference_assignment):
         norm = q.normalize_weights(hypergraph_s)
@@ -173,6 +173,28 @@ class TestInternalSolver:
         a = q.partition(hypergraph_s, q.SolverConfig(k=2, seed=42))
         b = q.partition(hypergraph_s, q.SolverConfig(k=2, seed=42))
         assert a.labels == b.labels
+
+    def test_feasible_rejections_do_not_grow(self):
+        # A ratchet: the solver still raises SolverError on 51 of the paper
+        # grid's 168 feasible instances here. A change may lower the bound,
+        # never raise it; a solver that rejects only infeasible instances
+        # takes it to 0.
+        oracle = load_oracle()
+        feasible = rejected = 0
+        for name in ("s", "m", "l"):
+            hg = q.circuit_to_hypergraph(q.benchmark_circuit(name))
+            for k in (2, 3, 4, 6, 8):
+                for imbalance in (0.03, 0.05, 0.1):
+                    if not oracle.feasible(hg.node_weights, k, imbalance):
+                        continue
+                    for seed in range(4):
+                        feasible += 1
+                        try:
+                            q.partition(hg, q.SolverConfig(k=k, imbalance=imbalance, seed=seed))
+                        except q.SolverError:
+                            rejected += 1
+        assert feasible == 168
+        assert rejected <= 51
 
     def test_k_exceeding_nodes_rejected(self):
         hg = q.Hypergraph(2, (1.0, 1.0), ())

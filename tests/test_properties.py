@@ -2,6 +2,7 @@
 
 from collections import Counter
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -9,7 +10,7 @@ import qcpart as q
 from qcpart import partitioner
 from qcpart.hypergraph import scaled_weights
 
-from conftest import assert_hgr_round_trip, edge_families
+from conftest import REFERENCE_LABELS, assert_hgr_round_trip, edge_families
 
 PROPERTY_SETTINGS = settings(max_examples=200, deadline=None)
 
@@ -180,7 +181,8 @@ def test_internal_solver_respects_balance(circuit, k, seed):
 def test_dependency_dag_is_acyclic(circuit, data):
     """The DAG's edges follow part index order, so ``i < j`` holds by
     construction: this says nothing about gate causality, which a part
-    order that respects the circuit's gate order would need."""
+    order that respects the circuit's gate order would need
+    (``is_executable`` below checks that)."""
     assume(circuit.gates)
     k = data.draw(st.integers(min_value=1, max_value=4))
     labels = data.draw(
@@ -197,6 +199,70 @@ def test_dependency_dag_is_acyclic(circuit, data):
     order = list(range(dag.num_partitions))
     position = {p: i for i, p in enumerate(order)}
     assert all(position[i] < position[j] for i, j, _ in dag.edges)
+
+
+def causal_handoffs(circuit, part_of):
+    """The causal quotient graph's edges, one per handoff: a pair of
+    consecutive gates on one qubit, the first in part a and the second in
+    part b != a, draws a -> b. ``part_of[i]`` is gate i's part."""
+    last = {}  # qubit -> the part of its latest gate
+    handoffs = []
+    for idx, gate in enumerate(circuit.gates):
+        part = part_of[idx]
+        for qubit in gate.qubits:
+            if last.get(qubit, part) != part:
+                handoffs.append((last[qubit], part))
+            last[qubit] = part
+    return handoffs
+
+
+def is_executable(handoffs) -> bool:
+    """Whether the handoff graph is acyclic, so some order of the parts
+    runs each gate after the earlier gates on its qubits: parts with no
+    incoming handoff are peeled off until no edge is left, or a cycle is."""
+    edges = set(handoffs)
+    while edges:
+        sources = {a for a, _ in edges} - {b for _, b in edges}
+        if not sources:
+            return False
+        edges = {(a, b) for a, b in edges if a not in sources}
+    return True
+
+
+def block_labels(groups):
+    """Gate index -> its block, from `block_partition`'s groups."""
+    return {idx: part for part, group in enumerate(groups) for idx in group}
+
+
+@PROPERTY_SETTINGS
+@given(circuit=circuits(), block_size=st.integers(min_value=3, max_value=6))
+def test_block_baseline_is_executable(circuit, block_size):
+    groups = q.block_partition(circuit, q.BaselineConfig(block_size))
+    assert is_executable(causal_handoffs(circuit, block_labels(groups)))
+
+
+@pytest.mark.parametrize(("bench", "count"), [("s", 10), ("m", 55), ("l", 91)])
+def test_block_baseline_handoffs(bench, count):
+    circuit = q.benchmark_circuit(bench)
+    groups = q.block_partition(circuit, q.BaselineConfig(4))
+    handoffs = causal_handoffs(circuit, block_labels(groups))
+    assert len(handoffs) == count
+    assert is_executable(handoffs)
+
+
+def test_quick_partitioner_fixture_is_executable():
+    circuit = q.benchmark_circuit("s")
+    groups = q.load_fixture(q.builtin_fixture_text("quick_s"), circuit)
+    handoffs = causal_handoffs(circuit, block_labels(groups))
+    assert len(handoffs) == 9
+    assert is_executable(handoffs)
+
+
+def test_reference_labels_are_not_executable():
+    # part 0 hands qubits to part 1 and part 1 hands others back
+    handoffs = causal_handoffs(q.benchmark_circuit("s"), REFERENCE_LABELS)
+    assert len(handoffs) == 7
+    assert not is_executable(handoffs)
 
 
 @PROPERTY_SETTINGS
