@@ -60,21 +60,15 @@ class Hyperedge:
 
 def _check_weights(weights, what: str) -> None:
     """Raise ValueError naming the first weight that is negative, NaN,
-    infinite or an int past the float range. min and sum run in C; only when
-    they fail is the weight looked for (a sum of finite weights that
-    overflows finds none and passes)."""
-    try:
-        ok = min(weights, default=0) >= 0 and math.isfinite(sum(weights))
-    except OverflowError:  # an int past the float range
-        ok = False
-    if not ok:
-        for i, w in enumerate(weights):
-            if not 0 <= w < math.inf:  # False for NaN too
-                raise ValueError(
-                    f"{what} {i} has weight {w!r}; a {what} weight must be finite and >= 0"
-                )
-            if w > sys.float_info.max:
-                raise ValueError(f"{what} {i} has a weight past the float range")
+    infinite or an int past the float range. Each weight is checked on its
+    own, so finite weights whose sum overflows pass."""
+    for i, w in enumerate(weights):
+        if not 0 <= w < math.inf:  # False for NaN too
+            raise ValueError(
+                f"{what} {i} has weight {w!r}; a {what} weight must be finite and >= 0"
+            )
+        if w > sys.float_info.max:
+            raise ValueError(f"{what} {i} has a weight past the float range")
 
 
 @dataclass(frozen=True)

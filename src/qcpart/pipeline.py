@@ -161,11 +161,7 @@ def merge_partitions(parts: Sequence[Partition], threshold: int) -> list[Partiti
                 next_members.append(members[i])
                 next_qubits.append(qubits[i])
         members, qubits = next_members, next_qubits
-    return [
-        parts[group[0]] if len(group) == 1
-        else Partition([g for idx in group for g in parts[idx].gates])
-        for group in members
-    ]
+    return [Partition([g for idx in group for g in parts[idx].gates]) for group in members]
 
 
 @dataclass(frozen=True)

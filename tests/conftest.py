@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
+from hypothesis import settings
 
 import qcpart as q
 from qcpart.rng import SplitMix64
@@ -62,6 +65,9 @@ GOLDEN_HGR = """16 22 1
 200
 """
 
+# Hypothesis settings of the randomized suites: at least 200 cases each.
+PROPERTY_SETTINGS = settings(max_examples=200, deadline=None)
+
 # Characters that `str.split()` reads as spaces and `str.splitlines()` as
 # line ends; the text formats end a line only at LF, CR LF and CR.
 SPACES_NOT_LINE_ENDS = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
@@ -77,6 +83,11 @@ def edge_families(circuit: q.Circuit) -> tuple[list[tuple[int, ...]], list[tuple
     on_qubit = (tuple(i for i, g in enumerate(gates) if qubit in g.qubits)
                 for qubit in range(circuit.num_qubits))
     return singletons, [chain for chain in on_qubit if len(chain) >= 2]
+
+
+def digest(lines) -> str:
+    """SHA-256 hex digest of the lines joined by newlines."""
+    return hashlib.sha256("\n".join(map(str, lines)).encode()).hexdigest()
 
 
 def brute_force_km1(hg: q.Hypergraph, labels) -> float:

@@ -9,22 +9,19 @@ partition as the eager code built it: a local-indexed subcircuit of new
 ``Gate`` objects plus its qubit map.
 """
 
-import hashlib
 from collections import Counter
 from itertools import chain, islice
 from typing import NamedTuple
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import qcpart as q
 from qcpart.metrics import _WAIVE_BELOW, _waiver_draws
 from qcpart.rng import _LANES, SplitMix64
 
-from conftest import random_h_cnot_circuit
-
-PROPERTY_SETTINGS = settings(max_examples=200, deadline=None)
+from conftest import PROPERTY_SETTINGS, digest, random_h_cnot_circuit
 
 
 # ---------------------------------------------------------------------------
@@ -206,10 +203,6 @@ def swaps_key(est):
     )
 
 
-def _digest(lines) -> str:
-    return hashlib.sha256("\n".join(map(str, lines)).encode()).hexdigest()
-
-
 # ---------------------------------------------------------------------------
 # Golden digests
 # ---------------------------------------------------------------------------
@@ -274,21 +267,21 @@ class TestGoldenDigests:
             for b in range(2, 9):
                 groups = q.block_partition(circuit, q.BaselineConfig(b))
                 lines.append((name, b, tuple(map(tuple, groups))))
-        assert _digest(lines) == self.BLOCK_DIGEST
+        assert digest(lines) == self.BLOCK_DIGEST
 
     def test_trimmed_parts(self, golden_cases):
         lines = []
         for name, circuit, chunks, random_labels in golden_cases:
             lines.append((name, "chunks", parts_key(q.create_trimmed_partitions(circuit, chunks))))
             lines.append((name, "random", parts_key(q.create_trimmed_partitions(circuit, random_labels))))
-        assert _digest(lines) == self.TRIM_DIGEST
+        assert digest(lines) == self.TRIM_DIGEST
 
     def test_merged_parts(self, golden_cases):
         lines = []
         for name, parts in _merge_inputs(golden_cases):
             for threshold in (1, 2, 3):
                 lines.append((name, threshold, parts_key(q.merge_partitions(parts, threshold))))
-        assert _digest(lines) == self.MERGE_DIGEST
+        assert digest(lines) == self.MERGE_DIGEST
 
     def test_dag_edges(self, golden_cases):
         lines = []
@@ -296,7 +289,7 @@ class TestGoldenDigests:
             lines.append((name, dag_key(q.build_dependency_graph(parts))))
             merged = q.merge_partitions(parts, 2)
             lines.append((name, dag_key(q.build_dependency_graph(merged))))
-        assert _digest(lines) == self.DAG_DIGEST
+        assert digest(lines) == self.DAG_DIGEST
 
     def test_pairwise_cuts(self, golden_cases):
         lines = []
@@ -304,7 +297,7 @@ class TestGoldenDigests:
             parts = q.create_trimmed_partitions(circuit, chunks)
             cuts = {(i, j): set(s) for i, j, s in q.build_dependency_graph(parts).edges}
             lines.append((name, cuts_key(cuts), sorted(q.cut_qubits(parts))))
-        assert _digest(lines) == self.CUTS_DIGEST
+        assert digest(lines) == self.CUTS_DIGEST
 
     def test_swap_estimates(self, golden_cases):
         lines = []
@@ -316,7 +309,7 @@ class TestGoldenDigests:
                     for seed in (0, 42):
                         est = q.estimate_swaps(parts, heuristic_on=heuristic_on, seed=seed)
                         lines.append((name, label, heuristic_on, seed, swaps_key(est)))
-        assert _digest(lines) == self.SWAP_DIGEST
+        assert digest(lines) == self.SWAP_DIGEST
 
 
 # ---------------------------------------------------------------------------

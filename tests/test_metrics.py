@@ -9,20 +9,6 @@ def product_fidelity_oracle(h, c, s, eps_h=0.001, eps_c=0.05):
 
 
 class TestFidelity:
-    @pytest.mark.parametrize(
-        "h,c,s,expected",
-        [
-            (7, 4, 4, 0.4370),
-            (0, 1, 3, 0.5987),
-            (4, 1, 0, 0.9462),
-            (1, 1, 0, 0.9491),
-            (0, 1, 1, 0.8145),
-            (0, 2, 0, 0.9025),
-        ],
-    )
-    def test_reference_values(self, h, c, s, expected):
-        assert q.fidelity(h, c, s) == pytest.approx(expected, abs=5e-4)
-
     def test_matches_direct_product(self):
         for h, c, s in [(0, 0, 0), (3, 2, 1), (10, 5, 0), (1, 0, 7)]:
             assert q.fidelity(h, c, s) == pytest.approx(
@@ -69,12 +55,6 @@ class TestFidelity:
         assert q.total_fidelity([0.5, 0.5]) == pytest.approx(0.25)
         with pytest.raises(ValueError):
             q.total_fidelity([1.2])
-
-
-class TestCutQubits:
-    def test_reference_values(self, baseline_partitions, reference_partitions):
-        assert q.cut_qubits(baseline_partitions) == {0, 1, 4, 5}
-        assert q.cut_qubits(reference_partitions) == {0, 1}
 
 
 class TestSwapEstimation:

@@ -16,26 +16,6 @@ class TestPartitionDataclass:
 
 
 class TestTrimming:
-    def test_reference_labels(self, reference_partitions):
-        p0, p1 = reference_partitions
-        assert p0.qubit_map == {0: 0, 1: 1, 2: 2, 3: 3}
-        assert p1.qubit_map == {0: 0, 1: 1, 4: 2, 5: 3}
-        assert len(p0.gates) == 11
-        assert len(p1.gates) == 11
-
-    def test_reference_subcircuits(self, circuit_s, reference_partitions):
-        from conftest import REFERENCE_LABELS
-
-        p0, p1 = reference_partitions
-        expected0 = [
-            g for g, l in zip(circuit_s.gates, REFERENCE_LABELS) if l == 0
-        ]
-        assert list(p0.gates) == expected0
-        expected1 = [
-            g for g, l in zip(circuit_s.gates, REFERENCE_LABELS) if l == 1
-        ]
-        assert list(p1.gates) == expected1
-
     def test_label_count_mismatch(self, circuit_s):
         with pytest.raises(ValueError):
             q.create_trimmed_partitions(circuit_s, [0] * 5)
@@ -108,13 +88,6 @@ class TestMerging:
 
 
 class TestDependencyDag:
-    def test_reference_partitions(self, reference_partitions):
-        dag = q.build_dependency_graph(reference_partitions)
-        assert dag.num_edges == 1
-        i, j, shared = dag.edges[0]
-        assert (i, j) == (0, 1)
-        assert shared == frozenset({0, 1})
-
     def test_disjoint_partitions(self):
         a = q.Partition([q.h(0)])
         b = q.Partition([q.h(1)])

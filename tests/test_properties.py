@@ -3,16 +3,14 @@
 from collections import Counter
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import qcpart as q
 from qcpart import partitioner
 from qcpart.hypergraph import scaled_weights
 
-from conftest import REFERENCE_LABELS, assert_hgr_round_trip, edge_families
-
-PROPERTY_SETTINGS = settings(max_examples=200, deadline=None)
+from conftest import PROPERTY_SETTINGS, REFERENCE_LABELS, assert_hgr_round_trip, edge_families
 
 
 @st.composite
