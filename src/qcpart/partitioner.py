@@ -15,7 +15,9 @@ kept for the whole round. One bisection state per level, `_Bisection`,
 owns the sides, side loads, cut, per-side flat lists of per-edge pin
 counts and move gains that refinement, repair and candidate selection
 all read. A move updates only the pins whose gain changes, by fixed
-per-side deltas. An FM pass applies its moves inline and keeps one
+per-side deltas. An FM pass ends once `_STALL_MOVES` moves in a row have
+made no new best prefix, as KaHyPar's and Mt-KaHyPar's FM end a pass
+once further moves stop paying. It applies its moves inline and keeps one
 scalar bound on the unlocked clusters' gains, so its selection scan
 stops at the first movable cluster that reaches it; it copies its state
 before a move leaves its best prefix, and a rolled-back pass flips the
@@ -25,17 +27,21 @@ Every weight the solver sees is an int: node weights in one unit, 1/u for
 u the largest power-of-two denominator of a node weight, with the cap
 floored in it, and edge weights as `scaled_weights` scales them. Loads,
 the cut and gains are exact, whatever order they are summed in.
-Every restart, the flat retry on the finest level included, runs through
-`_uncoarsen`. Two prunings skip only work whose outcome is already known:
-an FM pass stops once the weight of edges with locked clusters on both
-sides (cut for the rest of the pass) leaves no later prefix able to beat
-the best one, and a restart stops as soon as an FM pass starts at some
-level from a side that an earlier restart's pass started from there, or
-from its mirror when both sides have the same cap, since the rest of a
-restart is deterministic, draws nothing from the RNG and treats the two
-sides alike when their caps are equal. k > 2 is handled by recursive
-bisection, where a side left empty leaves its parts empty; k = 1 labels
-every node 0 and builds no sub-problem. A solve stops early, with the
+Every restart is multilevel and runs through `_uncoarsen`. When none of
+the first `_RESTARTS` can be repaired into balance at the coarsest
+level, a retry of as many restarts keeps the hierarchy: each draws its
+side at the coarsest level and is repaired at the coarsest level where
+its projected side can be, the finest one last. Two prunings skip only
+work whose outcome is already known: an FM pass stops once the weight of
+edges with locked clusters on both sides (cut for the rest of the pass)
+leaves no later prefix able to beat the best one, and a restart stops as
+soon as an FM pass starts at some level from a side that an earlier
+restart's pass started from there, or from its mirror when both sides
+have the same cap, since the rest of a restart is deterministic, draws
+nothing from the RNG and treats the two sides alike when their caps are
+equal. k > 2 is handled by recursive bisection, where a side left empty
+leaves its parts empty; k = 1 labels every node 0 and builds no
+sub-problem. A solve stops early, with the
 error it would end in anyway, when the top instance or a side with two
 or more parts provably has no packing into its parts under the cap
 (`_unpackable`): a solve that completes leaves every part within the cap,
@@ -69,6 +75,7 @@ from .rng import SplitMix64
 
 INTERNAL = "internal"
 _RESTARTS = 4
+_STALL_MOVES = 16  # an FM pass ends after this many moves past its best prefix
 _EXTERNAL_TIMEOUT_S = 600.0  # wall-clock limit for one external solver run
 _NO_BISECTION = "no balanced bisection found at the configured imbalance"
 
@@ -419,7 +426,8 @@ def _refine(bis: _Bisection, seen: set | None = None, level: int = 0) -> bool:
     Each pass tentatively moves every cluster at most once, always taking
     the highest-gain move among unlocked clusters whose move fits the target
     cap plus slack, the lowest cluster index on ties, even when the gain is
-    negative. The slack is the heaviest cluster weight, so weight exchanges
+    negative, until `_STALL_MOVES` moves in a row have made no new best
+    prefix. The slack is the heaviest cluster weight, so weight exchanges
     stay reachable, but the pass rolls back to the best prefix whose loads
     satisfy both caps. A pass applies its moves inline, with
     `_Bisection.move`'s deltas, in one loop over the moved cluster's edges
@@ -455,7 +463,7 @@ def _refine(bis: _Bisection, seen: set | None = None, level: int = 0) -> bool:
     pass and L the weight of such edges, no later prefix gains more than
     C0 - L. The pass therefore stops once that bound cannot beat the best
     prefix, and a pass that starts uncut moves nothing. The bound is an
-    exact int, so the labels are those of a full pass.
+    exact int, so the labels are those of a pass without this stop.
     """
     inst, side = bis.inst, bis.side
     weights, incident, edges = inst.weights, inst.incident, inst.edges
@@ -486,7 +494,8 @@ def _refine(bis: _Bisection, seen: set | None = None, level: int = 0) -> bool:
         best_running, best_prefix = 0, 0
         saved = None  # the state at the best prefix, copied when a move leaves it
         bound = -below  # never below an unlocked cluster's gain
-        while unlocked and locked_cut < cut - best_running:
+        while (unlocked and locked_cut < cut - best_running
+               and len(moves) - best_prefix < _STALL_MOVES):
             best_v, best_gain, top = -1, below, below
             for v in unlocked:
                 gain = gains[v]
@@ -582,25 +591,34 @@ def _project(coarse: _Instance, coarse_side: list[int]) -> list[int]:
     return [coarse_side[c] for c in coarse.fine_to_coarse]
 
 
-def _uncoarsen(levels: list[_Instance], side: list[int], seen: set) -> _Bisection | None:
+def _uncoarsen(levels: list[_Instance], side: list[int], seen: set,
+               descend: bool) -> _Bisection | None:
     """Run one restart from `side` at the coarsest level; the finest `_Bisection`.
 
     Repairs the balance at the coarsest level if needed, refines there, then
-    projects and refines down to the finest level. Refinement keeps a
+    projects and refines down to the finest level. With `descend`, a failed
+    repair projects its side to the next finer level, whose clusters are
+    lighter, and repairs on from there, so refinement starts at the coarsest
+    level where the repair succeeds, the finest one last. Refinement keeps a
     feasible split feasible, and a projected split has the same loads, exact
     sums of the same integers, so every level's split meets the caps.
-    Returns None when the repair fails, or as soon as an FM pass starts
-    from a (level, side) already in `seen`; `_refine` records every pass
-    start there. With equal caps a side and its mirror (every side flipped)
-    share one key, the orientation with cluster 0 on side 0: refinement
-    and projection from the mirror end on the mirror of the same result,
-    with the same cut and the two loads swapped.
+    Returns None when the repair fails (at the finest level, with
+    `descend`), or as soon as an FM pass starts from a (level, side)
+    already in `seen`; `_refine` records every pass start there. With equal
+    caps a side and its mirror (every side flipped) share one key, the
+    orientation with cluster 0 on side 0: repair, refinement and projection
+    from the mirror end on the mirror of the same result, with the same cut
+    and the two loads swapped.
     """
-    bis = _Bisection(levels[-1], side)
-    if not _repair_balance(bis):
-        return None
-    for level in range(len(levels) - 1, -1, -1):
-        if level < len(levels) - 1:
+    top = len(levels) - 1
+    bis = _Bisection(levels[top], side)
+    while not _repair_balance(bis):
+        if not descend or top == 0:
+            return None
+        top -= 1
+        bis = _Bisection(levels[top], _project(levels[top + 1], bis.side))
+    for level in range(top, -1, -1):
+        if level < top:
             bis = _Bisection(levels[level], _project(levels[level + 1], bis.side))
         if not _refine(bis, seen, level):
             return None
@@ -610,6 +628,10 @@ def _uncoarsen(levels: list[_Instance], side: list[int], seen: set) -> _Bisectio
 def _solve_bisection(inst: _Instance, rng: SplitMix64) -> _Bisection | None:
     """Multilevel bisection of one instance; None if no balanced split found.
 
+    Coarsens once, then runs _RESTARTS restarts from the coarsest level:
+    the greedy assignment first, then random sides. When none of them can
+    be repaired into balance there, _RESTARTS more random restarts keep the
+    hierarchy and repair on at finer levels (`_uncoarsen` with `descend`).
     Keeps the restart with the lowest cut, the earliest on ties. A restart
     that `_uncoarsen` stops at a repeated pass start would end as an
     earlier one or its mirror, with the same cut, which the strict `<`
@@ -629,19 +651,17 @@ def _solve_bisection(inst: _Instance, rng: SplitMix64) -> _Bisection | None:
     best: _Bisection | None = None
     seen: set[tuple[int, tuple[int, ...]]] = set()
     for restart in range(2 * _RESTARTS):
-        if restart == _RESTARTS:
-            if best is not None:
-                break
-            # Coarse-level restarts could not be repaired into balance; retry
-            # flat on the finest level, where individual clusters are lighter.
-            # `seen` is empty: the first restart past repair records it and sets `best`
-            levels = [inst]
+        # The retry runs only when no restart could be repaired at the
+        # coarsest level, so `seen` is empty: the first retry past repair
+        # records it and sets `best`.
+        if restart == _RESTARTS and best is not None:
+            break
         coarse = levels[-1]
         if restart == 0:
             side = _greedy_initial(coarse)
         else:
             side = [u % 2 for u in rng.draws(len(coarse.weights))]
-        bis = _uncoarsen(levels, side, seen)
+        bis = _uncoarsen(levels, side, seen, restart >= _RESTARTS)
         if bis is not None and (best is None or bis.cut < best.cut):
             best = bis
     return best

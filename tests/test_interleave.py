@@ -1,6 +1,6 @@
-"""The digest lines, their comparison, the summary, side order and package
-loading of tools/interleave.py; nothing here exports a revision, runs a
-benchmark instance or starts a subprocess."""
+"""The digest lines, their comparison, the quality lines, the summary, side
+order and package loading of tools/interleave.py; nothing here exports a
+revision, runs a benchmark instance or starts a subprocess."""
 
 import hashlib
 import importlib.util
@@ -48,12 +48,20 @@ def test_a_missing_line_differs():
     assert lines[-1] == "DIFFERS    2 parent lines, 1 change lines"
 
 
+def _quality(km1, km1_random, gain):
+    return interleave.checks.Quality(solved=True, rejected=False, km1=km1,
+                                     km1_random=km1_random, log_fidelity_gain=gain)
+
+
 def test_main_exits_1_when_a_side_differs(monkeypatch, capsys):
+    qualities = {"parent": [_quality(1.0, 2.0, 3.0)], "change": [None]}
+
     def fake_measure(packages, workload, seed, rounds, size):
         assert (list(packages), workload, seed, rounds, size) == (
             ["parent", "change"], "synth-solve", 3, 1, "tiny")
         change = B if same else interleave.line("synth-solve", 7, 240, 0, "d" * 64)
-        return {"parent": B, "change": change}, {"parent": [0.002], "change": [0.001]}, [False]
+        return ({"parent": B, "change": change}, {"parent": [0.002], "change": [0.001]},
+                [False], qualities)
 
     monkeypatch.setattr(interleave, "export", lambda rev, dest: "f" * 40)
     monkeypatch.setattr(interleave, "load_package", lambda root, name: name)
@@ -64,6 +72,7 @@ def test_main_exits_1_when_a_side_differs(monkeypatch, capsys):
         out = capsys.readouterr().out.splitlines()
         assert out[0] == f"parent {'f' * 40}, seed 3, size tiny, 1 rounds"
         assert out[1].startswith("identical" if same else "DIFFERS")
+        assert out[-4:-2] == interleave.quality_report("synth-solve", qualities)
         summary = interleave.summarize({"parent": [0.002], "change": [0.001]})
         assert out[-2:] == [interleave.report("synth-solve", summary),
                             interleave.report("synth-solve solved", summary)]
@@ -74,7 +83,8 @@ def test_repeated_seed_gives_one_line_per_seed_and_workload(monkeypatch, capsys)
 
     def fake_measure(packages, workload, seed, rounds, size):
         calls.append((list(packages), workload, seed))
-        return {"change": interleave.line(workload, seed, 1, 0, "e" * 64)}, {"change": [1.0]}, []
+        return ({"change": interleave.line(workload, seed, 1, 0, "e" * 64)}, {"change": [1.0]},
+                [], {"change": [_quality(1.0, 2.0, 0.5)]})
 
     monkeypatch.setattr(interleave, "load_package", lambda root, name: name)
     monkeypatch.setattr(interleave, "measure", fake_measure)
@@ -88,10 +98,54 @@ def test_repeated_seed_gives_one_line_per_seed_and_workload(monkeypatch, capsys)
         interleave.line("many-parts", 7, 1, 0, "e" * 64),
         interleave.line("paper-grid", 23, 1, 0, "e" * 64),
         interleave.line("many-parts", 23, 1, 0, "e" * 64),
+        *interleave.quality_report("paper-grid", {"change": [_quality(1.0, 2.0, 0.5)] * 2}),
+        *interleave.quality_report("many-parts", {"change": [_quality(1.0, 2.0, 0.5)] * 2}),
     ]
     calls.clear()
     assert interleave.main([]) == 0
     assert [call[1:] for call in calls] == [(name, 7) for name in interleave.bench.WORKLOADS]
+
+
+def test_quality_is_taken_over_the_instances_every_side_solved():
+    qualities = {
+        "parent": [_quality(1.0, 4.0, 2.0), _quality(3.0, 3.0, 4.0), _quality(5.0, 5.0, 0.0),
+                   None],
+        "change": [_quality(1.0, 1.0, 4.0), _quality(8.0, 2.0, 0.0), None,
+                   _quality(1.0, 2.0, 3.0)],
+    }
+    # both sides solved instances 0 and 1: geomeans of 1/4, 1 and of 1, 4
+    assert interleave.quality_report("synth-solve", qualities) == [
+        "synth-solve parent: 4 instances, 1 SolverError; over the 2 every side solved, "
+        "geomean km1/km1(random) 0.5000, mean ln F gain 3.000",
+        "synth-solve change: 4 instances, 1 SolverError; over the 2 every side solved, "
+        "geomean km1/km1(random) 2.0000, mean ln F gain 2.000",
+    ]
+
+
+def test_quality_without_an_instance_every_side_solved_gives_counts():
+    solved = _quality(1.0, 2.0, 1.0)
+    qualities = {"parent": [None, solved], "change": [solved, None]}
+    assert interleave.quality_report("paper-grid", qualities) == [
+        "paper-grid parent: 2 instances, 1 SolverError",
+        "paper-grid change: 2 instances, 1 SolverError",
+    ]
+
+
+def test_quality_of_a_solve_is_the_benchmarks_with_or_without_its_report():
+    circuit = q.benchmark_circuit("s")
+    inst = interleave.bench.Instance("s", q.serialize_circuit(circuit), len(circuit), k=2,
+                                     imbalance=0.1, seed=1, block_size=4, compare=False)
+    result = q.run_hypergraph_pipeline(circuit, k=2, imbalance=0.1, seed=1)
+    baseline = q.remap_groups(circuit, q.block_partition(circuit, q.BaselineConfig(4)))
+    report = q.build_report(circuit, baseline, list(result.partitions))
+    compared = interleave.bench.Outcome(circuit, result, report)
+    expected = interleave.checks.quality(q, inst, compared, True, report)
+    assert interleave.solved_quality(q, inst, compared) == expected
+    uncompared = interleave.bench.Outcome(circuit, result)
+    assert interleave.solved_quality(q, inst, uncompared) == expected
+    assert expected.km1 == q.km1(result.hypergraph, result.assignment) > 0
+    failed = interleave.bench.Outcome(circuit, error="no balanced bisection")
+    assert interleave.solved_quality(q, inst, failed) is None
 
 
 def test_summary_takes_quartiles_of_the_per_run_ratios():

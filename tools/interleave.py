@@ -14,8 +14,14 @@ stand-in solver come from this checkout.
 A side's first round gives one line per seed and workload: the workload and
 seed, the instance count, how many raised SolverError, and the SHA-256 over
 the instances' `perfbench/checks.digest` values, which hash every label,
-part, DAG edge and report figure. Without --parent it prints this checkout's
-lines and stops.
+part, DAG edge and report figure. Per workload and side follows a quality
+line over every seed: the instance and SolverError counts and, over the
+instances every side solved, the geomean of km1/km1(random, that is
+`random_balanced_assignment`) and the mean ln F gain over the block
+baseline, each instance's figures from `perfbench/checks.quality` as a
+benchmark run computes them, so a change that changes labels shows whether
+it keeps quality. Without --parent it prints this checkout's lines and
+stops.
 
 With --parent, REV's committed files are exported with `git archive` into a
 temporary directory, as tools/bench_pairs.py does, and both sides' `qcpart`
@@ -23,9 +29,9 @@ packages are imported into this process under two package names: REV's,
 and this checkout's as it stands, uncommitted edits included. Each instance
 runs once per side per round (default 1 round), the side that runs first
 alternating from instance to instance and from round to round. It prints
-the two sides' lines paired, `identical` or `DIFFERS`, and exits 1 when any
-pair differs: a change that claims byte-identical outputs shows it with
-`--parent <its parent>`.
+the two sides' lines paired, `identical` or `DIFFERS`, then the quality
+lines, and exits 1 when any pair differs: a change that claims
+byte-identical outputs shows it with `--parent <its parent>`.
 
 Then, per workload, it prints the median of the per-instance time ratios
 change/parent with their quartiles, over every instance, seed and round;
@@ -46,6 +52,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import importlib.util
+import math
 import statistics
 import sys
 import tempfile
@@ -148,13 +155,50 @@ def report(workload: str, summary: dict) -> str:
             f"change {summary['change_median_ms']:.3f} ms")
 
 
+def solved_quality(q, inst, outcome):
+    """`checks.quality` of an outcome that solved, judged by the report a
+    benchmark run judges it by; None for one that raised."""
+    if outcome.error is not None:
+        return None
+    judged = outcome.report
+    if judged is None:  # a workload that compares after the instance
+        circuit = outcome.circuit
+        groups = q.block_partition(circuit, q.BaselineConfig(inst.block_size))
+        judged = q.build_report(circuit, q.remap_groups(circuit, groups),
+                                list(outcome.result.partitions))
+    # labels within the cap show the instance feasible
+    return checks.quality(q, inst, outcome, True, judged)
+
+
+def quality_report(workload: str, qualities: dict[str, list]) -> list[str]:
+    """One line per side: its instance and SolverError counts (a None is a
+    run that raised) and, over the instances every side solved, the
+    geomean km1/km1(random) and the mean ln F gain, as the benchmark's
+    km1_ratio and fidelity_log_ratio take them."""
+    runs = zip(*qualities.values())
+    both = [i for i, row in enumerate(runs) if None not in row]
+    out = []
+    for side, side_runs in qualities.items():
+        text = (f"{workload} {side}: {len(side_runs)} instances, "
+                f"{sum(x is None for x in side_runs)} SolverError")
+        if both:
+            ratio = math.exp(statistics.fmean(
+                math.log(side_runs[i].km1 / side_runs[i].km1_random) for i in both))
+            gain = statistics.fmean(side_runs[i].log_fidelity_gain for i in both)
+            text += (f"; over the {len(both)} every side solved, geomean km1/km1(random) "
+                     f"{ratio:.4f}, mean ln F gain {gain:.3f}")
+        out.append(text)
+    return out
+
+
 def measure(packages: dict, workload: str, seed: int, rounds: int, size: str):
     """Run the workload's instances for seed on each side in `packages`,
     after an untimed pass over its tiny instances runs every code path.
 
     Returns each side's line from its first round; each side's time per
-    instance run, in matching order; and per run whether the parent's run
-    raised SolverError, empty without a parent."""
+    instance run, in matching order; per run whether the parent's run
+    raised SolverError, empty without a parent; and each side's
+    `solved_quality` per instance from its first round."""
     for q in packages.values():
         for inst in bench.warmup_instances(q, bench.WORKLOADS[workload]):
             bench.run_instance(q, inst, SOLVER)
@@ -162,6 +206,7 @@ def measure(packages: dict, workload: str, seed: int, rounds: int, size: str):
     digests = {side: [] for side in packages}
     errors = dict.fromkeys(packages, 0)
     times = {side: [] for side in packages}
+    qualities = {side: [] for side in packages}
     raised = []
     for round_ in range(rounds):
         for i, inst in enumerate(instances):
@@ -177,22 +222,26 @@ def measure(packages: dict, workload: str, seed: int, rounds: int, size: str):
                 if round_ == 0:
                     errors[side] += failed
                     digests[side].append(checks.digest(outcome))
+                    qualities[side].append(solved_quality(packages[side], inst, outcome))
     lines = {side: line(workload, seed, len(instances), errors[side], combine(digests[side]))
              for side in packages}
-    return lines, times, raised
+    return lines, times, raised, qualities
 
 
 def run(packages: dict, workloads: list[str], seeds: list[int], rounds: int, size: str):
     """`measure` for every seed and workload: each side's lines, seed by
-    seed, and each workload's times and parent outcomes over every seed."""
+    seed, and each workload's times, parent outcomes and qualities over
+    every seed."""
     lines = {side: [] for side in packages}
-    timing = {name: ({side: [] for side in packages}, []) for name in workloads}
+    timing = {name: ({side: [] for side in packages}, [], {side: [] for side in packages})
+              for name in workloads}
     for seed in seeds:
         for name in workloads:
-            got, times, raised = measure(packages, name, seed, rounds, size)
+            got, times, raised, qualities = measure(packages, name, seed, rounds, size)
             for side in packages:
                 lines[side].append(got[side])
                 timing[name][0][side] += times[side]
+                timing[name][2][side] += qualities[side]
             timing[name][1].extend(raised)
     return lines, timing
 
@@ -211,9 +260,11 @@ def main(argv=None) -> int:
     seeds = args.seed or [7]
 
     if args.parent is None:
-        lines, _ = run({"change": load_package(REPO, "qcpart_change")}, workloads, seeds, 1,
-                       args.size)
+        lines, timing = run({"change": load_package(REPO, "qcpart_change")}, workloads, seeds,
+                            1, args.size)
         print("\n".join(lines["change"]))
+        for name, (_, _, qualities) in timing.items():
+            print("\n".join(quality_report(name, qualities)))
         return 0
     with tempfile.TemporaryDirectory(prefix="interleave-") as tmp:
         parent_root = Path(tmp) / "parent"
@@ -225,7 +276,9 @@ def main(argv=None) -> int:
     print(f"parent {commit}, seed {', '.join(map(str, seeds))}, size {args.size}, "
           f"{args.rounds} rounds")
     print("\n".join(compared))
-    for name, (times, raised) in timing.items():
+    for name, (_, _, qualities) in timing.items():
+        print("\n".join(quality_report(name, qualities)))
+    for name, (times, raised, _) in timing.items():
         print(report(name, summarize(times)))
         for outcome, part in by_outcome(times, raised).items():
             print(report(f"{name} {outcome}", summarize(part)))
