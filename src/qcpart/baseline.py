@@ -28,6 +28,8 @@ class FixtureError(ValueError):
 
 @dataclass(frozen=True)
 class BaselineConfig:
+    """`block_partition`'s one setting, the block size."""
+
     block_size: int  # max distinct qubits per block
 
     def __post_init__(self):

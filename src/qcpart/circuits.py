@@ -122,6 +122,9 @@ def ccx(a: int, b: int, target: int) -> Gate:
 
 @dataclass(frozen=True)
 class Circuit:
+    """A qubit count and its gates in program order; every gate's qubits
+    must lie in [0, num_qubits). CircuitError otherwise."""
+
     num_qubits: int
     gates: tuple[Gate, ...] = ()
 

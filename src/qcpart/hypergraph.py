@@ -49,6 +49,9 @@ class HgrFormatError(ValueError):
 
 @dataclass(frozen=True)
 class Hyperedge:
+    """Node indices (gates) a hyperedge spans, and its weight; a value, so
+    members given as a list are stored as a tuple."""
+
     members: tuple[int, ...]
     weight: float
 
@@ -73,6 +76,10 @@ def _check_weights(weights, what: str) -> None:
 
 @dataclass(frozen=True)
 class Hypergraph:
+    """Nodes 0..num_nodes-1 with one weight each, and the hyperedges over
+    them. ValueError unless every weight is finite and >= 0 and every
+    hyperedge is non-empty with int members in range."""
+
     num_nodes: int
     node_weights: tuple[float, ...]
     hyperedges: tuple[Hyperedge, ...]

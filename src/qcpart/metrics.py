@@ -54,6 +54,11 @@ def _waiver_draws(seed: int) -> Iterator[int]:
 
 @dataclass(frozen=True)
 class SwapEstimate:
+    """`estimate_swaps`' count: the total, the count per partition pair
+    (i, j) with i < j, the count charged to each partition (the lower index
+    of its pair), and how many the teleportation heuristic waived. Both
+    breakdowns must sum to the total."""
+
     total: int
     per_pair: Mapping[tuple[int, int], int]
     per_partition_attribution: tuple[int, ...]
@@ -68,6 +73,9 @@ class SwapEstimate:
 
 @dataclass(frozen=True)
 class PartitionMetrics:
+    """One partition's gate count, depth, H and CNOT counts, the SWAPs
+    charged to it and its fidelity with those SWAPs."""
+
     gate_count: int
     depth: int
     h_count: int
@@ -82,6 +90,11 @@ class PartitionMetrics:
 
 @dataclass(frozen=True)
 class MethodReport:
+    """One method's partitions scored: cut qubits, SWAPs, the product of
+    the partitions' fidelities, the largest depth, the time it took, one
+    `PartitionMetrics` per partition, and whether the partitions hold the
+    circuit's gates exactly (SWAPs aside)."""
+
     name: str
     num_partitions: int
     cut_qubits: tuple[int, ...]
@@ -95,6 +108,9 @@ class MethodReport:
 
 @dataclass(frozen=True)
 class ComparisonReport:
+    """The block baseline's and the hypergraph method's reports on one
+    circuit."""
+
     baseline: MethodReport
     hypergraph: MethodReport
 

@@ -32,22 +32,21 @@ the first `_RESTARTS` can be repaired into balance at the coarsest
 level, a retry of as many restarts keeps the hierarchy: each draws its
 side at the coarsest level and is repaired at the coarsest level where
 its projected side can be, the finest one last. Two prunings skip only
-work whose outcome is already known: an FM pass stops once the weight of
-edges with locked clusters on both sides (cut for the rest of the pass)
-leaves no later prefix able to beat the best one, and a restart stops as
-soon as an FM pass starts at some level from a side that an earlier
-restart's pass started from there, or from its mirror when both sides
-have the same cap, since the rest of a restart is deterministic, draws
-nothing from the RNG and treats the two sides alike when their caps are
-equal. k > 2 is handled by recursive bisection, where a side left empty
-leaves its parts empty; k = 1 labels every node 0 and builds no
-sub-problem. A solve stops early, with the
-error it would end in anyway, when the top instance or a side with two
-or more parts provably has no packing into its parts under the cap
-(`_unpackable`): a solve that completes leaves every part within the cap,
-so such a solve could only fail, and a solve that succeeds never meets
-the check. At k = 2 a refined random balanced assignment on the top
-instance replaces the top bisection when its cut is lower. An
+work whose outcome is already known: an FM pass stops once its best
+prefix reaches a zero cut, which no later prefix can beat, and a restart
+stops as soon as an FM pass starts at some level from a side that an
+earlier restart's pass started from there, or from its mirror when both
+sides have the same cap, since the rest of a restart is deterministic,
+draws nothing from the RNG and treats the two sides alike when their
+caps are equal. k > 2 is handled
+by recursive bisection, where a side left empty leaves its parts empty;
+k = 1 labels every node 0 and builds no sub-problem. A solve stops
+early, with the error it would end in anyway, when the top instance or a
+side with two or more parts provably has no packing into its parts under
+the cap (`_unpackable`): a solve that completes leaves every part within
+the cap, so such a solve could only fail, and a solve that succeeds
+never meets the check. At k = 2 a refined random balanced assignment on
+the top instance replaces the top bisection when its cut is lower. An
 external-solver adapter mirrors the usual Mt-KaHyPar style invocation for
 users who have a binary available; it rejects labels that are out of
 range or break the balance cap, and raises SolverError when the binary
@@ -86,6 +85,8 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class PartitionAssignment:
+    """One part label in [0, k) per hypergraph node; a part may be empty."""
+
     labels: tuple[int, ...]
     k: int
 
@@ -105,6 +106,10 @@ def _check_imbalance(imbalance) -> None:
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """Part count k, imbalance (each part's load at most `balance_cap`,
+    1 + imbalance times the rounded-up average), the internal solver's
+    seed, and the backend that solves."""
+
     k: int
     imbalance: float = 0.05
     seed: int = 42
@@ -431,11 +436,11 @@ def _refine(bis: _Bisection, seen: set | None = None, level: int = 0) -> bool:
     stay reachable, but the pass rolls back to the best prefix whose loads
     satisfy both caps. A pass applies its moves inline, with
     `_Bisection.move`'s deltas, in one loop over the moved cluster's edges
-    that also locks them and raises the scan's bound. Before a move leaves
-    the best prefix (the empty one at the first move), the pass copies the
-    loads, gains and pin counts as flat lists; a pass that ends past its
-    best prefix flips the later moves' sides back and puts that copy back,
-    and a pass without moves copies nothing. The cut after a pass is its
+    that also raises the scan's bound. Before a move leaves the best prefix
+    (the empty one at the first move), the pass copies the loads, gains and
+    pin counts as flat lists; a pass that ends past its best prefix flips
+    the later moves' sides back and puts that copy back, and a pass without
+    moves copies nothing. The cut after a pass is its
     start's minus the best prefix's gain. Loads and gains are exact
     integer sums, so the state is the recount of its sides. Passes repeat
     while they improve the cut, so the result is never worse than the
@@ -458,12 +463,8 @@ def _refine(bis: _Bisection, seen: set | None = None, level: int = 0) -> bool:
     higher gain and none before it as high a one, so it is the cluster the
     full scan picks.
 
-    A moved cluster stays locked for the rest of the pass, so an edge with
-    locked pins on both sides stays cut: with C0 the cut at the start of the
-    pass and L the weight of such edges, no later prefix gains more than
-    C0 - L. The pass therefore stops once that bound cannot beat the best
-    prefix, and a pass that starts uncut moves nothing. The bound is an
-    exact int, so the labels are those of a pass without this stop.
+    A pass also stops once its best prefix reaches a zero cut, since no
+    later prefix can beat it, so a pass that starts uncut moves nothing.
     """
     inst, side = bis.inst, bis.side
     weights, incident, edges = inst.weights, inst.incident, inst.edges
@@ -485,17 +486,13 @@ def _refine(bis: _Bisection, seen: set | None = None, level: int = 0) -> bool:
         seen.add(key)
         # a rollback replaces the lists
         gains, loads, counts, cut = bis.gains, bis.loads, bis.counts, bis.cut
-        # per side: the edge has a locked pin there
-        locked = ([False] * len(edges), [False] * len(edges))
-        locked_cut = 0
         unlocked = list(range(len(side)))  # ascending, so the scan keeps the tie-break
         moves: list[int] = []
         running = 0
         best_running, best_prefix = 0, 0
         saved = None  # the state at the best prefix, copied when a move leaves it
         bound = -below  # never below an unlocked cluster's gain
-        while (unlocked and locked_cut < cut - best_running
-               and len(moves) - best_prefix < _STALL_MOVES):
+        while unlocked and best_running < cut and len(moves) - best_prefix < _STALL_MOVES:
             best_v, best_gain, top = -1, below, below
             for v in unlocked:
                 gain = gains[v]
@@ -516,19 +513,14 @@ def _refine(bis: _Bisection, seen: set | None = None, level: int = 0) -> bool:
             if best_prefix == len(moves):  # a rollback may come back here
                 saved = (loads[:], gains[:], (counts[0][:], counts[1][:]))
             # The move of best_v, with `_Bisection.move`'s deltas; each raised
-            # gain also raises the bound, and each edge is locked on dst.
+            # gain also raises the bound.
             on_src, on_dst = counts[src], counts[dst]
-            locked_src, locked_dst = locked[src], locked[dst]
             side[best_v] = dst
             for ei in incident[best_v]:
                 cs = on_src[ei]
                 cd = on_dst[ei]
                 on_src[ei] = cs - 1
                 on_dst[ei] = cd + 1
-                if not locked_dst[ei]:
-                    locked_dst[ei] = True
-                    if locked_src[ei]:
-                        locked_cut += edges[ei][0]
                 if cd > 1 and cs > 2:
                     continue
                 w, members = edges[ei]

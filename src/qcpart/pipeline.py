@@ -166,6 +166,10 @@ def merge_partitions(parts: Sequence[Partition], threshold: int) -> list[Partiti
 
 @dataclass(frozen=True)
 class PipelineResult:
+    """What `run_hypergraph_pipeline` built: the circuit's hypergraph, the
+    solver's labels, the trimmed (and maybe merged) partitions and their
+    dependency DAG."""
+
     hypergraph: Hypergraph
     assignment: PartitionAssignment
     partitions: tuple[Partition, ...]
